@@ -37,16 +37,19 @@ def _seed_from(args) -> int:
     return int(env) if env else 0
 
 
+def _node_budget(args) -> int | None:
+    return None if args.mode == "strict" else args.budget_nodes
+
+
 def _config_from(args) -> SolveConfig:
     return SolveConfig(
         seed=_seed_from(args),
         failure_exponent=args.failure_exponent,
-        node_budget=args.budget_nodes,
-        strict=(args.mode == "strict"),
+        node_budget=_node_budget(args),
     )
 
 
-def _outcome_exit(outcome, cert_out, g, t) -> int:
+def _outcome_exit(outcome, cert_out) -> int:
     if isinstance(outcome, Contains):
         print(f"CONTAINS branch={outcome.branch}")
         if cert_out:
@@ -57,7 +60,8 @@ def _outcome_exit(outcome, cert_out, g, t) -> int:
         return EXIT_NOT_CONTAINED
     assert isinstance(outcome, NotFound)
     seed = outcome.seed if outcome.seed is not None else 0
-    print(f"NOT_FOUND rounds={outcome.rounds} seed={seed}")
+    note = f" note={outcome.note}" if outcome.note else ""
+    print(f"NOT_FOUND rounds={outcome.rounds} seed={seed}{note}")
     return EXIT_NOT_FOUND
 
 
@@ -65,18 +69,17 @@ def cmd_solve(args) -> int:
     g = read_graph(args.graph)
     t = read_tree(args.tree)
     outcome = solve(g, t, _config_from(args))
-    return _outcome_exit(outcome, args.cert_out, g, t)
+    return _outcome_exit(outcome, args.cert_out)
 
 
 def cmd_oracle(args) -> int:
     g = read_graph(args.graph)
     t = read_tree(args.tree)
     try:
-        outcome = brute_force_contains(g, t, node_cap=args.budget_nodes)
+        outcome = brute_force_contains(g, t, node_cap=_node_budget(args))
     except BudgetExceededError as exc:
-        print(f"NOT_FOUND rounds={exc.nodes} seed=0")
-        return EXIT_NOT_FOUND
-    return _outcome_exit(outcome, args.cert_out, g, t)
+        outcome = NotFound(rounds=0, seed=0, note=f"BudgetExceeded nodes={exc.nodes}")
+    return _outcome_exit(outcome, args.cert_out)
 
 
 def cmd_verify(args) -> int:

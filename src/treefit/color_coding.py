@@ -25,6 +25,7 @@ from .graph import Graph
 from .outcome import Contains, NotContained, NotFound, SolveOutcome
 from .seeds import rng_from
 from .trees import (
+    RootedView,
     Tree,
     canonical_code,
     contains_rooted_subtree,
@@ -43,7 +44,6 @@ class Coloring:
 
     colors: tuple[int, ...]
     palette: int
-    seed: int | None = None
 
 
 def trial_count(witness_size: int, failure_exponent: int) -> int:
@@ -74,6 +74,19 @@ def sample_coloring(
     return Coloring(tuple(colors), palette)
 
 
+def _guest_view(t: Tree, kappa: Mapping[int, int], within: Iterable[int] | None) -> RootedView:
+    """BFS view of the guest (sub)tree shared by the DP and the exact search,
+    rooted at the lowest pinned vertex, else at the lowest vertex."""
+    active = frozenset(range(t.n)) if within is None else frozenset(within)
+    if not set(kappa) <= active:
+        raise ValueError("pinned vertices must lie inside the guest subtree")
+    root = min(kappa) if kappa else min(active)
+    view = RootedView.build(t, root, None if within is None else active)
+    if len(view.order) != len(active):
+        raise ValueError("guest subtree is not connected")
+    return view
+
+
 # -- colorful DP ----------------------------------------------------------------
 
 def colorful_full_tree_dp(
@@ -91,31 +104,13 @@ def colorful_full_tree_dp(
     (color-mask, capped quota vector) pairs with self-contained back
     pointers for reconstruction.
     """
-    active = frozenset(range(t.n)) if within is None else frozenset(within)
     kappa = dict(kappa or {})
-    if not set(kappa) <= active:
-        raise ValueError("pinned vertices must lie inside the guest subtree")
-    if len(active) > coloring.palette:
+    view = _guest_view(t, kappa, within)
+    root, order, children = view.root, view.order, view.children
+    if len(order) > coloring.palette:
         return None
     fams = [(frozenset(F), int(q)) for F, q in families]
     goal = tuple(q for _, q in fams)
-
-    root = min(kappa) if kappa else min(active)
-    parent: dict[int, int] = {root: -1}
-    order = [root]
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        for v in sorted(t.adj(u) & active):
-            if v not in parent:
-                parent[v] = u
-                order.append(v)
-                queue.append(v)
-    if len(order) != len(active):
-        raise ValueError("guest subtree is not connected")
-    children: dict[int, list[int]] = {v: [] for v in active}
-    for v in order[1:]:
-        children[parent[v]].append(v)
 
     colors = coloring.colors
 
@@ -132,7 +127,7 @@ def colorful_full_tree_dp(
         if tv in kappa:
             candidates = [kappa[tv]]
         else:
-            need = len(t.adj(tv) & active)
+            need = len(children[tv]) + (tv != root)
             candidates = [
                 v for v in range(g.n) if colors[v] >= 0 and g.degree(v) >= need
             ]
@@ -202,25 +197,10 @@ def exact_constrained_embed(
     With `rng`, candidate orders are shuffled (used by tests to sample
     random witnesses); otherwise ascending order, fully deterministic.
     """
-    active = frozenset(range(t.n)) if within is None else frozenset(within)
     kappa = dict(kappa or {})
-    if not set(kappa) <= active:
-        raise ValueError("pinned vertices must lie inside the guest subtree")
+    view = _guest_view(t, kappa, within)
+    order, parent, children = view.order, view.parent, view.children
     fams = [(frozenset(F), int(q)) for F, q in families]
-
-    root = min(kappa) if kappa else min(active)
-    parent: dict[int, int] = {root: -1}
-    order = [root]
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        for v in sorted(t.adj(u) & active):
-            if v not in parent:
-                parent[v] = u
-                order.append(v)
-                queue.append(v)
-    if len(order) != len(active):
-        raise ValueError("guest subtree is not connected")
 
     mapping: dict[int, int] = {}
     used: set[int] = set()
@@ -247,7 +227,7 @@ def exact_constrained_embed(
             candidates = ordered(list(range(g.n)))
         else:
             candidates = ordered(sorted(g.adj(mapping[parent[tv]]) - used))
-        need = len(t.adj(tv) & active)
+        need = len(children[tv]) + (depth > 0)
         for gv in candidates:
             nodes += 1
             if node_cap is not None and nodes > node_cap:
@@ -442,7 +422,9 @@ def rooted_subtrees_with_leaf_count(
 def solve_ahsc(inst: AhscInstance, failure_exponent: int, rng: Random) -> AhscResult:
     """Enumerate candidate subtrees (minimal pinned spine plus attachment
     trees per composition) and try each with the colorful DP or the exact
-    search.  `exact` in the result means every branch was decided exactly."""
+    search.  `exact` in the result means every branch was decided exactly.
+
+    Paper-reproduction library: `solve` does not call it; tests run it directly."""
     g, t = inst.g, inst.t
     active = inst.active
     kappa = inst.kappa_map

@@ -5,6 +5,8 @@ outside vertex is adjacent to almost everything, so an embedding can always
 be grown one leaf at a time: either the new leaf fits on a free neighbor, or
 a local rewiring (swap a leaf image through a shared neighbor, or relocate a
 whole vertex to an outside twin) makes room.
+
+Paper-reproduction library: `solve` does not call it; tests run it directly.
 """
 
 from __future__ import annotations

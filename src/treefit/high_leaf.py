@@ -7,6 +7,8 @@ degree is small; an annotated hitting search anchored at the witness when
 the tree has no long path out of it; and otherwise a direct construction
 that walks out of a neighborhood (or exploits density) and finishes with
 leaf completion.
+
+Paper-reproduction library: `solve` does not call it; tests run it directly.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ separators, and the dispatcher that picks among them.
 All four engines here are constructive and always succeed inside their
 stated regimes; under relaxed thresholds (used by tests) every postcondition
 is still verified, never assumed.
+
+Paper-reproduction library: `solve` does not call it; tests run it directly.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Solver outcomes.
 
 Contains carries a verified certificate.  NotContained is only ever produced
-by exact branches (size check, the delta+2 characterization, exhaustive
-search).  NotFound is the probabilistic miss: the randomized engines saw no
-witness within their round budget, so the instance is a NO up to the stated
-failure probability 2**-failure_exponent.
+by exact steps (size check, exhaustive search).  NotFound is the
+probabilistic miss: the randomized engines saw no witness within their
+round budget, so the instance is a NO up to the stated failure probability
+2**-failure_exponent.
 """
 
 from __future__ import annotations

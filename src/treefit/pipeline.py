@@ -1,4 +1,5 @@
-"""The master solver: size check, greedy guarantee, then the case ladder.
+"""The master solver: size check, component split, greedy guarantee, then
+plain containment search.
 
 Also houses the brute-force oracle (an independent backtracking search used
 by the verification suites; deliberately sharing no code with the solver's
@@ -7,30 +8,22 @@ own exact branch) and certificate checking.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from . import dense, high_leaf, medium, preserving, small_diameter
 from .color_coding import contains_tree_by_size
 from .embedding import PartialEmbedding, chvatal_extend, verify
 from .errors import BudgetExceededError, EmptyGraphError
-from .graph import Graph, is_q_escape
+from .graph import Graph
 from .outcome import Contains, NotContained, NotFound, SolveOutcome
 from .seeds import rng_from
-from .trees import Tree, find_separable_edge, leaf_degree, tree_diameter
-
-PIPELINE_P = 15  # exponent behind the small-min-degree and separability cutoffs
+from .trees import Tree
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     seed: int = 0
     failure_exponent: int = 20
-    node_budget: int | None = 2_000_000
-    strict: bool = False  # strict mode removes budgets and may run forever
-
-    def effective_budget(self) -> int | None:
-        return None if self.strict else self.node_budget
+    node_budget: int | None = 2_000_000  # None removes the budget and may run forever
 
 
 def verify_certificate(g: Graph, t: Tree, e: PartialEmbedding) -> bool:
@@ -92,55 +85,12 @@ def brute_force_contains(
 
 
 def _solve_connected(g: Graph, t: Tree, config: SolveConfig, stream: int) -> SolveOutcome:
-    delta = g.min_degree()
-    k = t.n - delta
-    budget = config.effective_budget()
-    fe = config.failure_exponent
-
-    if t.n > g.n:
-        return NotContained(reason="guest larger than host")
-    if k <= 1:
+    """Solve on a connected host that is at least as large as the guest."""
+    if t.n - g.min_degree() <= 1:
         emb = chvatal_extend(g, t, PartialEmbedding({}))
         return Contains(emb, branch="greedy-guarantee")
-
-    # Case 1: small minimum degree -> plain containment search.
-    if delta < k ** (3 * PIPELINE_P + 1):
-        out = contains_tree_by_size(g, t, fe, rng_from(config.seed, stream, 1), budget)
-        return _tag(out, "small-min-degree")
-
-    # Cases 2-3: a vertex with many leaf neighbors.
-    if k < 3 or leaf_degree(t)[0] >= k - 1:
-        out = high_leaf.solve_high_leaf_degree(
-            g, t, k, fe, rng_from(config.seed, stream, 2), node_budget=budget
-        )
-        return _tag(out, "high-leaf-degree")
-
-    # Case 4: barely more vertices than the minimum degree.
-    if 4 * k * (g.n - delta) <= delta:
-        emb = dense.embed_dense(g, t, k)
-        return Contains(emb, branch="dense")
-
-    # Case 5: very long guests always fit.
-    if tree_diameter(t) >= 8 * (k ** 6) * math.log2(delta):
-        emb = preserving.solve_large_diameter(g, t, k)
-        return Contains(emb, branch="large-diameter")
-
-    # Cases 6-7: escape vertex or separable guest.
-    q = k ** PIPELINE_P
-    if any(is_q_escape(g, v, q) for v in range(g.n)) or find_separable_edge(t, q):
-        emb = medium.solve_medium(g, t, k)
-        return Contains(emb, branch="medium")
-
-    out = small_diameter.solve_small_diameter(
-        g, t, k, PIPELINE_P, fe, rng_from(config.seed, stream, 3)
-    )
-    return _tag(out, "small-diameter")
-
-
-def _tag(out: SolveOutcome, branch: str) -> SolveOutcome:
-    if isinstance(out, Contains) and not out.branch.startswith(branch):
-        return Contains(out.embedding, branch=f"{branch}:{out.branch}")
-    return out
+    rng = rng_from(config.seed, stream, 1)
+    return contains_tree_by_size(g, t, config.failure_exponent, rng, config.node_budget)
 
 
 def solve(g: Graph, t: Tree, config: SolveConfig | None = None) -> SolveOutcome:

@@ -9,6 +9,8 @@ greedy anti-dominating set for building preserving sets in the first place.
 
 Every constructor re-checks its output; the checks are part of the
 operations, not just the tests.
+
+Paper-reproduction library: `solve` does not call it; tests run it directly.
 """
 
 from __future__ import annotations

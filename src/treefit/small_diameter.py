@@ -6,6 +6,8 @@ distinct neighbors of a host vertex, tries every injection from a small set
 of representative leaf-adjacent guest vertices onto the sample, and hands
 each pinned map to the anchored solver, which reduces to annotated hitting
 searches plus a saturating matching for the final leaves.
+
+Paper-reproduction library: `solve` does not call it; tests run it directly.
 """
 
 from __future__ import annotations

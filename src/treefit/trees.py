@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import HypothesisNotMet, ParseError, TreeIsSeparableError
@@ -85,59 +86,44 @@ class Tree:
 
 @dataclass(frozen=True)
 class RootedView:
-    """Rooted orientation of a tree: parents, BFS order, children, depths, sizes."""
+    """Rooted orientation of a tree or of a subtree induced by `within`.
+
+    `parent`, `children` and `size` are indexed by vertex id; vertices the
+    BFS from the root did not reach have parent -1 and no children, so a
+    view with `len(order) < len(within)` marks a disconnected subset.
+    """
 
     root: int
-    parent: tuple[int, ...]          # -1 at the root
-    order: tuple[int, ...]           # BFS discovery order from the root
+    parent: tuple[int, ...]          # -1 at the root and outside the view
+    order: tuple[int, ...]           # BFS order, children in ascending id
     children: tuple[tuple[int, ...], ...]
-    depth: tuple[int, ...]
-    size: tuple[int, ...]            # subtree sizes
 
     @staticmethod
-    def build(t: Tree, root: int) -> "RootedView":
-        if not (0 <= root < t.n):
-            raise ValueError(f"root {root} out of range")
+    def build(t: Tree, root: int, within: frozenset[int] | None = None) -> "RootedView":
+        if not (0 <= root < t.n) or (within is not None and root not in within):
+            raise ValueError(f"root {root} outside the (sub)tree")
         parent = [-1] * t.n
-        depth = [0] * t.n
+        children: list[tuple[int, ...]] = [()] * t.n
         order = [root]
-        seen = {root}
-        queue = deque([root])
-        children: list[list[int]] = [[] for _ in range(t.n)]
-        while queue:
-            u = queue.popleft()
-            for v in sorted(t.adj(u)):
-                if v not in seen:
-                    seen.add(v)
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    children[u].append(v)
-                    order.append(v)
-                    queue.append(v)
-        size = [1] * t.n
-        for u in reversed(order):
-            for c in children[u]:
-                size[u] += size[c]
-        return RootedView(
-            root=root,
-            parent=tuple(parent),
-            order=tuple(order),
-            children=tuple(tuple(c) for c in children),
-            depth=tuple(depth),
-            size=tuple(size),
-        )
+        adj = t._adj
+        for u in order:  # grows while it is read: a BFS queue
+            kids = sorted(adj[u] if within is None else adj[u] & within)
+            if u != root:
+                kids.remove(parent[u])  # a tree's only visited neighbour
+            for v in kids:
+                parent[v] = u
+            order.extend(kids)
+            children[u] = tuple(kids)
+        return RootedView(root, tuple(parent), tuple(order), tuple(children))
 
-    def height(self, v: int) -> int:
-        """Length of the longest downward path from v (computed lazily)."""
-        best = 0
-        stack = [(v, 0)]
-        while stack:
-            u, d = stack.pop()
-            if d > best:
-                best = d
+    @cached_property
+    def size(self) -> tuple[int, ...]:
+        """Subtree sizes (1 outside the view)."""
+        size = [1] * len(self.parent)
+        for u in reversed(self.order):
             for c in self.children[u]:
-                stack.append((c, d + 1))
-        return best
+                size[u] += size[c]
+        return tuple(size)
 
 
 # -- induced-subtree helpers ---------------------------------------------------
@@ -151,10 +137,6 @@ def _active(t: Tree, within: Iterable[int] | None) -> frozenset[int]:
     if not all(0 <= v < t.n for v in active):
         raise ValueError("vertex subset out of range")
     return active
-
-
-def induced_adj(t: Tree, v: int, active: frozenset[int]) -> frozenset[int]:
-    return t.adj(v) & active
 
 
 def subtree_is_connected(t: Tree, within: Iterable[int]) -> bool:
@@ -175,23 +157,13 @@ def subtree_is_connected(t: Tree, within: Iterable[int]) -> bool:
 
 def farthest_from(t: Tree, source: int, within: Iterable[int] | None = None) -> tuple[int, int, dict[int, int]]:
     """(distance, lowest farthest vertex, parent map) by BFS in the induced subtree."""
-    active = _active(t, within)
-    if source not in active:
-        raise ValueError("source outside the subtree")
+    view = RootedView.build(t, source, None if within is None else _active(t, within))
+    parent = {v: view.parent[v] for v in view.order}
     dist = {source: 0}
-    parent = {source: -1}
-    queue = deque([source])
-    far, far_d = source, 0
-    while queue:
-        u = queue.popleft()
-        for v in sorted(t.adj(u) & active):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                parent[v] = u
-                queue.append(v)
-                if dist[v] > far_d or (dist[v] == far_d and v < far):
-                    far, far_d = v, dist[v]
-    return far_d, far, parent
+    for v in view.order[1:]:
+        dist[v] = dist[parent[v]] + 1
+    far = min(view.order, key=lambda v: (-dist[v], v))
+    return dist[far], far, parent
 
 
 def tree_path(t: Tree, u: int, v: int, within: Iterable[int] | None = None) -> list[int]:
@@ -360,13 +332,6 @@ class ContractedTree:
     original_paths: tuple[tuple[int, ...], ...]  # full sequences before capping
     owed: tuple[int, ...]                        # edges to re-insert per path
 
-    @property
-    def vertex_count(self) -> int:
-        verts = set()
-        for p in self.paths:
-            verts.update(p)
-        return len(verts)
-
 
 def contract_trivial_paths(t: Tree, cap: int, within: Iterable[int] | None = None) -> ContractedTree:
     """Shorten every maximal trivial path longer than cap to exactly cap edges.
@@ -393,23 +358,10 @@ def contract_trivial_paths(t: Tree, cap: int, within: Iterable[int] | None = Non
 
 def canonical_code(t: Tree, root: int, within: Iterable[int] | None = None) -> str:
     """AHU code: equal exactly for rooted-isomorphic (sub)trees."""
-    active = _active(t, within)
-    if root not in active:
-        raise ValueError("root outside the subtree")
-    order = [root]
-    parent = {root: -1}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(t.adj(u) & active):
-            if v not in parent:
-                parent[v] = u
-                order.append(v)
-                queue.append(v)
+    view = RootedView.build(t, root, None if within is None else _active(t, within))
     code: dict[int, str] = {}
-    for v in reversed(order):
-        kids = sorted(code[c] for c in t.adj(v) & active if parent.get(c) == v)
-        code[v] = "(" + "".join(kids) + ")"
+    for v in reversed(view.order):
+        code[v] = "(" + "".join(sorted(code[c] for c in view.children[v])) + ")"
     return code[root]
 
 
@@ -426,28 +378,10 @@ def contains_rooted_subtree(
     Children of each guest vertex must map injectively to children of the
     image; solved by recursive feasibility plus bipartite matching.
     """
-    h_active = _active(host, host_within)
-    g_active = _active(guest, guest_within)
-    if host_root not in h_active or guest_root not in g_active:
-        raise ValueError("root outside its subtree")
-
-    def children_of(t: Tree, root: int, active: frozenset[int]) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {root: []}
-        parent = {root: -1}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            kids = []
-            for v in sorted(t.adj(u) & active):
-                if v not in parent:
-                    parent[v] = u
-                    kids.append(v)
-                    queue.append(v)
-            out[u] = kids
-        return out
-
-    h_children = children_of(host, host_root, h_active)
-    g_children = children_of(guest, guest_root, g_active)
+    h_active = None if host_within is None else _active(host, host_within)
+    g_active = None if guest_within is None else _active(guest, guest_within)
+    h_children = RootedView.build(host, host_root, h_active).children
+    g_children = RootedView.build(guest, guest_root, g_active).children
     memo: dict[tuple[int, int], dict[int, int] | None] = {}
 
     def embed(gv: int, hv: int) -> dict[int, int] | None:

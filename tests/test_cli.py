@@ -107,6 +107,7 @@ class TestSolve:
         assert code == 2
         assert out.startswith("NOT_FOUND rounds=")
         assert "seed=3" in out
+        assert "note=BudgetExceeded" in out
 
 
 class TestVerify:
@@ -134,6 +135,21 @@ class TestOracle:
             ]
         )
         assert code == 1
+
+    def test_strict_mode_lifts_node_cap(self, tmp_path):
+        write_graph(tmp_path / "c.graph", cycle(16))
+        write_tree(tmp_path / "c.tree", path_tree(16))
+        args = [
+            "oracle",
+            "--graph", str(tmp_path / "c.graph"),
+            "--tree", str(tmp_path / "c.tree"),
+            "--budget-nodes", "5",
+        ]
+        code, out = run_cli(args)
+        assert code == 2
+        assert out.strip() == "NOT_FOUND rounds=0 seed=0 note=BudgetExceeded nodes=6"
+        code, out = run_cli(args + ["--mode", "strict"])
+        assert code == 0 and out.startswith("CONTAINS branch=oracle")
 
 
 class TestGenerate:

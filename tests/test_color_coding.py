@@ -123,6 +123,16 @@ class TestExactConstrained:
                         assert (mine is not None) == isinstance(oracle, Contains)
 
 
+class TestGuestView:
+    def test_disconnected_within_rejected(self):
+        g = complete(4)
+        t = path_tree(4)
+        with pytest.raises(ValueError, match="guest subtree is not connected"):
+            colorful_full_tree_dp(g, t, Coloring((0, 1, 2, 3), 4), within={0, 2})
+        with pytest.raises(ValueError, match="guest subtree is not connected"):
+            exact_constrained_embed(g, t, within={0, 1, 3})
+
+
 class TestContainsTreeBySize:
     def test_triangle_path(self):
         out = contains_tree_by_size(complete(3), path_tree(3), 10, rng_from(1))

@@ -7,6 +7,7 @@ from treefit.errors import HypothesisNotMet, ParseError
 from treefit.generate import random_tree
 from treefit.seeds import rng_from
 from treefit.trees import (
+    RootedView,
     Tree,
     canonical_code,
     contains_rooted_subtree,
@@ -255,6 +256,63 @@ class TestContractTrivialPaths:
             out = contract_trivial_paths(t, 3)
             kept = sum(len(p) - 1 for p in out.paths)
             assert kept + sum(out.owed) == t.n - 1
+
+
+def inline_sorted_bfs(t: Tree, root: int, active: frozenset[int]):
+    """The sorted BFS the guest searches used to inline, as a reference."""
+    parent = {root: -1}
+    order = [root]
+    queue = [root]
+    while queue:
+        u = queue.pop(0)
+        for v in sorted(t.adj(u) & active):
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+                queue.append(v)
+    children = {v: [] for v in order}
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    return order, parent, children
+
+
+class TestRootedView:
+    def assert_matches_inline(self, t, root, within):
+        view = RootedView.build(t, root, within)
+        active = frozenset(range(t.n)) if within is None else within
+        order, parent, children = inline_sorted_bfs(t, root, active)
+        assert view.order == tuple(order)
+        for v in range(t.n):
+            assert view.parent[v] == parent.get(v, -1)
+            assert view.children[v] == tuple(children.get(v, ()))
+        assert view.size[root] == len(order)
+
+    def test_whole_trees_match_inline_bfs(self, small_trees):
+        for n in range(1, 8):
+            for t in small_trees[n]:
+                for root in range(t.n):
+                    self.assert_matches_inline(t, root, None)
+
+    def test_subsets_match_inline_bfs(self):
+        # connected subsets grown from the root, and arbitrary ones that
+        # may split (the view then covers the root's piece only)
+        rng = rng_from(27)
+        for _ in range(200):
+            t = random_tree(rng.randint(2, 20), rng)
+            root = rng.randrange(t.n)
+            grown = {root}
+            for _ in range(rng.randint(0, t.n - 1)):
+                frontier = sorted({v for u in grown for v in t.adj(u)} - grown)
+                grown.add(rng.choice(frontier))
+            self.assert_matches_inline(t, root, frozenset(grown))
+            scattered = {root} | {v for v in range(t.n) if rng.random() < 0.5}
+            self.assert_matches_inline(t, root, frozenset(scattered))
+
+    def test_root_outside_rejected(self):
+        with pytest.raises(ValueError):
+            RootedView.build(path_tree(3), 3)
+        with pytest.raises(ValueError):
+            RootedView.build(path_tree(3), 0, frozenset({1, 2}))
 
 
 class TestCanonicalCode:
