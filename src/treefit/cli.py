@@ -29,6 +29,8 @@ EXIT_NOT_CONTAINED = 1
 EXIT_NOT_FOUND = 2
 EXIT_USAGE = 3
 
+BENCH_FIELDS = ["instance", "outcome", "branch", "ms", "rounds", "note", "error"]
+
 
 def _seed_from(args) -> int:
     if args.seed is not None:
@@ -132,7 +134,8 @@ def cmd_bench(args) -> int:
         if not tree_path.exists():
             continue
         name = graph_path.stem
-        row = {"instance": name, "outcome": "", "branch": "", "ms": "", "rounds": "", "error": ""}
+        row = dict.fromkeys(BENCH_FIELDS, "")
+        row["instance"] = name
         try:
             g = read_graph(graph_path)
             t = read_tree(tree_path)
@@ -148,14 +151,11 @@ def cmd_bench(args) -> int:
             else:
                 row["outcome"] = "not_found"
                 row["rounds"] = str(outcome.rounds)
+                row["note"] = outcome.note
         except TreefitError as exc:
             row["error"] = str(exc)
         rows.append(row)
-    writer = csv.DictWriter(
-        sys.stdout,
-        fieldnames=["instance", "outcome", "branch", "ms", "rounds", "error"],
-        lineterminator="\n",
-    )
+    writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_FIELDS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return 0

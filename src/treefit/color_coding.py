@@ -2,9 +2,10 @@
 
 Three layers: a colorful dynamic program that embeds a whole (sub)tree under
 a vertex coloring while honoring a pinned partial map and per-set hitting
-quotas; an exact constrained backtracking search used below the
-randomization crossover; and the annotated hitting solver that enumerates
-candidate subtrees and drives trials.
+quotas; an exact constrained backtracking search for the same problem,
+which plain containment runs first under its node budget; and the
+annotated hitting solver that enumerates candidate subtrees and drives
+trials.
 
 All searches are one-sided: a returned embedding is always verified, a miss
 is only probabilistic (unless the exact branch ran, which callers can see on
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .embedding import PartialEmbedding, verify
 from .errors import BudgetExceededError
@@ -28,6 +29,7 @@ from .trees import (
     RootedView,
     Tree,
     canonical_code,
+    connected_view,
     contains_rooted_subtree,
     minimal_spanning_subtree,
     tree_diameter,
@@ -81,10 +83,7 @@ def _guest_view(t: Tree, kappa: Mapping[int, int], within: Iterable[int] | None)
     if not set(kappa) <= active:
         raise ValueError("pinned vertices must lie inside the guest subtree")
     root = min(kappa) if kappa else min(active)
-    view = RootedView.build(t, root, None if within is None else active)
-    if len(view.order) != len(active):
-        raise ValueError("guest subtree is not connected")
-    return view
+    return connected_view(t, root, within, "guest subtree")
 
 
 # -- colorful DP ----------------------------------------------------------------
@@ -190,78 +189,105 @@ def exact_constrained_embed(
     families: Sequence[Family] = (),
     within: Iterable[int] | None = None,
     node_cap: int | None = None,
-    rng: Random | None = None,
 ) -> PartialEmbedding | None:
     """Deterministic backtracking for the same problem the DP solves.
 
-    With `rng`, candidate orders are shuffled (used by tests to sample
-    random witnesses); otherwise ascending order, fully deterministic.
+    Guest vertices are placed in BFS order, each on its pin if it has one,
+    else the root on every host vertex and any other vertex on every free
+    neighbour of its parent's image, in ascending order.  Each candidate
+    tried is a search node (a used neighbour is skipped without counting);
+    more than `node_cap` nodes raise BudgetExceededError.
     """
     kappa = dict(kappa or {})
     view = _guest_view(t, kappa, within)
-    order, parent, children = view.order, view.parent, view.children
+    order = view.order
+    size = len(order)
+    position = {tv: i for i, tv in enumerate(order)}
+    # per BFS position: the parent's position, the degree needed, the pin
+    parent_at = [-1] + [position[view.parent[tv]] for tv in order[1:]]
+    need_at = [len(view.children[tv]) + (i > 0) for i, tv in enumerate(order)]
+    pin_at = [kappa.get(tv) for tv in order]
     fams = [(frozenset(F), int(q)) for F, q in families]
+    cap = math.inf if node_cap is None else node_cap
 
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
+    adj = g.adjacency()
+    degree = list(map(len, adj))
+    sorted_adj: list[list[int] | None] = [None] * g.n
+    images = [-1] * size
+    used = [False] * g.n
     counts = [0] * len(fams)
     nodes = 0
 
-    def ordered(seq: list[int]) -> list[int]:
-        if rng is not None:
-            rng.shuffle(seq)
-        return seq
-
-    def feasible(depth: int) -> bool:
-        remaining = len(order) - depth
-        return all(c + remaining >= q for c, (_, q) in zip(counts, fams))
-
-    def place(depth: int) -> bool:
+    def pinned_frame(depth: int, pinned: int) -> Iterator[int]:
         nonlocal nodes
-        if depth == len(order):
-            return all(c >= q for c, (_, q) in zip(counts, fams))
-        tv = order[depth]
-        if tv in kappa:
-            candidates = [kappa[tv]]
-        elif depth == 0:
-            candidates = ordered(list(range(g.n)))
-        else:
-            candidates = ordered(sorted(g.adj(mapping[parent[tv]]) - used))
-        need = len(children[tv]) + (depth > 0)
-        for gv in candidates:
-            nodes += 1
-            if node_cap is not None and nodes > node_cap:
+        if used[pinned] or (depth > 0 and pinned not in adj[images[parent_at[depth]]]):
+            nodes += 1  # the pin is a node that fails at once
+            if nodes > cap:
                 raise BudgetExceededError(nodes)
-            if gv in used or g.degree(gv) < need:
-                continue
-            if depth > 0 and not g.has_edge(gv, mapping[parent[tv]]):
-                continue
-            mapping[tv] = gv
-            used.add(gv)
-            deltas = [1 if gv in F else 0 for F, _ in fams]
-            for i, d in enumerate(deltas):
-                counts[i] += d
-            if feasible(depth + 1) and place(depth + 1):
-                return True
-            for i, d in enumerate(deltas):
-                counts[i] -= d
-            used.discard(gv)
-            del mapping[tv]
-        return False
+            return iter(())
+        return iter((pinned,))
 
-    if place(0):
-        emb = PartialEmbedding(mapping)
-        if not verify(emb, g, t):
-            raise AssertionError("constrained search produced an invalid embedding")
-        return emb
-    return None
+    # frames[d]: the candidates left at position d, set on entering it
+    frames: list[Iterator[int]] = [iter(())] * size
+    frames[0] = iter(range(g.n)) if pin_at[0] is None else pinned_frame(0, pin_at[0])
+    depth = 0
+    while depth < size:
+        need = need_at[depth]
+        for gv in frames[depth]:
+            if used[gv]:
+                continue
+            nodes += 1
+            if nodes > cap:
+                raise BudgetExceededError(nodes)
+            if degree[gv] < need:
+                continue
+            if fams:
+                # keep gv only if every quota stays reachable; at the last
+                # position this is the final quota check
+                remaining = size - depth - 1
+                hits = [gv in F for F, _ in fams]
+                if any(c + h + remaining < q for c, h, (_, q) in zip(counts, hits, fams)):
+                    continue
+                for i, h in enumerate(hits):
+                    counts[i] += h
+            images[depth] = gv
+            used[gv] = True
+            break
+        else:  # every candidate failed: undo the parent's placement
+            depth -= 1
+            if depth < 0:
+                return None
+            gv = images[depth]
+            used[gv] = False
+            for i, (F, _) in enumerate(fams):
+                counts[i] -= gv in F
+            continue
+        depth += 1
+        if depth < size:
+            pinned = pin_at[depth]
+            if pinned is not None:
+                frames[depth] = pinned_frame(depth, pinned)
+                continue
+            anchor = images[parent_at[depth]]
+            neighbours = sorted_adj[anchor]
+            if neighbours is None:
+                neighbours = sorted_adj[anchor] = sorted(adj[anchor])
+            frames[depth] = iter(neighbours)
+
+    emb = PartialEmbedding({tv: images[i] for i, tv in enumerate(order)})
+    if not verify(emb, g, t):
+        raise AssertionError("constrained search produced an invalid embedding")
+    return emb
 
 
 def use_exact_search(
     g: Graph, witness_size: int, failure_exponent: int, families: Sequence[Family] = ()
 ) -> bool:
-    """Crossover rule: exact backtracking when the witness is tiny or the DP
-    state bound exceeds the straightforward backtracking bound."""
+    """Worst-case crossover rule: exact backtracking when the witness is tiny
+    or the DP state bound exceeds the straightforward backtracking bound.
+
+    Paper-reproduction library: only `solve_ahsc` uses it;
+    `contains_tree_by_size` always runs the exact search first."""
     if witness_size <= 6:
         return True
     if g.n == 0:
@@ -289,31 +315,26 @@ def contains_tree_by_size(
     rng: Random,
     node_budget: int | None = None,
 ) -> SolveOutcome:
-    """Decide whole-tree containment; exact below the crossover, randomized
-    color coding above it.  One-sided: no false positives."""
+    """Decide whole-tree containment: exact search within `node_budget`
+    nodes, then randomized color coding only if the search ran out of
+    budget (never with `node_budget=None`, which leaves the search
+    unbounded).  One-sided: no false positives."""
     if t.n > g.n:
         return NotContained(reason="guest larger than host")
-    s = t.n
-    if use_exact_search(g, s, failure_exponent):
-        try:
-            emb = exact_constrained_embed(g, t, node_cap=node_budget)
-        except BudgetExceededError:
-            emb = "budget"
-        if emb == "budget":
-            pass  # fall through to randomized trials
-        elif emb is None:
+    try:
+        emb = exact_constrained_embed(g, t, node_cap=node_budget)
+    except BudgetExceededError:
+        pass  # only a finite node_budget runs out; it also caps the trials
+    else:
+        if emb is None:
             return NotContained(reason="exhaustive search")
-        else:
-            return Contains(emb, branch="exact-search")
+        return Contains(emb, branch="exact-search")
 
+    s = t.n
     total = trial_count(s, failure_exponent)
-    capped = total
-    note = ""
-    if node_budget is not None:
-        per_trial = (2 ** min(s, 60)) * s * max(g.n, 1)
-        capped = min(total, max(0, node_budget // per_trial))
-        if capped < total:
-            note = "BudgetExceeded"
+    per_trial = (2 ** min(s, 60)) * s * max(g.n, 1)
+    capped = min(total, max(0, node_budget // per_trial))
+    note = "BudgetExceeded" if capped < total else ""
     for trial in range(capped):
         coloring = sample_coloring(g, s, rng)
         emb = colorful_full_tree_dp(g, t, coloring)

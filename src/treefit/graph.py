@@ -53,6 +53,10 @@ class Graph:
     def adj(self, v: int) -> frozenset[int]:
         return self._adj[v]
 
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Every vertex's neighbour set, indexed by vertex."""
+        return self._adj
+
     def closed_adj(self, v: int) -> frozenset[int]:
         return self._adj[v] | {v}
 

@@ -139,6 +139,19 @@ def _active(t: Tree, within: Iterable[int] | None) -> frozenset[int]:
     return active
 
 
+def connected_view(
+    t: Tree, root: int, within: Iterable[int] | None = None, name: str = "subtree"
+) -> RootedView:
+    """RootedView of the subtree induced by `within`; a `within` that is not
+    connected raises ValueError("<name> is not connected") instead of
+    yielding the root's piece alone."""
+    active = None if within is None else _active(t, within)
+    view = RootedView.build(t, root, active)
+    if active is not None and len(view.order) != len(active):
+        raise ValueError(f"{name} is not connected")
+    return view
+
+
 def subtree_is_connected(t: Tree, within: Iterable[int]) -> bool:
     active = frozenset(within)
     if not active:
@@ -357,8 +370,9 @@ def contract_trivial_paths(t: Tree, cap: int, within: Iterable[int] | None = Non
 # -- canonical codes and rooted containment ---------------------------------------
 
 def canonical_code(t: Tree, root: int, within: Iterable[int] | None = None) -> str:
-    """AHU code: equal exactly for rooted-isomorphic (sub)trees."""
-    view = RootedView.build(t, root, None if within is None else _active(t, within))
+    """AHU code: equal exactly for rooted-isomorphic (sub)trees.  A `within`
+    that is not connected raises ValueError."""
+    view = connected_view(t, root, within)
     code: dict[int, str] = {}
     for v in reversed(view.order):
         code[v] = "(" + "".join(sorted(code[c] for c in view.children[v])) + ")"
@@ -376,12 +390,11 @@ def contains_rooted_subtree(
     """Root-preserving subtree embedding of guest into host, or None.
 
     Children of each guest vertex must map injectively to children of the
-    image; solved by recursive feasibility plus bipartite matching.
+    image; solved by recursive feasibility plus bipartite matching.  A
+    `host_within` or `guest_within` that is not connected raises ValueError.
     """
-    h_active = None if host_within is None else _active(host, host_within)
-    g_active = None if guest_within is None else _active(guest, guest_within)
-    h_children = RootedView.build(host, host_root, h_active).children
-    g_children = RootedView.build(guest, guest_root, g_active).children
+    h_children = connected_view(host, host_root, host_within, "host subtree").children
+    g_children = connected_view(guest, guest_root, guest_within, "guest subtree").children
     memo: dict[tuple[int, int], dict[int, int] | None] = {}
 
     def embed(gv: int, hv: int) -> dict[int, int] | None:

@@ -1,9 +1,10 @@
+import csv
 import io
 from contextlib import redirect_stdout
 
 import pytest
 
-from helpers import cycle, path_tree, petersen, star_tree
+from helpers import cycle, path_tree, petersen, spider, star_tree
 from treefit.cli import main
 from treefit.graph import read_graph, write_graph
 from treefit.trees import read_tree, write_tree
@@ -204,6 +205,19 @@ class TestBench:
         assert len(lines) == 3
         assert any("contains" in l for l in lines[1:])
         assert any("not_contained" in l for l in lines[1:])
+
+    def test_budget_note_column(self, instance_dir):
+        # a 10-vertex spider needs a vertex of degree 3, which a 16-cycle lacks:
+        # 16 root candidates overrun a 10-node budget before any DP trial
+        write_graph(instance_dir / "c.graph", cycle(16))
+        write_tree(instance_dir / "c.tree", spider(3, 3))
+        code, out = run_cli(["bench", "--dir", str(instance_dir), "--budget-nodes", "10"])
+        assert code == 0
+        rows = {row["instance"]: row for row in csv.DictReader(io.StringIO(out))}
+        assert rows["c"]["outcome"] == "not_found"
+        assert rows["c"]["rounds"] == "0"
+        assert rows["c"]["note"] == "BudgetExceeded"
+        assert rows["a"]["note"] == "" and rows["a"]["outcome"] == "contains"
 
     def test_empty_dir(self, tmp_path):
         code, out = run_cli(["bench", "--dir", str(tmp_path)])

@@ -17,10 +17,13 @@ from treefit.color_coding import (
     use_exact_search,
 )
 from treefit.embedding import verify
-from treefit.generate import random_graph, random_tree
-from treefit.outcome import Contains, NotContained
-from treefit.pipeline import brute_force_contains
+from treefit.errors import BudgetExceededError
+from treefit.generate import random_graph, random_graph_min_degree, random_tree
+from treefit.graph import Graph
+from treefit.outcome import Contains, NotContained, NotFound
+from treefit.pipeline import SolveConfig, brute_force_contains
 from treefit.seeds import rng_from
+from treefit.trees import canonical_code, contains_rooted_subtree
 
 
 class TestColorfulDp:
@@ -122,6 +125,20 @@ class TestExactConstrained:
                         oracle = brute_force_contains(g, t)
                         assert (mine is not None) == isinstance(oracle, Contains)
 
+    def test_node_cap(self):
+        # P_3 in a triangle: root on 0, middle on 1, end on 2 after skipping
+        # the used neighbour 0, which is not a node: three nodes in all
+        g, t = complete(3), path_tree(3)
+        with pytest.raises(BudgetExceededError) as exc:
+            exact_constrained_embed(g, t, node_cap=2)
+        assert exc.value.nodes == 3
+        assert exact_constrained_embed(g, t, node_cap=3).mapping == {0: 0, 1: 1, 2: 2}
+        # a NO instance: all six root candidates lack degree 3
+        with pytest.raises(BudgetExceededError) as exc:
+            exact_constrained_embed(cycle(6), star_tree(3), node_cap=5)
+        assert exc.value.nodes == 6
+        assert exact_constrained_embed(cycle(6), star_tree(3), node_cap=6) is None
+
 
 class TestGuestView:
     def test_disconnected_within_rejected(self):
@@ -131,6 +148,12 @@ class TestGuestView:
             colorful_full_tree_dp(g, t, Coloring((0, 1, 2, 3), 4), within={0, 2})
         with pytest.raises(ValueError, match="guest subtree is not connected"):
             exact_constrained_embed(g, t, within={0, 1, 3})
+        with pytest.raises(ValueError, match="subtree is not connected"):
+            canonical_code(t, 0, within={0, 1, 3})
+        with pytest.raises(ValueError, match="guest subtree is not connected"):
+            contains_rooted_subtree(t, 0, t, 0, guest_within={0, 1, 3})
+        with pytest.raises(ValueError, match="host subtree is not connected"):
+            contains_rooted_subtree(t, 0, t, 0, host_within={0, 2})
 
 
 class TestContainsTreeBySize:
@@ -156,6 +179,33 @@ class TestContainsTreeBySize:
                 assert isinstance(oracle, NotContained)
             else:
                 pytest.fail("small instances must resolve exactly")
+
+    def test_exact_search_first(self):
+        budget = SolveConfig().node_budget
+        # a min-degree-4 host on 29 vertices plus a hub joined to all, with a
+        # 7-vertex guest: the worst-case rule use_exact_search picks color coding
+        rng = rng_from(8)
+        base = random_graph_min_degree(29, 4, rng)
+        g = Graph(30, list(base.edges()) + [(v, 29) for v in range(29)])
+        t = random_tree(7, rng)
+        assert not use_exact_search(g, t.n, 20)
+        out = contains_tree_by_size(g, t, 20, rng_from(8, 1), budget)
+        assert isinstance(out, Contains) and out.branch == "exact-search"
+        assert verify(out.embedding, g, t, require_full=True)
+        # the README example: n 54, min degree 48, a 50-vertex guest (k = 2)
+        rng = rng_from(0)
+        g = random_graph_min_degree(54, 48, rng)
+        t = random_tree(50, rng)
+        out = contains_tree_by_size(g, t, 20, rng_from(0, 1), budget)
+        assert isinstance(out, Contains) and out.branch == "exact-search"
+        assert verify(out.embedding, g, t, require_full=True)
+
+    def test_budget_miss_falls_back_to_color_coding(self):
+        # K_{3,40} cannot host P_8 (four vertices on each side); the search
+        # overruns 200k nodes, leaving 200k // (2^8 * 8 * 43) = 2 DP trials
+        g = Graph(43, [(a, b) for a in range(3) for b in range(3, 43)])
+        out = contains_tree_by_size(g, path_tree(8), 20, rng_from(9), node_budget=200_000)
+        assert out == NotFound(rounds=2, failure_exponent=20, note="BudgetExceeded")
 
 
 class TestTrialSchedule:
