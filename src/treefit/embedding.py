@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .errors import HypothesisNotMet, ParseError, PreconditionViolated
+from .errors import HypothesisNotMet, ParseError, PreconditionViolated, read_ascii
 from .graph import Graph, neighbor_deficiency
 from .outcome import Contains, NotContained, SolveOutcome
 from .trees import Tree, subtree_is_connected
@@ -345,8 +345,7 @@ def parse_certificate(text: str) -> PartialEmbedding:
 
 
 def read_certificate(path) -> PartialEmbedding:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_certificate(fh.read())
+    return parse_certificate(read_ascii(path))
 
 
 def write_certificate(path, e: PartialEmbedding) -> None:

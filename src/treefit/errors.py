@@ -1,5 +1,7 @@
 """Exception hierarchy shared by every treefit module."""
 
+import re
+
 
 class TreefitError(Exception):
     """Base class for all treefit errors."""
@@ -13,6 +15,20 @@ class ParseError(TreefitError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def read_ascii(path) -> str:
+    """Text of an ASCII file (universal newlines); a non-ASCII byte raises
+    ParseError on the line that holds it."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    bad = re.search(rb"[\x80-\xff]", data).start()
+    line = len((data[:bad].decode("ascii") + "x").splitlines())
+    raise ParseError(f"non-ASCII byte 0x{data[bad]:02x}", line)
 
 
 class EmptyGraphError(TreefitError):

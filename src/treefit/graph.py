@@ -7,7 +7,9 @@ Vertex sets are plain Python sets/frozensets throughout.
 
 from __future__ import annotations
 
+import re
 from collections import deque
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -16,6 +18,7 @@ from .errors import (
     IsEscapeVertexError,
     ParseError,
     TooSmallError,
+    read_ascii,
 )
 
 
@@ -44,6 +47,20 @@ class Graph:
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
         self._min_degree: int | None = None
         self._max_degree: int | None = None
+
+    @classmethod
+    def _from_adjacency(cls, adj: Iterable[Iterable[int]]) -> "Graph":
+        """Graph from per-vertex neighbour collections that are already
+        symmetric, loop-free and in range; duplicates within one collection
+        collapse, so callers compare `edge_count` with the edges they meant."""
+        g = cls.__new__(cls)
+        # a frozenset copied from a set is sized to fit, one grown from a
+        # list is up to twice as large: keep hosts as small as Graph(n, edges)
+        g._adj = tuple(map(frozenset, map(set, adj)))
+        g.n = len(g._adj)
+        g.edge_count = sum(map(len, g._adj)) // 2
+        g._min_degree = g._max_degree = None
+        return g
 
     # -- basic queries ----------------------------------------------------
 
@@ -106,22 +123,25 @@ class Graph:
         return dist
 
     def components(self) -> list[list[int]]:
-        seen = [False] * self.n
+        """Vertex lists of the components, each sorted, ordered by least vertex."""
+        adj = self._adj
+        unseen = set(range(self.n))
         out: list[list[int]] = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
+        s = 0
+        while unseen:
+            while s not in unseen:
+                s += 1
+            unseen.remove(s)
             comp = [s]
-            seen[s] = True
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for v in self._adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        comp.append(v)
-                        queue.append(v)
-            out.append(sorted(comp))
+            for u in comp:  # grows while it is read: a BFS queue
+                new = adj[u] & unseen
+                if new:
+                    unseen -= new
+                    comp += new
+                    if not unseen:
+                        break
+            comp.sort()
+            out.append(comp)
         return out
 
     def is_connected(self) -> bool:
@@ -152,13 +172,10 @@ class Graph:
         """Induced subgraph on `keep`; returns (subgraph, new-index -> old-id)."""
         old = sorted(set(keep))
         index = {v: i for i, v in enumerate(old)}
-        edges = [
-            (index[u], index[v])
-            for u in old
-            for v in self._adj[u]
-            if u < v and v in index
-        ]
-        return Graph(len(old), edges), old
+        kept = frozenset(old)
+        new_id = index.__getitem__
+        adj = self._adj
+        return Graph._from_adjacency(map(new_id, adj[u] & kept) for u in old), old
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -321,8 +338,36 @@ def shortest_path_avoiding(
 
 # -- text format --------------------------------------------------------------
 
+# a well-formed graph text: the header and every edge line are `<digits> <digits>\n`
+_GRAPH_TEXT = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+
+
 def parse_graph(text: str) -> Graph:
-    """Parse the graph text format: `n m` then m lines `u v` with u < v."""
+    """Parse the graph text format: `n m` then m lines `u v` with u < v.
+
+    Well-formed text is read in bulk passes: one shape check, one integer
+    conversion, range and order checks over all edges at once, and
+    duplicates found by the degree sum.  Any other text (a rejected edge,
+    CRLF, blank lines, tabs, signs) goes through the line-by-line reader,
+    which accepts what it accepts and reports the first bad line.
+    """
+    if _GRAPH_TEXT.fullmatch(text):
+        ends = list(map(int, text.split()))
+        n, m = ends[0], ends[1]
+        us, vs = ends[2::2], ends[3::2]
+        if len(us) == m and (not m or max(vs) < n) and all(map(lt, us, vs)):
+            adj: list[list[int]] = [[] for _ in range(n)]
+            for u, v in zip(us, vs):
+                adj[u].append(v)
+                adj[v].append(u)
+            g = Graph._from_adjacency(adj)
+            if g.edge_count == m:
+                return g
+    return _parse_graph_lines(text)
+
+
+def _parse_graph_lines(text: str) -> Graph:
+    """Line-by-line reader: takes the loose forms and names the first bad line."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty input", 1)
@@ -368,8 +413,7 @@ def format_graph(g: Graph) -> str:
 
 
 def read_graph(path) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(read_ascii(path))
 
 
 def write_graph(path, g: Graph) -> None:

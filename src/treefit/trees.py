@@ -8,12 +8,13 @@ operate on the induced subtree.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import HypothesisNotMet, ParseError, TreeIsSeparableError
+from .errors import HypothesisNotMet, ParseError, TreeIsSeparableError, read_ascii
 
 
 class Tree:
@@ -40,6 +41,16 @@ class Tree:
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
         if n > 1 and not self._connected():
             raise ValueError("tree edges do not form a connected graph")
+
+    @classmethod
+    def _from_adjacency(cls, adj: Iterable[Iterable[int]]) -> "Tree":
+        """Tree from per-vertex neighbour collections that are already
+        symmetric, loop-free and in range; the caller checks that they form
+        a tree."""
+        t = cls.__new__(cls)
+        t._adj = tuple(map(frozenset, map(set, adj)))  # compact, as in Graph._from_adjacency
+        t.n = len(t._adj)
+        return t
 
     def _connected(self) -> bool:
         seen = {0}
@@ -450,8 +461,35 @@ def assert_not_separable(t: Tree, q: int) -> None:
 
 # -- text format -------------------------------------------------------------------
 
+# a well-formed tree text: `<digits>\n`, then edge lines `<digits> <digits>\n`
+_TREE_TEXT = re.compile(r"[0-9]+\n(?:[0-9]+ [0-9]+\n)*")
+
+
 def parse_tree(text: str) -> Tree:
-    """Parse the tree text format: `n` then n-1 lines `u v`."""
+    """Parse the tree text format: `n` then n-1 lines `u v`.
+
+    Well-formed text is read in bulk passes, as in `graph.parse_graph`; any
+    other text, and any edge set that is not a tree, goes through the
+    line-by-line reader, which reports the error and its line.
+    """
+    if _TREE_TEXT.fullmatch(text):
+        n, *ends = map(int, text.split())
+        us, vs = ends[0::2], ends[1::2]
+        if 1 <= n and len(us) == n - 1 and max(ends, default=0) < n:
+            adj: list[list[int]] = [[] for _ in range(n)]
+            for u, v in zip(us, vs):
+                adj[u].append(v)
+                adj[v].append(u)
+            t = Tree._from_adjacency(adj)
+            # n - 1 lines connect n vertices only if none is a loop or a
+            # repeated edge, so connectivity alone proves a tree
+            if t._connected():
+                return t
+    return _parse_tree_lines(text)
+
+
+def _parse_tree_lines(text: str) -> Tree:
+    """Line-by-line reader: takes the loose forms and names the first bad line."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty input", 1)
@@ -484,8 +522,7 @@ def format_tree(t: Tree) -> str:
 
 
 def read_tree(path) -> Tree:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_tree(fh.read())
+    return parse_tree(read_ascii(path))
 
 
 def write_tree(path, t: Tree) -> None:

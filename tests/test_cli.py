@@ -111,6 +111,23 @@ class TestSolve:
         assert "note=BudgetExceeded" in out
 
 
+    def test_non_ascii_input_is_a_parse_error(self, instance_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.graph"
+        bad.write_bytes(b"3 2\n0 1\n1 \xc3\xa92\n")
+        code, out = run_cli(
+            ["solve", "--graph", str(bad), "--tree", str(instance_dir / "a.tree")]
+        )
+        assert code == 3 and out == ""
+        assert "line 3: non-ASCII byte 0xc3" in capsys.readouterr().err
+        bad_tree = tmp_path / "bad.tree"
+        bad_tree.write_bytes(b"\xff3\n0 1\n1 2\n")
+        code, _ = run_cli(
+            ["solve", "--graph", str(instance_dir / "a.graph"), "--tree", str(bad_tree)]
+        )
+        assert code == 3
+        assert "line 1: non-ASCII byte 0xff" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_corrupted_certificate(self, instance_dir, tmp_path):
         cert = tmp_path / "bad.cert"
@@ -124,6 +141,20 @@ class TestVerify:
             ]
         )
         assert code == 1 and out.strip() == "INVALID"
+
+    def test_non_ascii_certificate(self, instance_dir, tmp_path, capsys):
+        cert = tmp_path / "bad.cert"
+        cert.write_bytes(b"0 0\r\n1 1\r\n2 \xe2\x80\x892\r\n")
+        code, _ = run_cli(
+            [
+                "verify",
+                "--graph", str(instance_dir / "a.graph"),
+                "--tree", str(instance_dir / "a.tree"),
+                "--certificate", str(cert),
+            ]
+        )
+        assert code == 3
+        assert "line 3: non-ASCII byte 0xe2" in capsys.readouterr().err
 
 
 class TestOracle:
@@ -218,6 +249,24 @@ class TestBench:
         assert rows["c"]["rounds"] == "0"
         assert rows["c"]["note"] == "BudgetExceeded"
         assert rows["a"]["note"] == "" and rows["a"]["outcome"] == "contains"
+
+    def test_read_ms_column(self, instance_dir):
+        code, out = run_cli(["bench", "--dir", str(instance_dir)])
+        assert code == 0
+        header = out.splitlines()[0].split(",")
+        assert header.index("read_ms") == header.index("ms") + 1
+        for row in csv.DictReader(io.StringIO(out)):
+            assert float(row["read_ms"]) >= 0 and float(row["ms"]) >= 0
+
+    def test_non_ascii_file_fills_error_column(self, instance_dir):
+        (instance_dir / "c.graph").write_bytes(b"3 2\n0 1\n1 \xc3\xa92\n")
+        write_tree(instance_dir / "c.tree", path_tree(2))
+        code, out = run_cli(["bench", "--dir", str(instance_dir)])
+        assert code == 0
+        rows = {row["instance"]: row for row in csv.DictReader(io.StringIO(out))}
+        assert rows["c"]["error"] == "line 3: non-ASCII byte 0xc3"
+        assert rows["c"]["outcome"] == "" and rows["c"]["read_ms"] == ""
+        assert rows["a"]["outcome"] == "contains" and rows["b"]["outcome"] == "not_contained"
 
     def test_empty_dir(self, tmp_path):
         code, out = run_cli(["bench", "--dir", str(tmp_path)])

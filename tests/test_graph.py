@@ -1,4 +1,6 @@
 import itertools
+from collections import deque
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,10 @@ from treefit.errors import (
     ParseError,
     TooSmallError,
 )
+from treefit import graph as graph_module
 from treefit.graph import (
     Graph,
+    _parse_graph_lines,
     format_graph,
     is_q_escape,
     max_bipartite_matching,
@@ -283,3 +287,192 @@ class TestTextFormat:
         text = format_graph(g)
         back = parse_graph(text)
         assert back.n == g.n and sorted(back.edges()) == sorted(g.edges())
+
+
+# (text, message, line) of the line-by-line reader, for every kind of bad input
+MALFORMED_GRAPHS = [
+    ("", "empty input", 1),
+    ("3\n", "expected header `n m`", 1),
+    ("a b\n", "non-integer header", 1),
+    ("-1 0\n", "negative counts in header", 1),
+    ("3 1\n1 1\n", "loop edge (1,1)", 2),
+    ("3 2\n0 1\n0 1\n", "duplicate edge (0,1)", 3),
+    ("4 3\n0 1\n0 2\n0 1\n", "duplicate edge (0,1)", 4),
+    ("3 1\n1 0\n", "edge (1,0) violates 0 <= u < v < n", 2),
+    ("3 1\n0 3\n", "edge (0,3) violates 0 <= u < v < n", 2),
+    ("0 1\n0 1\n", "edge (0,1) violates 0 <= u < v < n", 2),
+    ("3 1\n0 1 2\n", "expected `u v`", 2),
+    ("3 1\n0\n", "expected `u v`", 2),
+    ("3 1\n0 x\n", "non-integer endpoint", 2),
+    ("3 1\n0 1\n1 2\n", "header claims 1 edges, found 2", 3),
+    ("3 2\n0 1\n", "header claims 2 edges, found 1", 2),
+    ("3 2\n0 1", "header claims 2 edges, found 1", 2),
+    ("3 2\n0 1\n\n", "header claims 2 edges, found 1", 3),
+    ("3 2\r\n0 1\r\n0 1\r\n", "duplicate edge (0,1)", 3),
+]
+
+# texts outside the bulk reader's shape that still parse: (text, n, edges)
+LOOSE_GRAPHS = [
+    ("3 2\n0 1\n1 2", 3, [(0, 1), (1, 2)]),
+    ("3 2\r\n0 1\r\n1 2\r\n", 3, [(0, 1), (1, 2)]),
+    ("3 2\n\n0 1\n\n1 2\n\n", 3, [(0, 1), (1, 2)]),
+    ("3\t2\n0\t1\n 1  2 \n", 3, [(0, 1), (1, 2)]),
+    ("+3 +2\n+0 +1\n1 +2\n", 3, [(0, 1), (1, 2)]),
+    ("3 0", 3, []),
+]
+
+
+def _same_graph(a: Graph, b: Graph) -> bool:
+    return a.n == b.n and a.edge_count == b.edge_count and a.adjacency() == b.adjacency()
+
+
+def _graph_text(n: int, edges, rng: Random) -> str:
+    lines = [f"{u} {v}\n" for u, v in edges]
+    rng.shuffle(lines)
+    return f"{n} {len(edges)}\n" + "".join(lines)
+
+
+class TestBulkParse:
+    """parse_graph's bulk passes against Graph(n, edges) and the line reader."""
+
+    def test_well_formed_texts_take_the_bulk_path(self, monkeypatch):
+        def line_reader_called(text):
+            raise AssertionError(f"line reader used for {text!r}")
+
+        monkeypatch.setattr(graph_module, "_parse_graph_lines", line_reader_called)
+        rng = Random(4)
+        for _ in range(400):
+            n = rng.randint(0, 30)
+            pairs = list(itertools.combinations(range(n), 2))
+            edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+            expected = Graph(n, edges)
+            assert _same_graph(parse_graph(_graph_text(n, edges, rng)), expected)
+            assert _same_graph(parse_graph(format_graph(expected)), expected)
+
+    @pytest.mark.parametrize("text,n,edges", LOOSE_GRAPHS)
+    def test_loose_texts_parse_as_before(self, text, n, edges):
+        assert _same_graph(parse_graph(text), Graph(n, edges))
+        assert _same_graph(_parse_graph_lines(text), Graph(n, edges))
+
+    @pytest.mark.parametrize("text,message,line", MALFORMED_GRAPHS)
+    def test_errors_match_the_line_reader(self, text, message, line):
+        with pytest.raises(ParseError) as bulk:
+            parse_graph(text)
+        with pytest.raises(ParseError) as lines:
+            _parse_graph_lines(text)
+        assert (str(bulk.value), bulk.value.line) == (str(lines.value), lines.value.line)
+        assert (str(bulk.value), bulk.value.line) == (f"line {line}: {message}", line)
+
+    def test_random_corruptions_match_the_line_reader(self):
+        rng = Random(5)
+        for _ in range(600):
+            n = rng.randint(1, 8)
+            pairs = list(itertools.combinations(range(n), 2))
+            edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+            rows = [[u, v] for u, v in edges]
+            if rows and rng.random() < 0.5:
+                rows.append(list(rng.choice(rows)))  # duplicate
+            for row in rows:
+                if rng.random() < 0.1:
+                    row.reverse()
+                if rng.random() < 0.05:
+                    row[1] = row[0]
+                if rng.random() < 0.05:
+                    row[1] = n + rng.randint(0, 2)
+            m = len(rows) + rng.choice((0, 0, 0, -1, 1))
+            text = f"{n} {m}\n" + "".join(f"{u} {v}\n" for u, v in rows)
+            try:
+                expected = _parse_graph_lines(text)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as bulk:
+                    parse_graph(text)
+                assert (str(bulk.value), bulk.value.line) == (str(exc), exc.line)
+            else:
+                assert _same_graph(parse_graph(text), expected)
+
+
+def _reference_components(g: Graph) -> list[list[int]]:
+    """Plain BFS, one neighbour at a time."""
+    seen = [False] * g.n
+    out = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp, queue = [s], deque([s])
+        while queue:
+            for v in g.adj(queue.popleft()):
+                if not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
+                    queue.append(v)
+        out.append(sorted(comp))
+    return out
+
+
+def _reference_induced(g: Graph, keep) -> tuple[Graph, list[int]]:
+    old = sorted(set(keep))
+    index = {v: i for i, v in enumerate(old)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    return Graph(len(old), edges), old
+
+
+def _random_split_graph(rng: Random) -> Graph:
+    """Random blocks (some single vertices) on shuffled vertex ids."""
+    n = rng.randint(1, 40)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = []
+    start = 0
+    while start < n:
+        size = rng.choice((1, 1, 2, 3, rng.randint(1, n)))
+        block = ids[start:start + size]
+        p = rng.choice((0.1, 0.3, 0.8))
+        edges += [(min(a, b), max(a, b)) for a, b in itertools.combinations(block, 2) if rng.random() < p]
+        start += size
+    return Graph(n, edges)
+
+
+class TestComponents:
+    def _check(self, g: Graph) -> None:
+        comps = g.components()
+        assert comps == _reference_components(g)
+        for comp in comps:
+            sub, old = g.induced(comp)
+            ref, ref_old = _reference_induced(g, comp)
+            assert old == ref_old and _same_graph(sub, ref)
+
+    def test_random_graphs_match_plain_bfs(self):
+        rng = Random(6)
+        for _ in range(3000):
+            self._check(_random_split_graph(rng))
+
+    def test_isolated_vertices_and_empty_graph(self):
+        self._check(Graph(0, []))
+        self._check(Graph(7, []))
+        self._check(Graph(7, [(2, 5)]))
+        assert Graph(4, []).components() == [[0], [1], [2], [3]]
+
+    def test_dense_two_block_host(self):
+        rng = Random(7)
+        ids = list(range(300))
+        rng.shuffle(ids)
+        blocks = (ids[:180], ids[180:])
+        edges = [
+            (min(a, b), max(a, b))
+            for block in blocks
+            for a, b in itertools.combinations(block, 2)
+            if rng.random() < 0.9
+        ]
+        g = Graph(300, edges)
+        assert g.components() == sorted(sorted(b) for b in blocks)
+        self._check(g)
+
+    def test_induced_on_any_subset(self):
+        rng = Random(8)
+        for _ in range(500):
+            g = _random_split_graph(rng)
+            keep = rng.sample(range(g.n), rng.randint(0, g.n))
+            sub, old = g.induced(keep)
+            ref, ref_old = _reference_induced(g, keep)
+            assert old == ref_old and _same_graph(sub, ref)

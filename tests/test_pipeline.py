@@ -61,6 +61,21 @@ class TestSolveBasics:
         assert isinstance(out, Contains)
         assert verify_certificate(g, path_tree(5), out.embedding)
 
+    def test_disconnected_host_lifts_from_the_right_component(self):
+        # a 7-cycle and a K5 on interleaved ids, plus an isolated vertex; only
+        # the K5 has a vertex of degree 3
+        ring = [0, 2, 3, 5, 7, 8, 10]
+        clique = [1, 4, 6, 9, 11]
+        edges = [tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1])]
+        edges += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]
+        g = Graph(13, edges)
+        assert g.components() == [ring, clique, [12]]
+        out = solve(g, star_tree(3))
+        assert isinstance(out, Contains)
+        assert set(out.embedding.mapping.values()) <= set(clique)
+        assert verify_certificate(g, star_tree(3), out.embedding)
+        assert isinstance(solve(g, star_tree(5)), NotContained)
+
     def test_disconnected_no(self):
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
         out = solve(g, path_tree(3))

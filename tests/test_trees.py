@@ -1,4 +1,5 @@
 import itertools
+from random import Random
 
 import pytest
 
@@ -6,9 +7,11 @@ from helpers import path_tree, rooted_isomorphic, spider, star_tree
 from treefit.errors import HypothesisNotMet, ParseError
 from treefit.generate import random_tree
 from treefit.seeds import rng_from
+from treefit import trees as trees_module
 from treefit.trees import (
     RootedView,
     Tree,
+    _parse_tree_lines,
     canonical_code,
     contains_rooted_subtree,
     contract_trivial_paths,
@@ -385,3 +388,91 @@ class TestTextFormat:
     def test_rejects_disconnection(self):
         with pytest.raises(ParseError):
             parse_tree("4\n0 1\n2 3\n")
+
+
+# (text, message, line) of the line-by-line reader, for every kind of bad input
+MALFORMED_TREES = [
+    ("", "empty input", 1),
+    ("x\n", "expected vertex count", 1),
+    ("0\n", "a tree has at least one vertex", 1),
+    ("3\n0 1\n1 2\n2 0\n", "tree on 3 vertices needs 2 edges, got 3", 4),
+    ("5\n0 1\n1 2\n2 0\n3 4\n", "tree edges do not form a connected graph", 5),
+    ("2\n1 1\n", "bad tree edge (1,1)", 2),
+    ("2\n0 2\n", "bad tree edge (0,2)", 2),
+    ("3\n0 1\n1 0\n", "duplicate tree edge (1,0)", 3),
+    ("3\n0 1 2\n1 2\n", "expected `u v`", 2),
+    ("3\n0\n1 2\n", "expected `u v`", 2),
+    ("3\n0 1\n", "tree on 3 vertices needs 2 edges, got 1", 2),
+    ("3\n0 1\n\n\n", "tree on 3 vertices needs 2 edges, got 1", 4),
+    ("3\n0 1\n1 2\n2 0", "tree on 3 vertices needs 2 edges, got 3", 4),
+    ("3\r\n0 1\r\n1 0\r\n", "duplicate tree edge (1,0)", 3),
+    ("3\n0 -1\n1 2\n", "bad tree edge (0,-1)", 3),
+]
+
+# texts outside the bulk reader's shape that still parse: (text, n, edges)
+LOOSE_TREES = [
+    ("3\n0 1\n2 1", 3, [(0, 1), (2, 1)]),
+    ("3\r\n0 1\r\n2 1\r\n", 3, [(0, 1), (2, 1)]),
+    ("3\n\n0 1\n\n2 1\n\n", 3, [(0, 1), (2, 1)]),
+    (" 3\n0\t1\n 2  1 \n", 3, [(0, 1), (2, 1)]),
+    ("+3\n+0 +1\n2 +1\n", 3, [(0, 1), (2, 1)]),
+    ("1", 1, []),
+]
+
+
+def _same_tree(a: Tree, b: Tree) -> bool:
+    return a.n == b.n and a._adj == b._adj
+
+
+class TestBulkParse:
+    """parse_tree's bulk passes against Tree(n, edges) and the line reader."""
+
+    def test_well_formed_texts_take_the_bulk_path(self, monkeypatch):
+        def line_reader_called(text):
+            raise AssertionError(f"line reader used for {text!r}")
+
+        monkeypatch.setattr(trees_module, "_parse_tree_lines", line_reader_called)
+        rng = Random(4)
+        for _ in range(400):
+            t = random_tree(rng.randint(1, 40), rng)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges()]
+            rng.shuffle(edges)
+            text = f"{t.n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+            assert _same_tree(parse_tree(text), Tree(t.n, edges))
+            assert _same_tree(parse_tree(format_tree(t)), t)
+
+    @pytest.mark.parametrize("text,n,edges", LOOSE_TREES)
+    def test_loose_texts_parse_as_before(self, text, n, edges):
+        assert _same_tree(parse_tree(text), Tree(n, edges))
+        assert _same_tree(_parse_tree_lines(text), Tree(n, edges))
+
+    @pytest.mark.parametrize("text,message,line", MALFORMED_TREES)
+    def test_errors_match_the_line_reader(self, text, message, line):
+        with pytest.raises(ParseError) as bulk:
+            parse_tree(text)
+        with pytest.raises(ParseError) as lines:
+            _parse_tree_lines(text)
+        assert (str(bulk.value), bulk.value.line) == (str(lines.value), lines.value.line)
+        assert (str(bulk.value), bulk.value.line) == (f"line {line}: {message}", line)
+
+    def test_random_corruptions_match_the_line_reader(self):
+        rng = Random(5)
+        for _ in range(600):
+            n = rng.randint(1, 8)
+            rows = [list(e) for e in random_tree(n, rng).edges()]
+            if rows and rng.random() < 0.3:
+                rows.pop(rng.randrange(len(rows)))
+            if rng.random() < 0.3:
+                rows.append([rng.randrange(n), rng.randrange(n)])  # cycle, loop or repeat
+            for row in rows:
+                if rng.random() < 0.05:
+                    row[1] = n + rng.randint(0, 2)
+            text = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in rows)
+            try:
+                expected = _parse_tree_lines(text)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as bulk:
+                    parse_tree(text)
+                assert (str(bulk.value), bulk.value.line) == (str(exc), exc.line)
+            else:
+                assert _same_tree(parse_tree(text), expected)
