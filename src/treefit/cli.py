@@ -15,8 +15,9 @@ import time
 from pathlib import Path
 
 from . import hardness
+from .color_coding import DEFAULT_NODE_BUDGET
 from .embedding import read_certificate, write_certificate
-from .errors import BudgetExceededError, ParseError, TreefitError
+from .errors import BudgetExceededError, ParseError, TreefitError, read_ascii
 from .generate import random_graph_min_degree, random_tree
 from .graph import read_graph, write_graph
 from .outcome import Contains, NotContained, NotFound
@@ -95,6 +96,21 @@ def cmd_verify(args) -> int:
     return 1
 
 
+def _read_numbers(path) -> tuple[int, tuple[int, ...]]:
+    """A hardness numbers file: whitespace-separated integers, the target
+    first (on line 1), then the sizes."""
+    values = []
+    for lineno, line in enumerate(read_ascii(path).splitlines(), 1):
+        for token in line.split():
+            try:
+                values.append(int(token))
+            except ValueError:
+                raise ParseError(f"non-integer number {token!r}", lineno) from None
+    if not values:
+        raise ParseError("empty numbers file", 1)
+    return values[0], tuple(values[1:])
+
+
 def cmd_generate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -109,9 +125,7 @@ def cmd_generate(args) -> int:
             f"min_degree={g.min_degree()}) and instance.tree (n={t.n})"
         )
         return 0
-    # hardness: numbers file holds the target on line 1, sizes after
-    text = Path(args.numbers).read_text(encoding="ascii").split()
-    target, sizes = int(text[0]), tuple(int(x) for x in text[1:])
+    target, sizes = _read_numbers(args.numbers)
     inst = hardness.ThreePartitionInstance(sizes, target)
     out = hardness.generate_hardness_instance(inst, args.epsilon)
     write_graph(out_dir / "instance.graph", out.graph)
@@ -174,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="64-bit master seed (or TREEFIT_SEED)")
         p.add_argument("--failure-exponent", type=int, default=20)
         p.add_argument("--mode", choices=["strict", "budgeted"], default="budgeted")
-        p.add_argument("--budget-nodes", type=int, default=2_000_000)
+        p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
 
     p_solve = sub.add_parser("solve", help="decide containment and emit a certificate")
     p_solve.add_argument("--graph", required=True)
@@ -208,7 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hard = gen_sub.add_parser("hardness")
     p_hard.add_argument("--numbers", required=True, help="file: target then the 3n sizes")
     p_hard.add_argument("--epsilon", type=float, required=True)
-    p_hard.add_argument("--seed", type=int, default=None)
     p_hard.add_argument("--out-dir", required=True)
     p_hard.set_defaults(func=cmd_generate, kind="hardness")
 

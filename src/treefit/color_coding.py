@@ -1,11 +1,12 @@
 """Randomized color-coding engines.
 
-Three layers: a colorful dynamic program that embeds a whole (sub)tree under
-a vertex coloring while honoring a pinned partial map and per-set hitting
-quotas; an exact constrained backtracking search for the same problem,
-which plain containment runs first under its node budget; and the
-annotated hitting solver that enumerates candidate subtrees and drives
-trials.
+Layers: a colorful dynamic program that embeds a whole (sub)tree under a
+vertex coloring while honoring a pinned partial map and per-set hitting
+quotas; an exact constrained backtracking search for the same problem; the
+one driver of both, `contains_tree_by_size`, which runs the exact search
+first under its node budget and the DP only after a budget miss; and the
+annotated hitting solver that enumerates candidate subtrees and decides
+each through that driver.
 
 All searches are one-sided: a returned embedding is always verified, a miss
 is only probabilistic (unless the exact branch ran, which callers can see on
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from random import Random
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .embedding import PartialEmbedding, verify
 from .errors import BudgetExceededError
@@ -38,6 +39,9 @@ from .trees import (
 Family = tuple[frozenset[int], int]
 
 LN2 = math.log(2.0)
+
+# search nodes the exact search may spend before color coding takes over
+DEFAULT_NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -280,33 +284,7 @@ def exact_constrained_embed(
     return emb
 
 
-def use_exact_search(
-    g: Graph, witness_size: int, failure_exponent: int, families: Sequence[Family] = ()
-) -> bool:
-    """Worst-case crossover rule: exact backtracking when the witness is tiny
-    or the DP state bound exceeds the straightforward backtracking bound.
-
-    Paper-reproduction library: only `solve_ahsc` uses it;
-    `contains_tree_by_size` always runs the exact search first."""
-    if witness_size <= 6:
-        return True
-    if g.n == 0:
-        return True
-    trials = trial_count(witness_size, failure_exponent)
-    quota_space = 1
-    for _, q in families:
-        quota_space *= q + 1
-    avg_deg = max(1.0, 2.0 * g.edge_count / g.n)
-    dp_cost = trials * (2.0 ** witness_size) * witness_size * g.n * avg_deg * quota_space
-    bt_cost = float(g.n)
-    for i in range(1, witness_size):
-        bt_cost *= max(1, min(g.max_degree(), g.n - i))
-        if bt_cost > dp_cost:
-            return False
-    return bt_cost <= dp_cost
-
-
-# -- plain tree containment by guest size ------------------------------------------
+# -- the search driver: exact search first, then color coding ----------------------
 
 def contains_tree_by_size(
     g: Graph,
@@ -314,15 +292,23 @@ def contains_tree_by_size(
     failure_exponent: int,
     rng: Random,
     node_budget: int | None = None,
+    kappa: Mapping[int, int] | None = None,
+    families: Sequence[Family] = (),
+    within: Collection[int] | None = None,
 ) -> SolveOutcome:
-    """Decide whole-tree containment: exact search within `node_budget`
-    nodes, then randomized color coding only if the search ran out of
-    budget (never with `node_budget=None`, which leaves the search
-    unbounded).  One-sided: no false positives."""
-    if t.n > g.n:
+    """Decide containment of the whole guest, or of its connected subset
+    `within`, respecting the pins `kappa` and the quota `families`: exact
+    search within `node_budget` nodes, then randomized color coding only if
+    the search ran out of budget (never with `node_budget=None`, which
+    leaves the search unbounded).  One-sided: no false positives.
+
+    The one driver of the exact search and the colorful DP: `solve`,
+    `high_leaf` and `solve_ahsc` all reach them through here."""
+    s = t.n if within is None else len(within)
+    if s > g.n:
         return NotContained(reason="guest larger than host")
     try:
-        emb = exact_constrained_embed(g, t, node_cap=node_budget)
+        emb = exact_constrained_embed(g, t, kappa, families, within, node_cap=node_budget)
     except BudgetExceededError:
         pass  # only a finite node_budget runs out; it also caps the trials
     else:
@@ -330,14 +316,15 @@ def contains_tree_by_size(
             return NotContained(reason="exhaustive search")
         return Contains(emb, branch="exact-search")
 
-    s = t.n
     total = trial_count(s, failure_exponent)
     per_trial = (2 ** min(s, 60)) * s * max(g.n, 1)
     capped = min(total, max(0, node_budget // per_trial))
     note = "BudgetExceeded" if capped < total else ""
+    # pinned images take the reserved colors, in guest-vertex order
+    reserved = {kappa[tv]: i for i, tv in enumerate(sorted(kappa))} if kappa else None
     for trial in range(capped):
-        coloring = sample_coloring(g, s, rng)
-        emb = colorful_full_tree_dp(g, t, coloring)
+        coloring = sample_coloring(g, s, rng, reserved)
+        emb = colorful_full_tree_dp(g, t, coloring, kappa, families, within)
         if emb is not None:
             return Contains(emb, branch="color-coding")
     return NotFound(rounds=capped, failure_exponent=failure_exponent, note=note)
@@ -383,6 +370,11 @@ class AhscInstance:
 
 @dataclass(frozen=True)
 class AhscResult:
+    """`exact`: every candidate subtree was decided exactly.  `trials`: the
+    color-coding trials of the subtrees that were missed; a color-coding hit
+    adds none, because `contains_tree_by_size` does not report how many
+    trials it took."""
+
     subtree: frozenset[int] | None
     embedding: PartialEmbedding | None
     exact: bool
@@ -442,8 +434,9 @@ def rooted_subtrees_with_leaf_count(
 
 def solve_ahsc(inst: AhscInstance, failure_exponent: int, rng: Random) -> AhscResult:
     """Enumerate candidate subtrees (minimal pinned spine plus attachment
-    trees per composition) and try each with the colorful DP or the exact
-    search.  `exact` in the result means every branch was decided exactly.
+    trees per composition) and try each with `contains_tree_by_size` under
+    the default node budget: exact search first, color coding only after a
+    budget miss.
 
     Paper-reproduction library: `solve` does not call it; tests run it directly."""
     g, t = inst.g, inst.t
@@ -524,21 +517,16 @@ def solve_ahsc(inst: AhscInstance, failure_exponent: int, rng: Random) -> AhscRe
             continue
         for choice in product(*lists):
             subtree = frozenset(spine.union(*choice))
-            if subtree in tried or len(subtree) > g.n:
+            if subtree in tried:
                 continue
             tried.add(subtree)
-            s = len(subtree)
-            if use_exact_search(g, s, failure_exponent, fams):
-                emb = exact_constrained_embed(g, t, kappa, fams, within=subtree)
-                if emb is not None:
-                    return AhscResult(subtree, emb, exact_all, trials_done)
-            else:
+            out = contains_tree_by_size(
+                g, t, failure_exponent, rng, DEFAULT_NODE_BUDGET, kappa, fams, subtree
+            )
+            if isinstance(out, Contains):
+                exact = exact_all and out.branch != "color-coding"
+                return AhscResult(subtree, out.embedding, exact, trials_done)
+            if isinstance(out, NotFound):
                 exact_all = False
-                reserved = {kappa[tv]: i for i, tv in enumerate(pinned)}
-                for _ in range(trial_count(s, failure_exponent)):
-                    trials_done += 1
-                    coloring = sample_coloring(g, s, rng, fixed=reserved)
-                    emb = colorful_full_tree_dp(g, t, coloring, kappa, fams, within=subtree)
-                    if emb is not None:
-                        return AhscResult(subtree, emb, False, trials_done)
+                trials_done += out.rounds
     return AhscResult(None, None, exact=exact_all, trials=trials_done)

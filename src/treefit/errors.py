@@ -35,10 +35,6 @@ class EmptyGraphError(TreefitError):
     """An operation that needs at least one vertex got an empty graph."""
 
 
-class DisconnectedError(TreefitError):
-    """The graph is not connected but the operation requires it."""
-
-
 class PreconditionViolated(TreefitError):
     """A documented precondition of an operation does not hold."""
 

@@ -13,7 +13,6 @@ from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    DisconnectedError,
     EmptyGraphError,
     IsEscapeVertexError,
     ParseError,
@@ -148,25 +147,6 @@ class Graph:
         if self.n == 0:
             return True
         return self.bfs_distances(0).count(self.n) == 0
-
-    def diameter(self) -> tuple[int, tuple[int, int]]:
-        """Exact diameter plus the lexicographically smallest diametral pair."""
-        if self.n == 0:
-            raise EmptyGraphError("diameter of the empty graph")
-        best = -1
-        pair = (0, 0)
-        for u in range(self.n):
-            dist = self.bfs_distances(u)
-            for v in range(u + 1, self.n):
-                d = dist[v]
-                if d >= self.n:
-                    raise DisconnectedError("diameter of a disconnected graph")
-                if d > best or (d == best and (u, v) < pair):
-                    best = d
-                    pair = (u, v)
-        if self.n == 1:
-            return 0, (0, 0)
-        return best, pair
 
     def induced(self, keep: Sequence[int]) -> tuple["Graph", list[int]]:
         """Induced subgraph on `keep`; returns (subgraph, new-index -> old-id)."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .color_coding import contains_tree_by_size
+from .color_coding import DEFAULT_NODE_BUDGET, contains_tree_by_size
 from .embedding import PartialEmbedding, chvatal_extend, verify
 from .errors import BudgetExceededError, EmptyGraphError
 from .graph import Graph
@@ -23,7 +23,7 @@ from .trees import Tree
 class SolveConfig:
     seed: int = 0
     failure_exponent: int = 20
-    node_budget: int | None = 2_000_000  # None removes the budget and may run forever
+    node_budget: int | None = DEFAULT_NODE_BUDGET  # None removes the budget and may run forever
 
 
 def verify_certificate(g: Graph, t: Tree, e: PartialEmbedding) -> bool:

@@ -94,30 +94,81 @@ def connected_graphs_up_to(max_n: int) -> dict[int, list[Graph]]:
 
     Every connected graph on n vertices arises from a connected graph on n-1
     vertices by attaching a new vertex (remove any non-cut vertex), so level
-    n candidates are parents plus one vertex with a nonempty neighbor mask;
-    dedupe is WL-hash bucketing confirmed by VF2.
+    n candidates are parents plus one vertex with a nonempty neighbor mask,
+    in that order; the first candidate of each isomorphism class (by
+    `_canonical_form`) is kept.
     """
     levels: dict[int, list[Graph]] = {1: [Graph(1, [])]}
+    masks: list[list[int]] = [[0]]  # bitmask adjacency of each level n - 1 graph
     for n in range(2, max_n + 1):
-        seen: dict[str, list[nx.Graph]] = {}
+        seen: set[int] = set()
         accepted: list[Graph] = []
-        for parent in levels[n - 1]:
+        accepted_masks: list[list[int]] = []
+        new = 1 << (n - 1)
+        for parent, parent_adj in zip(levels[n - 1], masks):
             base_edges = list(parent.edges())
-            for mask in range(1, 1 << (n - 1)):
-                edges = base_edges + [
-                    (i, n - 1) for i in range(n - 1) if mask >> i & 1
-                ]
-                candidate = nx.Graph()
-                candidate.add_nodes_from(range(n))
-                candidate.add_edges_from(edges)
-                key = nx.weisfeiler_lehman_graph_hash(candidate, iterations=3)
-                bucket = seen.setdefault(key, [])
-                if any(nx.is_isomorphic(candidate, other) for other in bucket):
+            for mask in range(1, new):
+                adj = [a | new if mask >> i & 1 else a for i, a in enumerate(parent_adj)]
+                adj.append(mask)
+                code = _canonical_form(adj)
+                if code in seen:
                     continue
-                bucket.append(candidate)
-                accepted.append(Graph(n, edges))
+                seen.add(code)
+                accepted.append(
+                    Graph(n, base_edges + [(i, n - 1) for i in range(n - 1) if mask >> i & 1])
+                )
+                accepted_masks.append(adj)
         levels[n] = accepted
+        masks = accepted_masks
     return levels
+
+
+def _refine(adj: list[int], colors: list[int]) -> list[int]:
+    """Colour refinement: split every cell by the neighbour count in each
+    cell until no cell splits.  New cells are ranked by (old cell, counts),
+    so the result does not depend on the vertex labels."""
+    n = len(adj)
+    cell_count = max(colors) + 1
+    while True:
+        cells = [0] * cell_count
+        for v, c in enumerate(colors):
+            cells[c] |= 1 << v
+        signatures = [
+            (colors[v], *[(adj[v] & cell).bit_count() for cell in cells]) for v in range(n)
+        ]
+        ranks = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+        if len(ranks) == cell_count:
+            return colors
+        cell_count = len(ranks)
+        colors = [ranks[sig] for sig in signatures]
+
+
+def _canonical_form(adj: list[int]) -> int:
+    """A complete isomorphism invariant of a graph given by bitmask adjacency:
+    the least adjacency code over the labellings reached by individualising,
+    one vertex at a time, each vertex of the first non-singleton cell of the
+    refined colouring, then refining again."""
+    n = len(adj)
+    codes = []
+    pending = [_refine(adj, [0] * n)]
+    while pending:
+        colors = pending.pop()
+        cell_count = max(colors) + 1
+        if cell_count == n:
+            code = 0
+            for u in range(n):
+                row = colors[u] * n
+                for v in range(n):
+                    if adj[u] >> v & 1:
+                        code |= 1 << (row + colors[v])
+            codes.append(code)
+            continue
+        target = min(c for c in range(cell_count) if colors.count(c) > 1)
+        for v in range(n):
+            if colors[v] == target:
+                split = [c + (c > target or (c == target and u != v)) for u, c in enumerate(colors)]
+                pending.append(_refine(adj, split))
+    return min(codes)
 
 
 # -- independent oracles ----------------------------------------------------------------

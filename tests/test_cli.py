@@ -216,6 +216,27 @@ class TestGenerate:
         assert g.n == 5803 and t.n == 43
         assert (out_dir / "landmarks.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"9\n3 3 x\n", "line 2: non-integer number 'x'"),
+            (b"9\n3 3 \xc3\xa9\n", "line 2: non-ASCII byte 0xc3"),
+            (b"", "line 1: empty numbers file"),
+        ],
+    )
+    def test_bad_numbers_file_is_a_parse_error(self, tmp_path, capsys, content, message):
+        numbers = tmp_path / "numbers.txt"
+        numbers.write_bytes(content)
+        code, _ = run_cli(
+            [
+                "generate", "hardness",
+                "--numbers", str(numbers), "--epsilon", "1.0",
+                "--out-dir", str(tmp_path / "hard"),
+            ]
+        )
+        assert code == 3
+        assert message in capsys.readouterr().err
+
     def test_infeasible_parameters(self, tmp_path):
         code, _ = run_cli(
             [

@@ -14,7 +14,6 @@ from treefit.color_coding import (
     sample_coloring,
     solve_ahsc,
     trial_count,
-    use_exact_search,
 )
 from treefit.embedding import verify
 from treefit.errors import BudgetExceededError
@@ -183,12 +182,11 @@ class TestContainsTreeBySize:
     def test_exact_search_first(self):
         budget = SolveConfig().node_budget
         # a min-degree-4 host on 29 vertices plus a hub joined to all, with a
-        # 7-vertex guest: the worst-case rule use_exact_search picks color coding
+        # 7-vertex guest: a worst-case cost model would pick color coding
         rng = rng_from(8)
         base = random_graph_min_degree(29, 4, rng)
         g = Graph(30, list(base.edges()) + [(v, 29) for v in range(29)])
         t = random_tree(7, rng)
-        assert not use_exact_search(g, t.n, 20)
         out = contains_tree_by_size(g, t, 20, rng_from(8, 1), budget)
         assert isinstance(out, Contains) and out.branch == "exact-search"
         assert verify(out.embedding, g, t, require_full=True)
@@ -207,16 +205,30 @@ class TestContainsTreeBySize:
         out = contains_tree_by_size(g, path_tree(8), 20, rng_from(9), node_budget=200_000)
         assert out == NotFound(rounds=2, failure_exponent=20, note="BudgetExceeded")
 
+    def test_constrained_budget_miss_runs_the_pinned_dp(self):
+        # hub 0 on a 16-clique (1..16) and on the chain 0-17-18-19-20-21; the
+        # first six vertices of P_8, ends pinned to 0 and 21, must hit {18, 19}.
+        # Only the chain fits, but the search walks the clique first and
+        # overruns 80k nodes, leaving 80_000 // (2^6 * 6 * 22) = 9 DP trials.
+        chain = [0, 17, 18, 19, 20, 21]
+        clique = [(i, j) for i in range(17) for j in range(i + 1, 17)]
+        g = Graph(22, clique + list(zip(chain, chain[1:])))
+        t = path_tree(8)
+        kappa, family, within = {0: 0, 5: 21}, (frozenset({18, 19}), 1), frozenset(range(6))
+        with pytest.raises(BudgetExceededError):
+            exact_constrained_embed(g, t, kappa, [family], within, node_cap=80_000)
+        out = contains_tree_by_size(g, t, 20, rng_from(0), 80_000, kappa, [family], within)
+        assert isinstance(out, Contains) and out.branch == "color-coding"
+        mapping = out.embedding.mapping
+        assert set(mapping) == within and mapping[0] == 0 and mapping[5] == 21
+        assert set(mapping.values()) & family[0]
+        assert verify(out.embedding, g, t)
+
 
 class TestTrialSchedule:
     def test_counts(self):
         assert trial_count(1, 1) >= 1
         assert trial_count(5, 10) >= trial_count(5, 5)
-
-    def test_small_sizes_exact(self):
-        g = random_graph(9, 0.4, rng_from(2))
-        for s in range(1, 7):
-            assert use_exact_search(g, s, 20)
 
 
 class TestCompositions:
@@ -253,6 +265,14 @@ class TestSolveAhsc:
         bad = AhscInstance.make(g, t, {0: 0, 1: 2, 2: 4})
         res2 = solve_ahsc(bad, 10, rng_from(3))
         assert not res2.found and res2.exact
+
+    def test_pinned_path_miss_is_exact(self):
+        # K_{3,40} cannot host P_8 with its ends on opposite sides (vertices
+        # 1, 3, 5, 7 all need the 3-vertex side): exact search proves it
+        # within the default budget, so no color-coding trial runs
+        g = Graph(43, [(a, b) for a in range(3) for b in range(3, 43)])
+        res = solve_ahsc(AhscInstance.make(g, path_tree(8), {0: 3, 7: 0}), 20, rng_from(10))
+        assert not res.found and res.exact and res.trials == 0
 
     def test_c6_p5_reach_far(self):
         g = cycle(6)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from helpers import complete, cycle, path_graph, petersen
 from treefit.errors import (
-    DisconnectedError,
     EmptyGraphError,
     IsEscapeVertexError,
     ParseError,
@@ -221,18 +220,6 @@ class TestBfsAndDiameter:
                 for u, v in g.edges():
                     if dist[u] < g.n and dist[v] < g.n:
                         assert abs(dist[u] - dist[v]) <= 1
-
-    def test_diameters(self):
-        assert cycle(6).diameter()[0] == 3
-        assert complete(5).diameter()[0] == 1
-        assert path_graph(5).diameter()[0] == 4
-
-    def test_diameter_witness_and_determinism(self):
-        g = cycle(6)
-        d, pair = g.diameter()
-        assert d == 3 and pair == (0, 3)
-        with pytest.raises(DisconnectedError):
-            Graph(4, [(0, 1), (2, 3)]).diameter()
 
 
 class TestShortestPathAvoiding:
