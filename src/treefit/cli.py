@@ -177,8 +177,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_USAGE on a usage error, not argparse's 2 (the
+    NOT_FOUND code); subcommand parsers share the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treefit",
         description="Tree containment solver for hosts with slack above the minimum degree",
     )

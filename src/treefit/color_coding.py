@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
+from operator import countOf
 from random import Random
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -80,13 +81,17 @@ def sample_coloring(
     return Coloring(tuple(colors), palette)
 
 
-def _guest_view(t: Tree, kappa: Mapping[int, int], within: Iterable[int] | None) -> RootedView:
+def _guest_view(
+    t: Tree, kappa: Mapping[int, int], within: Iterable[int] | None, root: int | None = None
+) -> RootedView:
     """BFS view of the guest (sub)tree shared by the DP and the exact search,
-    rooted at the lowest pinned vertex, else at the lowest vertex."""
+    rooted at `root`, else at the lowest pinned vertex, else at the lowest
+    vertex."""
     active = frozenset(range(t.n)) if within is None else frozenset(within)
     if not set(kappa) <= active:
         raise ValueError("pinned vertices must lie inside the guest subtree")
-    root = min(kappa) if kappa else min(active)
+    if root is None:
+        root = min(kappa) if kappa else min(active)
     return connected_view(t, root, within, "guest subtree")
 
 
@@ -196,31 +201,123 @@ def exact_constrained_embed(
 ) -> PartialEmbedding | None:
     """Deterministic backtracking for the same problem the DP solves.
 
-    Guest vertices are placed in BFS order, each on its pin if it has one,
-    else the root on every host vertex and any other vertex on every free
-    neighbour of its parent's image, in ascending order.  Each candidate
-    tried is a search node (a used neighbour is skipped without counting);
-    more than `node_cap` nodes raise BudgetExceededError.
+    The free leaves (leaves of the guest, or of its subtree `within`, that
+    carry no pin) come last; the other vertices, the skeleton, are searched.
+    With quota families, or with at most two guest vertices, every vertex is
+    a skeleton vertex.  Skeleton vertices are placed in BFS order from the
+    lowest pinned vertex, else from the lowest non-leaf: each on its pin if
+    it has one, else the root on every host vertex of large enough degree
+    and any other vertex on every free neighbour of its parent's image, in
+    ascending order.  A candidate is skipped when it has fewer free
+    neighbours than its vertex has children, or when taking it leaves a
+    placed image fewer free neighbours than that vertex has children still
+    to place; free neighbours are counted only where degrees do not settle
+    it.  With the skeleton placed, each leaf
+    takes the lowest free neighbour of its parent's image, and a leaf that
+    finds none looks for an augmenting path (Kuhn) that moves placed leaves
+    aside.  Without one, no placement of the leaves exists, and the search
+    goes straight back to the last skeleton position.  A guest vertex of
+    larger degree than every host vertex ends the search before its first
+    node.
+
+    Search nodes: every skeleton candidate tried (a used neighbour is
+    skipped without counting), every leaf placed greedily, and every host
+    vertex an augmenting-path search reaches.  More than `node_cap` nodes
+    raise BudgetExceededError.
+
+    On a dense host (4m >= n(n-1)) the unused host vertices are also kept in
+    a linked list.  A parent's image with fewer non-neighbours than placed
+    vertices walks that list instead of its sorted neighbours (both give
+    the free neighbours in ascending order), and free neighbours are
+    counted along it when it is shorter than the neighbour set.
     """
     kappa = dict(kappa or {})
-    view = _guest_view(t, kappa, within)
-    order = view.order
-    size = len(order)
-    position = {tv: i for i, tv in enumerate(order)}
-    # per BFS position: the parent's position, the degree needed, the pin
-    parent_at = [-1] + [position[view.parent[tv]] for tv in order[1:]]
-    need_at = [len(view.children[tv]) + (i > 0) for i, tv in enumerate(order)]
-    pin_at = [kappa.get(tv) for tv in order]
     fams = [(frozenset(F), int(q)) for F, q in families]
+    within = None if within is None else frozenset(within)
+    split = (t.n if within is None else len(within)) > 2 and not fams
+    root = None  # the lowest pinned vertex, else the lowest non-leaf, else the lowest
+    if split and not kappa:
+        if within is None:
+            root = 0
+            while t.degree(root) == 1:
+                root += 1
+        else:
+            root = next((v for v in sorted(within) if len(t.adj(v) & within) != 1), None)
+    view = _guest_view(t, kappa, within, root)
+    parent_of, children = view.parent, view.children
+    order = view.order
+    size = skeleton = len(order)
+    if split:
+        # the root is pinned or no leaf, so the free leaves are the childless
+        # vertices without a pin
+        bfs = order
+        order = [tv for tv in bfs if children[tv] or tv in kappa]
+        skeleton = len(order)
+        order += [tv for tv in bfs if not children[tv] and tv not in kappa]
+    position = {tv: i for i, tv in enumerate(order)}
+    # per position: the parent's position and the pin; per skeleton position:
+    # the children
+    parent_at = [-1] + [position[parent_of[tv]] for tv in order[1:]]
+    pin_at = [kappa.get(tv) for tv in order] if kappa else [None] * size
+    kids_at = [len(children[tv]) for tv in order[:skeleton]] + [0]  # a spare entry
     cap = math.inf if node_cap is None else node_cap
 
+    n = g.n
+    # a guest vertex of larger degree than every host vertex fits nowhere
+    if not n or max(kids_at[0], max(kids_at[1:skeleton], default=-1) + 1) > g.max_degree():
+        return None
     adj = g.adjacency()
     degree = list(map(len, adj))
-    sorted_adj: list[list[int] | None] = [None] * g.n
+    sorted_adj: list[list[int] | None] = [None] * n
     images = [-1] * size
-    used = [False] * g.n
+    used = [0] * n  # host vertex -> 1 + the position on it, 0 while free
+    # per skeleton position: the children not yet placed (the root's parent
+    # position, -1, points at the spare last entry)
+    pending = kids_at[:]
+    # while d < floor[d], degrees alone show that every image placed before
+    # position d keeps a free neighbour per child still to place
+    floor = [n] * (skeleton + 1)
     counts = [0] * len(fams)
     nodes = 0
+    # on a dense host, the unused vertices in ascending order, linked through n
+    dense = 4 * g.edge_count >= n * (n - 1)
+    if dense:
+        nxt = list(range(1, n + 1)) + [0]
+        prv = [n] + list(range(n))
+
+    def neighbours_of(gv: int) -> list[int]:
+        neighbours = sorted_adj[gv]
+        if neighbours is None:
+            neighbours = sorted_adj[gv] = sorted(adj[gv])
+        return neighbours
+
+    def unused() -> Iterator[int]:
+        """The unused host vertices of a dense host, ascending; a vertex
+        taken after it is yielded is back before the walk resumes."""
+        v = nxt[n]
+        while v != n:
+            yield v
+            v = nxt[v]
+
+    def free_count(v: int, placed: int) -> int:
+        """Unused neighbours of v, along the list when it is shorter."""
+        near = adj[v]
+        if dense and n - placed <= len(near):
+            return sum(map(near.__contains__, unused()))
+        return countOf(map(used.__getitem__, near), 0)
+
+    def starves(gv: int, depth: int, parent: int) -> bool:
+        """Whether taking gv leaves a placed image other than the parent's
+        fewer free neighbours than its vertex has children to place."""
+        near = adj[gv]
+        # walk the placed images instead when there are fewer of them
+        for u in near if len(near) <= depth else [u for u in images[:depth] if u in near]:
+            q = used[u]
+            if q and q != parent:
+                r = pending[q - 1]
+                if r >= degree[u] - depth and free_count(u, depth) <= r:
+                    return True
+        return False
 
     def pinned_frame(depth: int, pinned: int) -> Iterator[int]:
         nonlocal nodes
@@ -231,19 +328,101 @@ def exact_constrained_embed(
             return iter(())
         return iter((pinned,))
 
-    # frames[d]: the candidates left at position d, set on entering it
-    frames: list[Iterator[int]] = [iter(())] * size
-    frames[0] = iter(range(g.n)) if pin_at[0] is None else pinned_frame(0, pin_at[0])
+    def augment(start: int, taken: list[int]) -> bool:
+        """Kuhn's step for leaf position `start`: a path through neighbours
+        held by other leaves to a free one; each leaf on it moves one step."""
+        nonlocal nodes
+        path, through, seen = [start], [], set()
+        stack = [iter(neighbours_of(images[parent_at[start]]))]
+        while stack:
+            for v in stack[-1]:
+                if v in seen or 0 < used[v] <= skeleton:
+                    continue
+                seen.add(v)
+                nodes += 1
+                if nodes > cap:
+                    raise BudgetExceededError(nodes)
+                if used[v]:
+                    leaf = used[v] - 1
+                    path.append(leaf)
+                    through.append(v)
+                    stack.append(iter(neighbours_of(images[parent_at[leaf]])))
+                    break
+                through.append(v)
+                for leaf, w in zip(path, through):
+                    images[leaf] = w
+                    used[w] = leaf + 1
+                if dense:
+                    a, b = prv[v], nxt[v]
+                    nxt[a], prv[b] = b, a
+                taken.append(v)
+                return True
+            else:
+                stack.pop()
+                path.pop()
+                if through:
+                    through.pop()
+        return False
+
+    def place_leaves() -> bool:
+        """Place every leaf position, or undo them all and return False."""
+        nonlocal nodes
+        taken: list[int] = []  # in the order they left the linked list
+        for pos in range(skeleton, size):
+            anchor = images[parent_at[pos]]
+            gv = -1
+            if dense and n - 1 - degree[anchor] < pos:
+                gv = next(filter(adj[anchor].__contains__, unused()), -1)
+            else:
+                for v in neighbours_of(anchor):
+                    if not used[v]:
+                        gv = v
+                        break
+            if gv < 0:
+                if augment(pos, taken):
+                    continue
+                for v in reversed(taken):
+                    used[v] = 0
+                    if dense:
+                        nxt[prv[v]] = prv[nxt[v]] = v
+                return False
+            nodes += 1
+            if nodes > cap:
+                raise BudgetExceededError(nodes)
+            images[pos] = gv
+            used[gv] = pos + 1
+            if dense:
+                a, b = prv[gv], nxt[gv]
+                nxt[a], prv[b] = b, a
+            taken.append(gv)
+        return True
+
+    # frames[d]: the candidates left at skeleton position d, set on entering
+    # it; frames[skeleton] stays empty, so leaves that cannot be placed send
+    # the loop straight back to the last skeleton position
+    frames: list[Iterator[int]] = [iter(())] * (skeleton + 1)
+    if pin_at[0] is None:  # the root goes on every host vertex of large enough degree
+        frames[0] = compress(range(n), map(kids_at[0].__le__, degree))
+    else:
+        frames[0] = pinned_frame(0, pin_at[0])
     depth = 0
-    while depth < size:
-        need = need_at[depth]
+    while True:
+        kids = kids_at[depth]
+        need = kids + (depth > 0)
+        parent = parent_at[depth] + 1  # as `used` marks its image
         for gv in frames[depth]:
             if used[gv]:
                 continue
             nodes += 1
             if nodes > cap:
                 raise BudgetExceededError(nodes)
-            if degree[gv] < need:
+            # a free neighbour per child, counted only when the degree minus
+            # the placed vertices does not prove it, and one per child still
+            # to place for each placed image
+            d = degree[gv]
+            if d < need or d - depth < kids and free_count(gv, depth) < kids:
+                continue
+            if depth >= floor[depth] and starves(gv, depth, parent):
                 continue
             if fams:
                 # keep gv only if every quota stays reachable; at the last
@@ -255,24 +434,38 @@ def exact_constrained_embed(
                 for i, h in enumerate(hits):
                     counts[i] += h
             images[depth] = gv
-            used[gv] = True
+            used[gv] = depth + 1
+            pending[parent - 1] -= 1
+            floor[depth + 1] = min(floor[depth], d - kids)
+            if dense:
+                a, b = prv[gv], nxt[gv]
+                nxt[a], prv[b] = b, a
             break
-        else:  # every candidate failed: undo the parent's placement
+        else:  # every candidate failed: undo the previous placement
             depth -= 1
             if depth < 0:
                 return None
             gv = images[depth]
-            used[gv] = False
+            used[gv] = 0
+            pending[parent_at[depth]] += 1
+            if dense:
+                nxt[prv[gv]] = prv[nxt[gv]] = gv
             for i, (F, _) in enumerate(fams):
                 counts[i] -= gv in F
             continue
         depth += 1
-        if depth < size:
-            pinned = pin_at[depth]
-            if pinned is not None:
-                frames[depth] = pinned_frame(depth, pinned)
-                continue
-            anchor = images[parent_at[depth]]
+        if depth == skeleton:
+            if place_leaves():
+                break
+            continue
+        pinned = pin_at[depth]
+        if pinned is not None:
+            frames[depth] = pinned_frame(depth, pinned)
+            continue
+        anchor = images[parent_at[depth]]
+        if dense and n - 1 - degree[anchor] < depth:
+            frames[depth] = filter(adj[anchor].__contains__, unused())
+        else:
             neighbours = sorted_adj[anchor]
             if neighbours is None:
                 neighbours = sorted_adj[anchor] = sorted(adj[anchor])

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 from .errors import HypothesisNotMet, ParseError, PreconditionViolated, read_ascii
 from .graph import Graph, neighbor_deficiency
 from .outcome import Contains, NotContained, SolveOutcome
-from .trees import Tree, subtree_is_connected
+from .trees import Tree
 
 
 class PartialEmbedding:
@@ -70,13 +70,18 @@ def verify(
     for tv, gv in mapping.items():
         if not (0 <= tv < t.n and 0 <= gv < g.n):
             return False
+    adj = g.adjacency()
+    inner = 0  # guest edges inside the domain, each counted from both ends
     for tv, gv in mapping.items():
+        near = adj[gv]
         for tu in t.adj(tv):
-            if tu in mapping and not g.has_edge(gv, mapping[tu]):
-                return False
-    if require_connected and not subtree_is_connected(t, mapping.keys()):
-        return False
-    return True
+            gu = mapping.get(tu)
+            if gu is not None:
+                if gu not in near:
+                    return False
+                inner += 1
+    # a forest is connected when it has one edge fewer than vertices
+    return not require_connected or inner == 2 * (len(mapping) - 1)
 
 
 # -- greedy extension engine ---------------------------------------------------

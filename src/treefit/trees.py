@@ -163,22 +163,6 @@ def connected_view(
     return view
 
 
-def subtree_is_connected(t: Tree, within: Iterable[int]) -> bool:
-    active = frozenset(within)
-    if not active:
-        return False
-    start = min(active)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in t.adj(u) & active:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(active)
-
-
 def farthest_from(t: Tree, source: int, within: Iterable[int] | None = None) -> tuple[int, int, dict[int, int]]:
     """(distance, lowest farthest vertex, parent map) by BFS in the induced subtree."""
     view = RootedView.build(t, source, None if within is None else _active(t, within))

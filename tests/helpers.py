@@ -78,6 +78,41 @@ def spider(legs: int, leg_len: int) -> Tree:
     return Tree(nxt, edges)
 
 
+def multi_star(leaves: int, centres: int) -> Tree:
+    """A path on `centres` vertices (0..centres-1) with `leaves` leaves on
+    each: the double star S(a, a) for two centres, a triple star for three."""
+    edges = [(c, c + 1) for c in range(centres - 1)]
+    edges += [(c, centres + c * leaves + i) for c in range(centres) for i in range(leaves)]
+    return Tree(centres * (leaves + 1), edges)
+
+
+def random_spider(size: int, rng: Random) -> Tree:
+    """A centre with a random number of legs of near-equal length."""
+    legs = rng.randint(1, size - 1)
+    edges, nxt = [], 1
+    for leg in range(legs):
+        prev = 0
+        for _ in range((size - 1) // legs + (leg < (size - 1) % legs)):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Tree(size, edges)
+
+
+def random_caterpillar(size: int, rng: Random) -> Tree:
+    """A path of at most size/3 vertices with the rest hung on it as leaves."""
+    spine = rng.randint(1, max(1, size // 3))
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(rng.randrange(spine), v) for v in range(spine, size)]
+    return Tree(size, edges)
+
+
+def random_double_star(size: int, rng: Random) -> Tree:
+    """Adjacent centres 0 and 1 sharing the other size-2 vertices as leaves."""
+    a = rng.randint(0, size - 2)
+    edges = [(0, 1)] + [(0, v) for v in range(2, 2 + a)] + [(1, v) for v in range(2 + a, size)]
+    return Tree(size, edges)
+
+
 # -- exhaustive enumerations ---------------------------------------------------------
 
 def all_trees(order: int) -> list[Tree]:
@@ -172,6 +207,33 @@ def _canonical_form(adj: list[int]) -> int:
 
 
 # -- independent oracles ----------------------------------------------------------------
+
+def constrained_embedding_exists(
+    g: Graph,
+    t: Tree,
+    kappa: dict[int, int],
+    families: list[tuple[frozenset[int], int]],
+    within: set[int] | None = None,
+) -> bool:
+    """Whether some injective, edge-preserving map of the guest's vertices
+    (or of `within`) agrees with every pin and hits every family at least
+    its quota, by trying every map of the unpinned vertices (tiny hosts)."""
+    domain = sorted(range(t.n) if within is None else within)
+    free = [v for v in domain if v not in kappa]
+    edges = [(u, v) for u, v in t.edges() if u in domain and v in domain]
+    pinned = set(kappa.values())
+    if len(pinned) < len(kappa):
+        return False
+    for images in itertools.permutations([x for x in range(g.n) if x not in pinned], len(free)):
+        mapping = dict(kappa)
+        mapping.update(zip(free, images))
+        image = set(mapping.values())
+        if all(g.has_edge(mapping[u], mapping[v]) for u, v in edges) and all(
+            len(image & fam) >= quota for fam, quota in families
+        ):
+            return True
+    return False
+
 
 def min_hitting_set_size(sets: list[frozenset[int]], universe: list[int]) -> int:
     """Exhaustive minimum hitting set over subsets of the universe."""

@@ -6,8 +6,12 @@ import pytest
 
 from helpers import cycle, path_tree, petersen, spider, star_tree
 from treefit.cli import main
-from treefit.graph import read_graph, write_graph
+from treefit.graph import Graph, read_graph, write_graph
 from treefit.trees import read_tree, write_tree
+
+
+def chorded_cycle() -> Graph:
+    return Graph(16, list(cycle(16).edges()) + [(0, 2)])
 
 
 def run_cli(args) -> tuple[int, str]:
@@ -86,7 +90,9 @@ class TestSolve:
     def test_not_found_exit_with_round_metadata(self, tmp_path):
         from treefit.trees import Tree
 
-        write_graph(tmp_path / "c.graph", cycle(16))
+        # the spider below on a 16-cycle with the chord 0-2: NO, see
+        # TestBench.test_budget_note_column, and more than 10 search nodes
+        write_graph(tmp_path / "c.graph", chorded_cycle())
         edges = []
         nxt = 1
         for _ in range(3):
@@ -247,6 +253,25 @@ class TestGenerate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--epsilon", "1.0", "--seed", "3"], "unrecognized arguments: --seed 3"),
+            ([], "the following arguments are required: --epsilon"),
+        ],
+    )
+    def test_usage_error_exits_3(self, tmp_path, capsys, extra, message):
+        # argparse's own code is 2, which means NOT_FOUND here
+        numbers = tmp_path / "numbers.txt"
+        numbers.write_text("9\n3 3 3\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                ["generate", "hardness", "--numbers", str(numbers), "--out-dir", str(tmp_path / "x")]
+                + extra
+            )
+        assert exc.value.code == 3
+        assert message in capsys.readouterr().err
+
 
 class TestBench:
     def test_rows_per_instance(self, instance_dir):
@@ -259,9 +284,11 @@ class TestBench:
         assert any("not_contained" in l for l in lines[1:])
 
     def test_budget_note_column(self, instance_dir):
-        # a 10-vertex spider needs a vertex of degree 3, which a 16-cycle lacks:
-        # 16 root candidates overrun a 10-node budget before any DP trial
-        write_graph(instance_dir / "c.graph", cycle(16))
+        # a 10-vertex spider needs a vertex of degree 3: on a 16-cycle with
+        # the chord 0-2 only 0 and 2 have it, and either leaves 1 no free
+        # neighbour for its leg; the search takes 42 nodes to show this, so a
+        # 10-node budget runs out before any DP trial
+        write_graph(instance_dir / "c.graph", chorded_cycle())
         write_tree(instance_dir / "c.tree", spider(3, 3))
         code, out = run_cli(["bench", "--dir", str(instance_dir), "--budget-nodes", "10"])
         assert code == 0

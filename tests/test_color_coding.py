@@ -2,7 +2,15 @@ import itertools
 
 import pytest
 
-from helpers import complete, cycle, path_graph, path_tree, star_tree
+from helpers import (
+    complete,
+    constrained_embedding_exists,
+    cycle,
+    path_graph,
+    path_tree,
+    random_connected_subtree,
+    star_tree,
+)
 from treefit.color_coding import (
     AhscInstance,
     Coloring,
@@ -22,7 +30,7 @@ from treefit.graph import Graph
 from treefit.outcome import Contains, NotContained, NotFound
 from treefit.pipeline import SolveConfig, brute_force_contains
 from treefit.seeds import rng_from
-from treefit.trees import canonical_code, contains_rooted_subtree
+from treefit.trees import Tree, canonical_code, contains_rooted_subtree
 
 
 class TestColorfulDp:
@@ -124,19 +132,85 @@ class TestExactConstrained:
                         oracle = brute_force_contains(g, t)
                         assert (mine is not None) == isinstance(oracle, Contains)
 
+    def test_constraints_match_enumeration(self):
+        # pins, quota families and connected `within` subsets on hosts of at
+        # most 7 vertices, against trying every map; families keep every
+        # vertex in the search, so a third of the instances have none
+        rng = rng_from(61)
+        found = missed = 0
+        for trial in range(2000):
+            n = rng.randint(2, 7)
+            g = random_graph(n, rng.uniform(0.3, 0.9), rng)
+            t = random_tree(rng.randint(1, 7), rng)
+            within = random_connected_subtree(t, rng.randint(1, t.n), rng) if trial % 2 else None
+            domain = sorted(range(t.n) if within is None else within)
+            if len(domain) > n:
+                continue
+            pins = rng.randint(0, min(2, len(domain)))
+            kappa = dict(zip(rng.sample(domain, pins), rng.sample(range(n), pins)))
+            families = [
+                (frozenset(rng.sample(range(n), rng.randint(1, n))), rng.randint(0, 2))
+                for _ in range(rng.randint(1, 2) if trial % 3 == 0 else 0)
+            ]
+            emb = exact_constrained_embed(g, t, kappa, families, within)
+            assert (emb is not None) == constrained_embedding_exists(g, t, kappa, families, within)
+            if emb is None:
+                missed += 1
+                continue
+            found += 1
+            mapping = emb.mapping
+            assert sorted(mapping) == domain and verify(emb, g, t)
+            assert all(mapping[tv] == gv for tv, gv in kappa.items())
+            assert all(len(set(mapping.values()) & fam) >= quota for fam, quota in families)
+        assert found > 800 and missed > 250
+
+    @staticmethod
+    def assert_nodes(g, t, nodes, **kwargs):
+        """The search takes exactly `nodes` nodes: one fewer overruns."""
+        with pytest.raises(BudgetExceededError) as exc:
+            exact_constrained_embed(g, t, node_cap=nodes - 1, **kwargs)
+        assert exc.value.nodes == nodes
+        return exact_constrained_embed(g, t, node_cap=nodes, **kwargs)
+
     def test_node_cap(self):
-        # P_3 in a triangle: root on 0, middle on 1, end on 2 after skipping
-        # the used neighbour 0, which is not a node: three nodes in all
-        g, t = complete(3), path_tree(3)
-        with pytest.raises(BudgetExceededError) as exc:
-            exact_constrained_embed(g, t, node_cap=2)
-        assert exc.value.nodes == 3
-        assert exact_constrained_embed(g, t, node_cap=3).mapping == {0: 0, 1: 1, 2: 2}
-        # a NO instance: all six root candidates lack degree 3
-        with pytest.raises(BudgetExceededError) as exc:
-            exact_constrained_embed(cycle(6), star_tree(3), node_cap=5)
-        assert exc.value.nodes == 6
-        assert exact_constrained_embed(cycle(6), star_tree(3), node_cap=6) is None
+        # P_3 in a triangle: the skeleton is the middle vertex, on 0 (one
+        # node); the leaves take 1 and 2 greedily (one node each)
+        emb = self.assert_nodes(complete(3), path_tree(3), 3)
+        assert emb.mapping == {1: 0, 0: 1, 2: 2}
+        # a NO instance: P_4 in the claw; the root of the middle pair goes on
+        # the centre, the only vertex of degree 2 (one node), and the other
+        # on none of its three neighbours, which lack degree 2 (three nodes)
+        claw = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        assert self.assert_nodes(claw, path_tree(4), 4) is None
+        # vertex 2 has degree 4, more than any host vertex: NO before the
+        # first node, although the root (vertex 1) fits
+        t = Tree(6, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5)])
+        g = Graph(6, list(cycle(6).edges()) + [(0, 3)])
+        assert exact_constrained_embed(g, t, node_cap=0) is None
+
+    @pytest.mark.parametrize("isolated", [0, 4])
+    def test_node_cap_counts_augmenting_steps(self, isolated):
+        # P_4 on the edges 0-1, 0-2, 0-3, 1-2: skeleton 1-2 on 0-1 (two
+        # nodes), leaf 0 takes 2 greedily (one node); leaf 3 finds 1's
+        # neighbours used, and the augmenting path reaches 2 (held by leaf 0)
+        # and then 3 (free): two nodes.  With no isolated vertices the host
+        # is dense and the leaves walk the list of unused vertices; with four
+        # it is not, and they walk sorted neighbours: same order, same count.
+        g = Graph(4 + isolated, [(0, 1), (0, 2), (0, 3), (1, 2)])
+        emb = self.assert_nodes(g, path_tree(4), 5)
+        assert emb.mapping == {1: 0, 2: 1, 0: 3, 3: 2}
+
+    @pytest.mark.parametrize("isolated", [0, 5])
+    def test_node_cap_returns_to_skeleton(self, isolated):
+        # S(2,2) (centres 0 and 1) in K_4 minus the edge 2-3: centres on 0
+        # and 1 (two nodes), leaves 2 and 3 take 2 and 3 (two nodes), leaf 4
+        # finds none free and its augmenting path reaches 2 and 3 (two
+        # nodes) and fails; centre 1 then tries 2 and 3, which lack degree 3
+        # (two nodes).  Centre 0 on 1 repeats this (eight nodes).  Host
+        # vertices of degree below 3 are no root candidates: no node.
+        g = Graph(4 + isolated, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        t = Tree(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+        assert self.assert_nodes(g, t, 16) is None
 
 
 class TestGuestView:

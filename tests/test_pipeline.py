@@ -1,9 +1,19 @@
 import pytest
 
-from helpers import complete, cycle, path_tree, petersen, star_tree
+from helpers import (
+    complete,
+    cycle,
+    multi_star,
+    path_tree,
+    petersen,
+    random_caterpillar,
+    random_double_star,
+    random_spider,
+    star_tree,
+)
 from treefit.embedding import format_certificate
 from treefit.errors import BudgetExceededError, EmptyGraphError
-from treefit.generate import random_graph, random_tree
+from treefit.generate import circulant, random_graph, random_graph_min_degree, random_tree
 from treefit.graph import Graph
 from treefit.outcome import Contains, NotContained
 from treefit.pipeline import SolveConfig, brute_force_contains, solve, verify_certificate
@@ -120,3 +130,67 @@ class TestOracleAgreement:
                 # miss is charged against the failure budget (tracked in the
                 # acceptance suite); here we only demand the NO
                 assert isinstance(oracle, NotContained)
+
+    def test_sweep_n13_to_60(self):
+        # min-degree hosts as in the benchmark sweep and dense hosts
+        # (4m >= n(n-1), where the search walks its list of unused
+        # vertices); guests of delta + 2..4 vertices, or of any size above
+        # delta + 1 for a third, shaped as random trees, spiders,
+        # caterpillars and double stars.  Instances the oracle cannot finish
+        # in 50k nodes are left out; solve must decide all others alike.
+        rng = rng_from(53)
+        shapes = (random_tree, random_spider, random_caterpillar, random_double_star)
+        verdicts = {Contains: 0, NotContained: 0}
+        dense = 0
+        for trial in range(1200):
+            n = rng.randint(13, 60)
+            if trial % 2:
+                g = random_graph(n, rng.uniform(0.55, 0.9), rng)
+                if 4 * g.edge_count < n * (n - 1):
+                    continue
+                dense += 1
+            else:
+                low = rng.randint(2, min(n - 3, 6)) if trial % 4 == 0 else rng.randint(2, n - 3)
+                g = random_graph_min_degree(n, low, rng)
+            delta = g.min_degree()
+            if trial % 3:
+                size = min(n, delta + rng.randint(2, 4))
+            else:
+                size = rng.randint(min(n, delta + 2), n)
+            t = shapes[trial // 2 % 4](size, rng)
+            try:
+                oracle = brute_force_contains(g, t, node_cap=50_000)
+            except BudgetExceededError:
+                continue
+            out = solve(g, t)
+            assert type(out) in verdicts, (trial, out)
+            assert isinstance(out, Contains) == isinstance(oracle, Contains), trial
+            verdicts[type(out)] += 1
+            if isinstance(out, Contains):
+                assert verify_certificate(g, t, out.embedding)
+        assert dense >= 500 and verdicts[Contains] > 1000 and verdicts[NotContained] > 40
+
+
+class TestStructuralRefutations:
+    """Double and triple stars just above the minimum degree of a circulant:
+    NO by counting, decided by the exact search at the default budget."""
+
+    @pytest.mark.parametrize(
+        "n, offsets, leaves, centres",
+        [
+            (40, 4, 7, 2),  # S(7,7): 14 leaves, at most 11 free around any edge
+            (40, 5, 9, 2),  # S(9,9)
+            (40, 4, 6, 3),  # a path of three centres with 6 leaves each
+        ],
+    )
+    def test_exact_no(self, n, offsets, leaves, centres):
+        g = circulant(n, list(range(1, offsets + 1)))
+        out = solve(g, multi_star(leaves, centres))
+        assert out == NotContained(reason="exhaustive search")
+
+    def test_yes_twin(self):
+        # S(5,5): centres 4 apart keep 11 distinct neighbours for 10 leaves
+        g, t = circulant(40, [1, 2, 3, 4]), multi_star(5, 2)
+        out = solve(g, t)
+        assert isinstance(out, Contains) and out.branch == "exact-search"
+        assert verify_certificate(g, t, out.embedding)
