@@ -60,12 +60,18 @@ def trial_count(witness_size: int, failure_exponent: int) -> int:
 
 
 def sample_coloring(
-    g: Graph, palette: int, rng: Random, fixed: Mapping[int, int] | None = None
+    g: Graph,
+    palette: int,
+    rng: Random,
+    fixed: Mapping[int, int] | None = None,
+    hosts: Sequence[int] | None = None,
 ) -> Coloring:
     """Uniform coloring with reserved colors pinned to the given vertices.
 
     Reserved colors are exclusive: unpinned vertices draw only from the
-    remaining palette (and become unusable when none remains).
+    remaining palette (and become unusable when none remains).  With
+    `hosts`, a sorted vertex list, only those vertices draw, in ascending
+    order, and every other vertex is unusable.
     """
     fixed = dict(fixed or {})
     colors = [-1] * g.n
@@ -75,7 +81,7 @@ def sample_coloring(
         colors[gv] = c
     lo = len(fixed)
     if palette > lo:
-        for v in range(g.n):
+        for v in range(g.n) if hosts is None else hosts:
             if v not in fixed:
                 colors[v] = rng.randrange(lo, palette)
     return Coloring(tuple(colors), palette)
@@ -198,6 +204,7 @@ def exact_constrained_embed(
     families: Sequence[Family] = (),
     within: Iterable[int] | None = None,
     node_cap: int | None = None,
+    hosts: Sequence[int] | None = None,
 ) -> PartialEmbedding | None:
     """Deterministic backtracking for the same problem the DP solves.
 
@@ -230,6 +237,12 @@ def exact_constrained_embed(
     vertices walks that list instead of its sorted neighbours (both give
     the free neighbours in ascending order), and free neighbours are
     counted along it when it is shorter than the neighbour set.
+
+    `hosts`, the sorted vertex list of one component of the host, keeps the
+    search inside that component: the root goes only on its vertices, and
+    the degree check, the density test and every count of unused vertices
+    read the component alone, so the search runs as it would on a copy of
+    the component.  Pins must then lie inside it.
     """
     kappa = dict(kappa or {})
     fams = [(frozenset(F), int(q)) for F, q in families]
@@ -263,8 +276,10 @@ def exact_constrained_embed(
     cap = math.inf if node_cap is None else node_cap
 
     n = g.n
+    count = n if hosts is None else len(hosts)  # the host vertices the search may use
     # a guest vertex of larger degree than every host vertex fits nowhere
-    if not n or max(kids_at[0], max(kids_at[1:skeleton], default=-1) + 1) > g.max_degree():
+    top = max(kids_at[0], max(kids_at[1:skeleton], default=-1) + 1)
+    if not count or top > g.max_degree(hosts):
         return None
     adj = g.adjacency()
     degree = list(map(len, adj))
@@ -279,11 +294,18 @@ def exact_constrained_embed(
     floor = [n] * (skeleton + 1)
     counts = [0] * len(fams)
     nodes = 0
-    # on a dense host, the unused vertices in ascending order, linked through n
-    dense = 4 * g.edge_count >= n * (n - 1)
+    # on a dense host (or component), its unused vertices in ascending
+    # order, linked through n
+    ends = 2 * g.edge_count if hosts is None else sum(map(degree.__getitem__, hosts))
+    dense = 2 * ends >= count * (count - 1)
     if dense:
-        nxt = list(range(1, n + 1)) + [0]
-        prv = [n] + list(range(n))
+        if hosts is None:
+            nxt = list(range(1, n + 1)) + [0]
+            prv = [n] + list(range(n))
+        else:
+            nxt, prv = [n] * (n + 1), [n] * (n + 1)
+            for a, b in zip([n, *hosts], [*hosts, n]):
+                nxt[a], prv[b] = b, a
 
     def neighbours_of(gv: int) -> list[int]:
         neighbours = sorted_adj[gv]
@@ -302,7 +324,7 @@ def exact_constrained_embed(
     def free_count(v: int, placed: int) -> int:
         """Unused neighbours of v, along the list when it is shorter."""
         near = adj[v]
-        if dense and n - placed <= len(near):
+        if dense and count - placed <= len(near):
             return sum(map(near.__contains__, unused()))
         return countOf(map(used.__getitem__, near), 0)
 
@@ -371,7 +393,7 @@ def exact_constrained_embed(
         for pos in range(skeleton, size):
             anchor = images[parent_at[pos]]
             gv = -1
-            if dense and n - 1 - degree[anchor] < pos:
+            if dense and count - 1 - degree[anchor] < pos:
                 gv = next(filter(adj[anchor].__contains__, unused()), -1)
             else:
                 for v in neighbours_of(anchor):
@@ -401,10 +423,12 @@ def exact_constrained_embed(
     # it; frames[skeleton] stays empty, so leaves that cannot be placed send
     # the loop straight back to the last skeleton position
     frames: list[Iterator[int]] = [iter(())] * (skeleton + 1)
-    if pin_at[0] is None:  # the root goes on every host vertex of large enough degree
+    if pin_at[0] is not None:
+        frames[0] = pinned_frame(0, pin_at[0])
+    elif hosts is None:  # the root goes on every host vertex of large enough degree
         frames[0] = compress(range(n), map(kids_at[0].__le__, degree))
     else:
-        frames[0] = pinned_frame(0, pin_at[0])
+        frames[0] = compress(hosts, [kids_at[0] <= degree[v] for v in hosts])
     depth = 0
     while True:
         kids = kids_at[depth]
@@ -463,7 +487,7 @@ def exact_constrained_embed(
             frames[depth] = pinned_frame(depth, pinned)
             continue
         anchor = images[parent_at[depth]]
-        if dense and n - 1 - degree[anchor] < depth:
+        if dense and count - 1 - degree[anchor] < depth:
             frames[depth] = filter(adj[anchor].__contains__, unused())
         else:
             neighbours = sorted_adj[anchor]
@@ -488,20 +512,24 @@ def contains_tree_by_size(
     kappa: Mapping[int, int] | None = None,
     families: Sequence[Family] = (),
     within: Collection[int] | None = None,
+    hosts: Sequence[int] | None = None,
 ) -> SolveOutcome:
     """Decide containment of the whole guest, or of its connected subset
     `within`, respecting the pins `kappa` and the quota `families`: exact
     search within `node_budget` nodes, then randomized color coding only if
     the search ran out of budget (never with `node_budget=None`, which
-    leaves the search unbounded).  One-sided: no false positives.
+    leaves the search unbounded).  One-sided: no false positives.  With
+    `hosts`, the sorted vertex list of one component of the host, both
+    stay inside that component, as they would on a copy of it.
 
     The one driver of the exact search and the colorful DP: `solve`,
     `high_leaf` and `solve_ahsc` all reach them through here."""
     s = t.n if within is None else len(within)
-    if s > g.n:
+    count = g.n if hosts is None else len(hosts)
+    if s > count:
         return NotContained(reason="guest larger than host")
     try:
-        emb = exact_constrained_embed(g, t, kappa, families, within, node_cap=node_budget)
+        emb = exact_constrained_embed(g, t, kappa, families, within, node_budget, hosts)
     except BudgetExceededError:
         pass  # only a finite node_budget runs out; it also caps the trials
     else:
@@ -510,13 +538,13 @@ def contains_tree_by_size(
         return Contains(emb, branch="exact-search")
 
     total = trial_count(s, failure_exponent)
-    per_trial = (2 ** min(s, 60)) * s * max(g.n, 1)
+    per_trial = (2 ** min(s, 60)) * s * max(count, 1)
     capped = min(total, max(0, node_budget // per_trial))
     note = "BudgetExceeded" if capped < total else ""
     # pinned images take the reserved colors, in guest-vertex order
     reserved = {kappa[tv]: i for i, tv in enumerate(sorted(kappa))} if kappa else None
     for trial in range(capped):
-        coloring = sample_coloring(g, s, rng, reserved)
+        coloring = sample_coloring(g, s, rng, reserved, hosts)
         emb = colorful_full_tree_dp(g, t, coloring, kappa, families, within)
         if emb is not None:
             return Contains(emb, branch="color-coding")

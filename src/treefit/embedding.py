@@ -9,7 +9,7 @@ completion.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import HypothesisNotMet, ParseError, PreconditionViolated, read_ascii
 from .graph import Graph, neighbor_deficiency
@@ -162,24 +162,32 @@ def chvatal_extend(
     t: Tree,
     partial: PartialEmbedding,
     target: Iterable[int] | None = None,
+    hosts: Sequence[int] | None = None,
 ) -> PartialEmbedding:
     """Extend a partial embedding to all of t (or to `target`).
 
     Guaranteed to succeed whenever the target has at most min_degree(G)+1
     vertices; a failure past the precondition check is a bug and raises
-    AssertionError.
+    AssertionError.  With `hosts`, the sorted vertex list of one component
+    of G, an empty partial embedding grows inside that component from its
+    lowest vertex, and the component's minimum degree is the one that counts.
     """
     targets = set(range(t.n)) if target is None else set(target)
-    if len(targets) > g.min_degree() + 1:
+    delta = g.min_degree(hosts)
+    if len(targets) > delta + 1:
         raise PreconditionViolated(
-            f"guest has {len(targets)} vertices, more than min_degree+1 = {g.min_degree() + 1}"
+            f"guest has {len(targets)} vertices, more than min_degree+1 = {delta + 1}"
         )
-    if partial.mapping:
+    mapping = partial.mapping
+    if mapping:
         if not verify(partial, g, t):
             raise PreconditionViolated("partial embedding does not verify")
-        if not set(partial.mapping) <= targets:
+        if not set(mapping) <= targets:
             raise PreconditionViolated("partial domain must lie inside the target")
-    result = greedy_extend(g, t, partial.mapping, targets)
+    elif hosts is not None:
+        # the greedy's own seed, lowest target vertex on lowest host vertex
+        mapping = {min(targets): hosts[0]}
+    result = greedy_extend(g, t, mapping, targets)
     out = PartialEmbedding(result)
     if not verify(out, g, t):
         raise AssertionError("greedy extension produced an invalid embedding")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from operator import lt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     EmptyGraphError,
@@ -88,14 +88,20 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def min_degree(self) -> int:
+    def min_degree(self, among: Iterable[int] | None = None) -> int:
+        """Least degree over every vertex, or over the vertices `among`."""
+        if among is not None:
+            return min(map(len, map(self._adj.__getitem__, among)))
         if self.n == 0:
             raise EmptyGraphError("minimum degree of the empty graph")
         if self._min_degree is None:
             self._min_degree = min(len(s) for s in self._adj)
         return self._min_degree
 
-    def max_degree(self) -> int:
+    def max_degree(self, among: Iterable[int] | None = None) -> int:
+        """Largest degree over every vertex, or over the vertices `among`."""
+        if among is not None:
+            return max(map(len, map(self._adj.__getitem__, among)))
         if self.n == 0:
             raise EmptyGraphError("maximum degree of the empty graph")
         if self._max_degree is None:
@@ -147,15 +153,6 @@ class Graph:
         if self.n == 0:
             return True
         return self.bfs_distances(0).count(self.n) == 0
-
-    def induced(self, keep: Sequence[int]) -> tuple["Graph", list[int]]:
-        """Induced subgraph on `keep`; returns (subgraph, new-index -> old-id)."""
-        old = sorted(set(keep))
-        index = {v: i for i, v in enumerate(old)}
-        kept = frozenset(old)
-        new_id = index.__getitem__
-        adj = self._adj
-        return Graph._from_adjacency(map(new_id, adj[u] & kept) for u in old), old
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -336,6 +333,12 @@ def parse_graph(text: str) -> Graph:
         n, m = ends[0], ends[1]
         us, vs = ends[2::2], ends[3::2]
         if len(us) == m and (not m or max(vs) < n) and all(map(lt, us, vs)):
+            if n > 257:
+                # int() makes a new object for each value above 256: mapped
+                # through one list of ids, the neighbour sets share one
+                # object per vertex instead of holding one per edge end
+                ids = list(range(n)).__getitem__
+                us, vs = map(ids, us), map(ids, vs)
             adj: list[list[int]] = [[] for _ in range(n)]
             for u, v in zip(us, vs):
                 adj[u].append(v)

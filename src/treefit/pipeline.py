@@ -84,13 +84,19 @@ def brute_force_contains(
     return NotContained(reason="exhaustive oracle")
 
 
-def _solve_connected(g: Graph, t: Tree, config: SolveConfig, stream: int) -> SolveOutcome:
-    """Solve on a connected host that is at least as large as the guest."""
-    if t.n - g.min_degree() <= 1:
-        emb = chvatal_extend(g, t, PartialEmbedding({}))
+def _solve_connected(
+    g: Graph, t: Tree, config: SolveConfig, stream: int, hosts: list[int] | None = None
+) -> SolveOutcome:
+    """Solve on a connected part of the host that is at least as large as
+    the guest: the component `hosts` (its sorted vertex list) in place, or
+    the whole host, connected, when None."""
+    if t.n - g.min_degree(hosts) <= 1:
+        emb = chvatal_extend(g, t, PartialEmbedding({}), hosts=hosts)
         return Contains(emb, branch="greedy-guarantee")
     rng = rng_from(config.seed, stream, 1)
-    return contains_tree_by_size(g, t, config.failure_exponent, rng, config.node_budget)
+    return contains_tree_by_size(
+        g, t, config.failure_exponent, rng, config.node_budget, hosts=hosts
+    )
 
 
 def solve(g: Graph, t: Tree, config: SolveConfig | None = None) -> SolveOutcome:
@@ -98,7 +104,8 @@ def solve(g: Graph, t: Tree, config: SolveConfig | None = None) -> SolveOutcome:
 
     One-sided: Contains always carries a verified certificate; NotContained
     only comes from exact branches; NotFound records the spent randomness.
-    Disconnected hosts are solved per component with component-local slack.
+    Disconnected hosts are solved per component, in place, with
+    component-local slack.
     """
     config = config or SolveConfig()
     if g.n == 0:
@@ -118,15 +125,10 @@ def solve(g: Graph, t: Tree, config: SolveConfig | None = None) -> SolveOutcome:
     for index, comp in enumerate(components):
         if len(comp) < t.n:
             continue
-        sub, old_ids = g.induced(comp)
-        out = _solve_connected(sub, t, config, index + 1)
+        out = _solve_connected(g, t, config, index + 1, comp)
         if isinstance(out, Contains):
-            lifted = PartialEmbedding(
-                {tv: old_ids[gv] for tv, gv in out.embedding.mapping.items()}
-            )
-            result = Contains(lifted, branch=out.branch)
-            _check_contains(g, t, result)
-            return result
+            _check_contains(g, t, out)
+            return out
         if isinstance(out, NotFound):
             misses.append(out)
     if misses:

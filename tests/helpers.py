@@ -37,6 +37,30 @@ def tree_from_networkx(nxg: nx.Graph) -> Tree:
     return Tree(len(nodes), [(index[u], index[v]) for u, v in nxg.edges()])
 
 
+# -- induced copies and disjoint unions -------------------------------------------
+
+def reference_induced(g: Graph, keep) -> tuple[Graph, list[int]]:
+    """The subgraph induced on `keep`, its vertices renumbered in ascending
+    order, and the list from new id to old id."""
+    old = sorted(set(keep))
+    index = {v: i for i, v in enumerate(old)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    return Graph(len(old), edges), old
+
+
+def interleaved_union(parts: list[Graph], rng: Random) -> tuple[Graph, list[list[int]]]:
+    """The disjoint union of the graphs on randomly interleaved vertex ids,
+    each part keeping its own vertex order, and per part the union ids of
+    its vertices."""
+    owner = [i for i, p in enumerate(parts) for _ in range(p.n)]
+    rng.shuffle(owner)
+    ids: list[list[int]] = [[] for _ in parts]
+    for v, i in enumerate(owner):
+        ids[i].append(v)
+    edges = [(ids[i][u], ids[i][v]) for i, p in enumerate(parts) for u, v in p.edges()]
+    return Graph(len(owner), edges), ids
+
+
 # -- named graphs -----------------------------------------------------------------
 
 def cycle(n: int) -> Graph:

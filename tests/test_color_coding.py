@@ -6,9 +6,11 @@ from helpers import (
     complete,
     constrained_embedding_exists,
     cycle,
+    interleaved_union,
     path_graph,
     path_tree,
     random_connected_subtree,
+    reference_induced,
     star_tree,
 )
 from treefit.color_coding import (
@@ -23,7 +25,7 @@ from treefit.color_coding import (
     solve_ahsc,
     trial_count,
 )
-from treefit.embedding import verify
+from treefit.embedding import PartialEmbedding, verify
 from treefit.errors import BudgetExceededError
 from treefit.generate import random_graph, random_graph_min_degree, random_tree
 from treefit.graph import Graph
@@ -297,6 +299,64 @@ class TestContainsTreeBySize:
         assert set(mapping) == within and mapping[0] == 0 and mapping[5] == 21
         assert set(mapping.values()) & family[0]
         assert verify(out.embedding, g, t)
+
+
+class TestOneComponentInPlace:
+    """`hosts` keeps the search and color coding inside one component of a
+    disconnected host, with the results of a run on an induced copy."""
+
+    def test_budget_miss_runs_the_same_trials(self):
+        # the K_{3,40} of the budget-miss test beside a K_8 that hosts P_8,
+        # on interleaved ids: 200_000 // (2^8 * 8 * 43) = 2 trials, not the
+        # one that the whole host's 51 vertices would leave
+        k340 = Graph(43, [(a, b) for a in range(3) for b in range(3, 43)])
+        g, (comp, _) = interleaved_union([k340, complete(8)], rng_from(10))
+        sub, _ = reference_induced(g, comp)
+        out = contains_tree_by_size(g, path_tree(8), 20, rng_from(9), 200_000, hosts=comp)
+        assert out.rounds >= 1
+        assert out == contains_tree_by_size(sub, path_tree(8), 20, rng_from(9), 200_000)
+
+    def test_pinned_dp_hit_maps_back(self):
+        # the pinned chain instance of the budget-miss tests beside a K_6:
+        # the search overruns 80k nodes in the component and the DP finds
+        # the chain; the in-place certificate is the copy's, mapped back
+        chain = [0, 17, 18, 19, 20, 21]
+        clique = [(i, j) for i in range(17) for j in range(i + 1, 17)]
+        part = Graph(22, clique + list(zip(chain, chain[1:])))
+        g, (comp, _) = interleaved_union([part, complete(6)], rng_from(11))
+        sub, old = reference_induced(g, comp)
+        t, within = path_tree(8), frozenset(range(6))
+        on_copy = contains_tree_by_size(
+            sub, t, 20, rng_from(0), 80_000, {0: 0, 5: 21}, [(frozenset({18, 19}), 1)], within
+        )
+        assert isinstance(on_copy, Contains) and on_copy.branch == "color-coding"
+        kappa, family = {0: old[0], 5: old[21]}, (frozenset({old[18], old[19]}), 1)
+        out = contains_tree_by_size(g, t, 20, rng_from(0), 80_000, kappa, [family], within, comp)
+        mapped = {tv: old[gv] for tv, gv in on_copy.embedding.mapping.items()}
+        assert out == Contains(PartialEmbedding(mapped), branch="color-coding")
+
+    def test_checks_read_the_component(self):
+        # vertex 1 of the guest has degree 3, which fits the K_5 but no
+        # vertex of the 8-cycle: the degree check settles the cycle with no
+        # search node, as on its copy, although its root fits there
+        g, (ring, small) = interleaved_union([cycle(8), complete(5)], rng_from(14))
+        t = Tree(5, [(0, 1), (0, 4), (1, 2), (1, 3)])
+        out = contains_tree_by_size(g, t, 20, rng_from(0), 1, hosts=ring)
+        assert out == NotContained(reason="exhaustive search")
+        out = contains_tree_by_size(g, path_tree(6), 20, rng_from(0), 1, hosts=small)
+        assert out == NotContained(reason="guest larger than host")
+
+    def test_coloring_draws_on_the_component_alone(self):
+        g, _ = interleaved_union([cycle(5), complete(4), path_graph(3)], rng_from(12))
+        for comp in g.components():
+            sub, old = reference_induced(g, comp)
+            outside = set(range(g.n)) - set(comp)
+            for fixed in (None, {comp[-1]: 0}):
+                on_host = sample_coloring(g, 4, rng_from(13), fixed, hosts=comp)
+                reserved = fixed and {old.index(gv): c for gv, c in fixed.items()}
+                on_copy = sample_coloring(sub, 4, rng_from(13), reserved)
+                assert [on_host.colors[v] for v in old] == list(on_copy.colors)
+                assert all(on_host.colors[v] == -1 for v in outside)
 
 
 class TestTrialSchedule:

@@ -1,21 +1,32 @@
 import pytest
 
+from collections import Counter
+
 from helpers import (
     complete,
     cycle,
+    interleaved_union,
     multi_star,
     path_tree,
     petersen,
     random_caterpillar,
     random_double_star,
     random_spider,
+    reference_induced,
     star_tree,
 )
-from treefit.embedding import format_certificate
+from treefit import pipeline
+from treefit.embedding import PartialEmbedding, format_certificate
 from treefit.errors import BudgetExceededError, EmptyGraphError
-from treefit.generate import circulant, random_graph, random_graph_min_degree, random_tree
+from treefit.generate import (
+    circulant,
+    random_connected_graph,
+    random_graph,
+    random_graph_min_degree,
+    random_tree,
+)
 from treefit.graph import Graph
-from treefit.outcome import Contains, NotContained
+from treefit.outcome import Contains, NotContained, NotFound
 from treefit.pipeline import SolveConfig, brute_force_contains, solve, verify_certificate
 from treefit.seeds import rng_from
 from treefit.trees import Tree
@@ -90,6 +101,73 @@ class TestSolveBasics:
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
         out = solve(g, path_tree(3))
         assert isinstance(out, NotContained)
+
+
+def _solve_on_copies(g: Graph, t: Tree, config: SolveConfig):
+    """Reference for solve on a disconnected host: each component at least
+    as large as the guest solved on its own induced copy, with rng stream
+    index + 1, a certificate mapped back to the host's ids, the misses
+    merged into one NotFound."""
+    misses = []
+    for index, comp in enumerate(g.components()):
+        if len(comp) < t.n:
+            continue
+        sub, old = reference_induced(g, comp)
+        out = pipeline._solve_connected(sub, t, config, index + 1)
+        if isinstance(out, Contains):
+            mapping = {tv: old[gv] for tv, gv in out.embedding.mapping.items()}
+            return Contains(PartialEmbedding(mapping), branch=out.branch)
+        if isinstance(out, NotFound):
+            misses.append(out)
+    if misses:
+        note = "; ".join(filter(None, (m.note for m in misses)))
+        return NotFound(sum(m.rounds for m in misses), config.seed, config.failure_exponent, note)
+    return NotContained(reason="no component can host the guest")
+
+
+class TestComponentsInPlace:
+    def test_matches_solving_induced_copies(self):
+        # 2-4 connected parts on interleaved ids: random graphs, and complete
+        # bipartite ones that cannot host long paths; guests up to the
+        # largest part, so smaller parts are skipped.  Small budgets run out
+        # before a color-coding trial fits in them; 2M and None let the
+        # search finish.
+        rng = rng_from(54)
+        seen = Counter()
+        for trial in range(500):
+            parts = []
+            for _ in range(rng.randint(2, 4)):
+                if rng.random() < 0.25:
+                    a = rng.randint(1, 3)
+                    b = rng.randint(a + 1, 10)
+                    parts.append(Graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)]))
+                else:
+                    size = rng.randint(1, 12)
+                    parts.append(random_connected_graph(size, rng.uniform(0.1, 0.7), rng))
+            g, _ = interleaved_union(parts, rng)
+            top = min(9, max(p.n for p in parts))
+            size = rng.randint(max(2, top - 4), max(2, top))
+            t = path_tree(size) if rng.random() < 0.3 else random_tree(size, rng)
+            budget = rng.choice((rng.randint(3, 60), rng.randint(60, 5_000), 2_000_000, None))
+            config = SolveConfig(seed=trial, failure_exponent=rng.randint(2, 10), node_budget=budget)
+            out = solve(g, t, config)
+            assert out == _solve_on_copies(g, t, config), trial
+            seen[type(out).__name__, getattr(out, "branch", "")] += 1
+        assert seen["Contains", "greedy-guarantee"] > 30
+        assert seen["Contains", "exact-search"] > 200
+        assert seen["NotContained", ""] > 20
+        assert seen["NotFound", ""] > 10
+
+    def test_misses_merge_as_on_copies(self):
+        # two K_{3,16} cannot host P_8 (four vertices on each side); the
+        # search overruns 50k nodes in each and leaves one color-coding
+        # trial per component, 50_000 // (2^8 * 8 * 19)
+        k316 = Graph(19, [(a, b) for a in range(3) for b in range(3, 19)])
+        g, _ = interleaved_union([k316, cycle(5), k316], rng_from(55))
+        config = SolveConfig(seed=7, node_budget=50_000)
+        out = solve(g, path_tree(8), config)
+        assert out == NotFound(2, 7, 20, "BudgetExceeded; BudgetExceeded")
+        assert out == _solve_on_copies(g, path_tree(8), config)
 
 
 class TestDeterminism:
