@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import compress, product
 from operator import countOf
 from random import Random
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .embedding import PartialEmbedding, verify
 from .errors import BudgetExceededError
@@ -137,14 +137,15 @@ def colorful_full_tree_dp(
     # states[tv][gv]: {(mask, quota): backptr}; backptr is ("base",) or
     # ("join", prev_bp, child_tv, child_gv, child_bp)
     states: dict[int, dict[int, dict[tuple[int, tuple[int, ...]], tuple]]] = {}
+    # the coloured vertices, once: a colouring of one component leaves the
+    # rest of the host at -1
+    coloured = list(compress(range(g.n), map((0).__le__, colors)))
     for tv in reversed(order):
         if tv in kappa:
             candidates = [kappa[tv]]
         else:
             need = len(children[tv]) + (tv != root)
-            candidates = [
-                v for v in range(g.n) if colors[v] >= 0 and g.degree(v) >= need
-            ]
+            candidates = [v for v in coloured if g.degree(v) >= need]
         table: dict[int, dict] = {}
         for gv in candidates:
             if colors[gv] < 0:
@@ -336,8 +337,10 @@ def exact_constrained_embed(
         for u in near if len(near) <= depth else [u for u in images[:depth] if u in near]:
             q = used[u]
             if q and q != parent:
+                # an image with no child left to place cannot starve: gv
+                # itself is one of its free neighbours
                 r = pending[q - 1]
-                if r >= degree[u] - depth and free_count(u, depth) <= r:
+                if r and r >= degree[u] - depth and free_count(u, depth) <= r:
                     return True
         return False
 
@@ -507,7 +510,7 @@ def contains_tree_by_size(
     g: Graph,
     t: Tree,
     failure_exponent: int,
-    rng: Random,
+    rng_source: Callable[[], Random],
     node_budget: int | None = None,
     kappa: Mapping[int, int] | None = None,
     families: Sequence[Family] = (),
@@ -521,6 +524,13 @@ def contains_tree_by_size(
     leaves the search unbounded).  One-sided: no false positives.  With
     `hosts`, the sorted vertex list of one component of the host, both
     stay inside that component, as they would on a copy of it.
+
+    `rng_source` takes no arguments and returns the generator that draws the
+    colourings.  It is called once, just before the first colour-coding
+    trial, and never when the exact search decides or the budget allows no
+    trial, so a caller that builds a fresh generator pays for it only when
+    a trial runs, and one that passes `lambda: rng` advances a shared
+    stream exactly as before.
 
     The one driver of the exact search and the colorful DP: `solve`,
     `high_leaf` and `solve_ahsc` all reach them through here."""
@@ -543,6 +553,7 @@ def contains_tree_by_size(
     note = "BudgetExceeded" if capped < total else ""
     # pinned images take the reserved colors, in guest-vertex order
     reserved = {kappa[tv]: i for i, tv in enumerate(sorted(kappa))} if kappa else None
+    rng = rng_source() if capped else None
     for trial in range(capped):
         coloring = sample_coloring(g, s, rng, reserved, hosts)
         emb = colorful_full_tree_dp(g, t, coloring, kappa, families, within)
@@ -742,7 +753,7 @@ def solve_ahsc(inst: AhscInstance, failure_exponent: int, rng: Random) -> AhscRe
                 continue
             tried.add(subtree)
             out = contains_tree_by_size(
-                g, t, failure_exponent, rng, DEFAULT_NODE_BUDGET, kappa, fams, subtree
+                g, t, failure_exponent, lambda: rng, DEFAULT_NODE_BUDGET, kappa, fams, subtree
             )
             if isinstance(out, Contains):
                 exact = exact_all and out.branch != "color-coding"

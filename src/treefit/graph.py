@@ -150,9 +150,8 @@ class Graph:
         return out
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return self.bfs_distances(0).count(self.n) == 0
+        """One component, or none: the empty graph counts as connected."""
+        return len(self.components()) <= 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.edge_count})"

@@ -219,7 +219,7 @@ def solve_high_leaf_degree(
     needed_path = 3 * k if path_length is None else path_length
 
     if delta < threshold:
-        return contains_tree_by_size(g, t, failure_exponent, rng, node_budget)
+        return contains_tree_by_size(g, t, failure_exponent, lambda: rng, node_budget)
 
     far, _, _ = farthest_from(t, witness)
     if far < needed_path:

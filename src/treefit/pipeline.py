@@ -93,9 +93,13 @@ def _solve_connected(
     if t.n - g.min_degree(hosts) <= 1:
         emb = chvatal_extend(g, t, PartialEmbedding({}), hosts=hosts)
         return Contains(emb, branch="greedy-guarantee")
-    rng = rng_from(config.seed, stream, 1)
     return contains_tree_by_size(
-        g, t, config.failure_exponent, rng, config.node_budget, hosts=hosts
+        g,
+        t,
+        config.failure_exponent,
+        lambda: rng_from(config.seed, stream, 1),
+        config.node_budget,
+        hosts=hosts,
     )
 
 

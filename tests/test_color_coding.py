@@ -233,11 +233,11 @@ class TestGuestView:
 
 class TestContainsTreeBySize:
     def test_triangle_path(self):
-        out = contains_tree_by_size(complete(3), path_tree(3), 10, rng_from(1))
+        out = contains_tree_by_size(complete(3), path_tree(3), 10, lambda: rng_from(1))
         assert isinstance(out, Contains)
 
     def test_c4_star_not_contained_exactly(self):
-        out = contains_tree_by_size(cycle(4), star_tree(3), 10, rng_from(1))
+        out = contains_tree_by_size(cycle(4), star_tree(3), 10, lambda: rng_from(1))
         assert isinstance(out, NotContained)
 
     def test_oracle_sweep(self):
@@ -245,7 +245,7 @@ class TestContainsTreeBySize:
         for trial in range(500):
             g = random_graph(rng.randint(2, 12), rng.uniform(0.15, 0.8), rng)
             t = random_tree(rng.randint(1, 6), rng)
-            out = contains_tree_by_size(g, t, 8, rng_from(43, trial))
+            out = contains_tree_by_size(g, t, 8, lambda: rng_from(43, trial))
             oracle = brute_force_contains(g, t)
             if isinstance(out, Contains):
                 assert isinstance(oracle, Contains)
@@ -263,14 +263,14 @@ class TestContainsTreeBySize:
         base = random_graph_min_degree(29, 4, rng)
         g = Graph(30, list(base.edges()) + [(v, 29) for v in range(29)])
         t = random_tree(7, rng)
-        out = contains_tree_by_size(g, t, 20, rng_from(8, 1), budget)
+        out = contains_tree_by_size(g, t, 20, lambda: rng_from(8, 1), budget)
         assert isinstance(out, Contains) and out.branch == "exact-search"
         assert verify(out.embedding, g, t, require_full=True)
         # the README example: n 54, min degree 48, a 50-vertex guest (k = 2)
         rng = rng_from(0)
         g = random_graph_min_degree(54, 48, rng)
         t = random_tree(50, rng)
-        out = contains_tree_by_size(g, t, 20, rng_from(0, 1), budget)
+        out = contains_tree_by_size(g, t, 20, lambda: rng_from(0, 1), budget)
         assert isinstance(out, Contains) and out.branch == "exact-search"
         assert verify(out.embedding, g, t, require_full=True)
 
@@ -278,7 +278,7 @@ class TestContainsTreeBySize:
         # K_{3,40} cannot host P_8 (four vertices on each side); the search
         # overruns 200k nodes, leaving 200k // (2^8 * 8 * 43) = 2 DP trials
         g = Graph(43, [(a, b) for a in range(3) for b in range(3, 43)])
-        out = contains_tree_by_size(g, path_tree(8), 20, rng_from(9), node_budget=200_000)
+        out = contains_tree_by_size(g, path_tree(8), 20, lambda: rng_from(9), node_budget=200_000)
         assert out == NotFound(rounds=2, failure_exponent=20, note="BudgetExceeded")
 
     def test_constrained_budget_miss_runs_the_pinned_dp(self):
@@ -293,7 +293,7 @@ class TestContainsTreeBySize:
         kappa, family, within = {0: 0, 5: 21}, (frozenset({18, 19}), 1), frozenset(range(6))
         with pytest.raises(BudgetExceededError):
             exact_constrained_embed(g, t, kappa, [family], within, node_cap=80_000)
-        out = contains_tree_by_size(g, t, 20, rng_from(0), 80_000, kappa, [family], within)
+        out = contains_tree_by_size(g, t, 20, lambda: rng_from(0), 80_000, kappa, [family], within)
         assert isinstance(out, Contains) and out.branch == "color-coding"
         mapping = out.embedding.mapping
         assert set(mapping) == within and mapping[0] == 0 and mapping[5] == 21
@@ -312,9 +312,9 @@ class TestOneComponentInPlace:
         k340 = Graph(43, [(a, b) for a in range(3) for b in range(3, 43)])
         g, (comp, _) = interleaved_union([k340, complete(8)], rng_from(10))
         sub, _ = reference_induced(g, comp)
-        out = contains_tree_by_size(g, path_tree(8), 20, rng_from(9), 200_000, hosts=comp)
+        out = contains_tree_by_size(g, path_tree(8), 20, lambda: rng_from(9), 200_000, hosts=comp)
         assert out.rounds >= 1
-        assert out == contains_tree_by_size(sub, path_tree(8), 20, rng_from(9), 200_000)
+        assert out == contains_tree_by_size(sub, path_tree(8), 20, lambda: rng_from(9), 200_000)
 
     def test_pinned_dp_hit_maps_back(self):
         # the pinned chain instance of the budget-miss tests beside a K_6:
@@ -327,11 +327,11 @@ class TestOneComponentInPlace:
         sub, old = reference_induced(g, comp)
         t, within = path_tree(8), frozenset(range(6))
         on_copy = contains_tree_by_size(
-            sub, t, 20, rng_from(0), 80_000, {0: 0, 5: 21}, [(frozenset({18, 19}), 1)], within
+            sub, t, 20, lambda: rng_from(0), 80_000, {0: 0, 5: 21}, [(frozenset({18, 19}), 1)], within
         )
         assert isinstance(on_copy, Contains) and on_copy.branch == "color-coding"
         kappa, family = {0: old[0], 5: old[21]}, (frozenset({old[18], old[19]}), 1)
-        out = contains_tree_by_size(g, t, 20, rng_from(0), 80_000, kappa, [family], within, comp)
+        out = contains_tree_by_size(g, t, 20, lambda: rng_from(0), 80_000, kappa, [family], within, comp)
         mapped = {tv: old[gv] for tv, gv in on_copy.embedding.mapping.items()}
         assert out == Contains(PartialEmbedding(mapped), branch="color-coding")
 
@@ -341,9 +341,9 @@ class TestOneComponentInPlace:
         # search node, as on its copy, although its root fits there
         g, (ring, small) = interleaved_union([cycle(8), complete(5)], rng_from(14))
         t = Tree(5, [(0, 1), (0, 4), (1, 2), (1, 3)])
-        out = contains_tree_by_size(g, t, 20, rng_from(0), 1, hosts=ring)
+        out = contains_tree_by_size(g, t, 20, lambda: rng_from(0), 1, hosts=ring)
         assert out == NotContained(reason="exhaustive search")
-        out = contains_tree_by_size(g, path_tree(6), 20, rng_from(0), 1, hosts=small)
+        out = contains_tree_by_size(g, path_tree(6), 20, lambda: rng_from(0), 1, hosts=small)
         assert out == NotContained(reason="guest larger than host")
 
     def test_coloring_draws_on_the_component_alone(self):

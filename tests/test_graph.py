@@ -455,3 +455,38 @@ class TestComponents:
         g = Graph(300, edges)
         assert g.components() == sorted(sorted(b) for b in blocks)
         self._check(g)
+
+
+def _reference_is_connected(g: Graph) -> bool:
+    """Every vertex reached by a plain BFS from vertex 0."""
+    if g.n == 0:
+        return True
+    seen, queue = {0}, deque([0])
+    while queue:
+        for v in g.adj(queue.popleft()):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == g.n
+
+
+class TestIsConnected:
+    def test_small_cases(self):
+        assert Graph(0, []).is_connected()
+        assert Graph(1, []).is_connected()
+        assert not Graph(2, []).is_connected()
+        assert Graph(2, [(0, 1)]).is_connected()
+        assert not Graph(4, [(0, 1), (1, 2)]).is_connected()  # 3 is isolated
+        assert not Graph(4, [(1, 2), (2, 3)]).is_connected()  # 0 is isolated
+        assert cycle(5).is_connected() and petersen().is_connected()
+
+    def test_random_graphs_match_plain_bfs(self):
+        rng = Random(8)
+        graphs = [_random_split_graph(rng) for _ in range(1500)]
+        graphs += [random_graph(rng.randint(0, 25), rng.choice((0.05, 0.15, 0.4)), rng) for _ in range(1500)]
+        connected = 0
+        for g in graphs:
+            expected = _reference_is_connected(g)
+            assert g.is_connected() == expected
+            connected += expected
+        assert 0 < connected < len(graphs)

@@ -170,6 +170,50 @@ class TestComponentsInPlace:
         assert out == _solve_on_copies(g, path_tree(8), config)
 
 
+class TestGeneratorOnlyForTrials:
+    """`solve` builds the colour-coding generator only when a trial runs."""
+
+    @pytest.fixture
+    def no_generator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"colour-coding generator built for stream {args}")
+
+        monkeypatch.setattr(pipeline, "rng_from", refuse)
+
+    def test_decided_without_a_trial(self, no_generator):
+        rng = rng_from(56)
+        seen = Counter()
+        for _ in range(40):
+            # hub-shaped: a min-degree-4 graph on 29 vertices plus a hub
+            # joined to all, with a 7-vertex guest
+            base = random_graph_min_degree(29, 4, rng)
+            g = Graph(30, list(base.edges()) + [(v, 29) for v in range(29)])
+            seen[type(solve(g, random_tree(g.min_degree() + 2, rng))).__name__] += 1
+            # sweep-shaped: n 13-40 with a guest of min degree + 2..4
+            n = rng.randint(13, 40)
+            g = random_graph_min_degree(n, rng.randint(2, n - 3), rng)
+            t = random_tree(min(g.min_degree() + rng.randint(2, 4), n), rng)
+            seen[type(solve(g, t)).__name__] += 1
+            # the greedy guarantee: at most min degree + 1 guest vertices
+            out = solve(g, random_tree(g.min_degree() + 1, rng))
+            assert out.branch == "greedy-guarantee"
+            # a disconnected host, on interleaved ids
+            parts = [random_connected_graph(rng.randint(1, 12), 0.4, rng) for _ in range(3)]
+            g, _ = interleaved_union(parts, rng)
+            t = random_tree(rng.randint(2, max(2, max(p.n for p in parts))), rng)
+            seen[type(solve(g, t)).__name__] += 1
+        assert seen["Contains"] > 60 and seen["NotContained"] > 0
+
+    def test_budget_without_room_for_a_trial(self, no_generator):
+        # K_{3,40} cannot host P_8: 1,000 nodes run out and leave
+        # 1_000 // (2^8 * 8 * 43) = 0 trials
+        g = Graph(43, [(a, b) for a in range(3) for b in range(3, 43)])
+        out = solve(g, path_tree(8), SolveConfig(node_budget=1_000))
+        assert out == NotFound(0, 0, 20, "BudgetExceeded")
+        with pytest.raises(AssertionError, match="generator built for stream"):
+            solve(g, path_tree(8), SolveConfig(node_budget=200_000))
+
+
 class TestDeterminism:
     def test_same_seed_same_bytes(self):
         rng = rng_from(51)
