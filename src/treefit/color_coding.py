@@ -93,11 +93,11 @@ def _guest_view(
     """BFS view of the guest (sub)tree shared by the DP and the exact search,
     rooted at `root`, else at the lowest pinned vertex, else at the lowest
     vertex."""
-    active = frozenset(range(t.n)) if within is None else frozenset(within)
-    if not set(kappa) <= active:
+    active = range(t.n) if within is None else frozenset(within)
+    if not all(map(active.__contains__, kappa)):
         raise ValueError("pinned vertices must lie inside the guest subtree")
     if root is None:
-        root = min(kappa) if kappa else min(active)
+        root = min(kappa) if kappa else 0 if within is None else min(active)
     return connected_view(t, root, within, "guest subtree")
 
 
@@ -224,14 +224,19 @@ def exact_constrained_embed(
     takes the lowest free neighbour of its parent's image, and a leaf that
     finds none looks for an augmenting path (Kuhn) that moves placed leaves
     aside.  Without one, no placement of the leaves exists, and the search
-    goes straight back to the last skeleton position.  A guest vertex of
+    goes straight back to the last skeleton position.  When the guest (or
+    `within`) spans the host (or the component `hosts`), every unused
+    vertex must take a leaf, so a leaf phase first checks that each unused
+    vertex lies beside an anchor, the image of a vertex with leaves to
+    place, and goes back at the first that does not, before it places any
+    leaf (Hall's condition).  A guest vertex of
     larger degree than every host vertex ends the search before its first
     node.
 
     Search nodes: every skeleton candidate tried (a used neighbour is
     skipped without counting), every leaf placed greedily, and every host
-    vertex an augmenting-path search reaches.  More than `node_cap` nodes
-    raise BudgetExceededError.
+    vertex an augmenting-path search reaches; the spanning check counts
+    none.  More than `node_cap` nodes raise BudgetExceededError.
 
     On a dense host (4m >= n(n-1)) the unused host vertices are also kept in
     a linked list.  A parent's image with fewer non-neighbours than placed
@@ -278,6 +283,10 @@ def exact_constrained_embed(
 
     n = g.n
     count = n if hosts is None else len(hosts)  # the host vertices the search may use
+    # a guest that spans the host (or the component) leaves every unused
+    # vertex a leaf to take: the positions of the leaves' parents, whose
+    # images are the anchors every unused vertex must lie beside
+    anchor_at = set(parent_at[skeleton:]) if count == size else ()
     # a guest vertex of larger degree than every host vertex fits nowhere
     top = max(kids_at[0], max(kids_at[1:skeleton], default=-1) + 1)
     if not count or top > g.max_degree(hosts):
@@ -392,6 +401,12 @@ def exact_constrained_embed(
     def place_leaves() -> bool:
         """Place every leaf position, or undo them all and return False."""
         nonlocal nodes
+        if anchor_at:
+            # Hall's condition on a spanning guest, before any placement
+            anchors = {images[p] for p in anchor_at}
+            for v in range(n) if hosts is None else hosts:
+                if not used[v] and anchors.isdisjoint(adj[v]):
+                    return False
         taken: list[int] = []  # in the order they left the linked list
         for pos in range(skeleton, size):
             anchor = images[parent_at[pos]]
@@ -498,7 +513,7 @@ def exact_constrained_embed(
                 neighbours = sorted_adj[anchor] = sorted(adj[anchor])
             frames[depth] = iter(neighbours)
 
-    emb = PartialEmbedding({tv: images[i] for i, tv in enumerate(order)})
+    emb = PartialEmbedding(dict(zip(order, images)))
     if not verify(emb, g, t):
         raise AssertionError("constrained search produced an invalid embedding")
     return emb

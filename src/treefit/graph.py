@@ -95,7 +95,7 @@ class Graph:
         if self.n == 0:
             raise EmptyGraphError("minimum degree of the empty graph")
         if self._min_degree is None:
-            self._min_degree = min(len(s) for s in self._adj)
+            self._min_degree = min(map(len, self._adj))
         return self._min_degree
 
     def max_degree(self, among: Iterable[int] | None = None) -> int:
@@ -129,6 +129,10 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Vertex lists of the components, each sorted, ordered by least vertex."""
+        if self.n and 2 * self.min_degree() >= self.n - 1:
+            # two non-adjacent vertices have n - 1 or more neighbours among
+            # the n - 2 others, so they share one: the graph is connected
+            return [list(range(self.n))]
         adj = self._adj
         unseen = set(range(self.n))
         out: list[list[int]] = []

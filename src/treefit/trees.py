@@ -118,6 +118,8 @@ class RootedView:
         order = [root]
         adj = t._adj
         for u in order:  # grows while it is read: a BFS queue
+            if u != root and len(adj[u]) == 1:
+                continue  # a leaf: its one neighbour is its parent
             kids = sorted(adj[u] if within is None else adj[u] & within)
             if u != root:
                 kids.remove(parent[u])  # a tree's only visited neighbour

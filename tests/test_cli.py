@@ -1,6 +1,10 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -320,3 +324,28 @@ class TestBench:
         code, out = run_cli(["bench", "--dir", str(tmp_path)])
         assert code == 0
         assert len(out.strip().splitlines()) == 1
+
+
+class TestModuleEntry:
+    """`python -m treefit` runs the CLI from a checkout with only `src` on
+    PYTHONPATH, and exits with main()'s return code."""
+
+    @staticmethod
+    def run_module(args, cwd) -> subprocess.CompletedProcess:
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run(
+            [sys.executable, "-m", "treefit", *args], cwd=cwd, env=env, capture_output=True, text=True
+        )
+
+    def test_help(self, tmp_path):
+        proc = self.run_module(["--help"], tmp_path)
+        assert proc.returncode == 0 and "solve" in proc.stdout
+
+    def test_usage_error(self, tmp_path):
+        proc = self.run_module(["solve", "--graph", "a.graph"], tmp_path)
+        assert proc.returncode == 3 and "--tree" in proc.stderr
+
+    def test_solve(self, instance_dir):
+        proc = self.run_module(["solve", "--graph", "a.graph", "--tree", "a.tree"], instance_dir)
+        assert proc.returncode == 0 and proc.stdout.startswith("CONTAINS")

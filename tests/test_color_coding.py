@@ -214,6 +214,77 @@ class TestExactConstrained:
         t = Tree(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
         assert self.assert_nodes(g, t, 16) is None
 
+    def test_spanning_leaf_phase_checks_hall_first(self):
+        # the same S(2,2) spans K_4 minus the edge 2-3 with a pendant vertex
+        # on 2 (vertex 4) and on 3 (vertex 5): the centres go on the four
+        # vertices of degree 3 (four nodes) and then on each root's three
+        # neighbours (twelve nodes).  Every such pair misses 2 or 3, so
+        # pendant 4 or 5 lies beside no image of a centre, and each leaf
+        # phase gives up before it places a leaf.  Placing leaves greedily
+        # and searching augmenting paths first took 72 nodes.
+        g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)])
+        t = Tree(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+        assert self.assert_nodes(g, t, 16) is None
+
+
+class TestSpanningGuests:
+    """A guest (or `within` subtree) with as many vertices as the host (or
+    the component `hosts`) leaves every unused vertex a leaf to take."""
+
+    @staticmethod
+    def pin_by_degree(g, t, tv, gv):
+        """The instance with tv pinned to gv as an unpinned one: tv and gv
+        gain k new leaves, so that only gv has tv's new degree.  Leaves of
+        tv can trade images with the new ones, so the pinned instance is YES
+        exactly when this one is."""
+        k = max(1, g.max_degree() + 1 - t.degree(tv))
+        host = Graph(g.n + k, list(g.edges()) + [(gv, g.n + i) for i in range(k)])
+        guest = Tree(t.n + k, list(t.edges()) + [(tv, t.n + i) for i in range(k)])
+        return host, guest
+
+    def test_agrees_with_oracle(self):
+        # by turns: the whole host, one pin (a vertex of largest degree on a
+        # host vertex of large enough degree), the host as one component of
+        # a disconnected host, and a `within` subtree of a larger guest;
+        # instances the oracle cannot finish in 50k nodes are skipped
+        rng = rng_from(91)
+        decided = {(case, kind): 0 for case in range(4) for kind in (True, False)}
+        for trial in range(1000):
+            n = rng.randint(8, 16)
+            g = random_graph_min_degree(n, rng.randint(2, 4), rng)
+            t = random_tree(n, rng)
+            case = trial % 4
+            host, guest, kappa, within, hosts = g, t, {}, None, None
+            oracle_g, oracle_t = g, t
+            if case == 1:
+                tv = max(range(n), key=t.degree)
+                gv = rng.choice([v for v in range(n) if g.degree(v) >= t.degree(tv)] or [0])
+                kappa = {tv: gv}
+                oracle_g, oracle_t = self.pin_by_degree(g, t, tv, gv)
+            elif case == 2:
+                other = random_graph_min_degree(rng.randint(3, 8), 2, rng)
+                host, (hosts, _) = interleaved_union([g, other], rng)
+            elif case == 3:
+                guest = random_tree(n + rng.randint(1, 4), rng)
+                within = random_connected_subtree(guest, n, rng)
+                index = {v: i for i, v in enumerate(sorted(within))}
+                oracle_t = Tree(n, [(index[u], index[v]) for u, v in guest.edges() if u in within and v in within])
+            try:
+                oracle = brute_force_contains(oracle_g, oracle_t, 50_000)
+            except BudgetExceededError:
+                continue
+            emb = exact_constrained_embed(host, guest, kappa, (), within, None, hosts)
+            assert (emb is not None) == isinstance(oracle, Contains), (trial, case)
+            decided[case, emb is not None] += 1
+            if emb is None:
+                continue
+            mapping = emb.mapping
+            assert sorted(mapping) == sorted(range(n) if within is None else within)
+            assert all(mapping[tv] == gv for tv, gv in kappa.items())
+            assert hosts is None or set(mapping.values()) == set(hosts)
+            assert verify(emb, host, guest)
+        assert min(decided.values()) >= 10, decided
+
 
 class TestGuestView:
     def test_disconnected_within_rejected(self):

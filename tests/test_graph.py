@@ -456,6 +456,33 @@ class TestComponents:
         assert g.components() == sorted(sorted(b) for b in blocks)
         self._check(g)
 
+    def test_minimum_degree_threshold(self):
+        # 2 * min_degree >= n - 1 settles connectivity without a search;
+        # random graphs on one or two dense blocks, some with an isolated
+        # vertex, put the minimum degree on both sides of that threshold
+        for g in (Graph(1, []), Graph(2, []), Graph(2, [(0, 1)]), Graph(3, [(0, 1)])):
+            self._check(g)
+        rng = Random(9)
+        near = {True: 0, False: 0}
+        for _ in range(3000):
+            n = rng.randint(1, 24)
+            ids = list(range(n))
+            rng.shuffle(ids)
+            cut = rng.choice((0, rng.randint(0, n)))
+            p_in, p_out = rng.uniform(0.5, 1.0), rng.choice((0.0, 0.05, 0.3))
+            lone = rng.choice(ids) if n > 1 and rng.random() < 0.1 else None
+            edges = [
+                (min(a, b), max(a, b))
+                for i, j in itertools.combinations(range(n), 2)
+                for a, b in [(ids[i], ids[j])]
+                if lone not in (a, b) and rng.random() < (p_in if (i < cut) == (j < cut) else p_out)
+            ]
+            g = Graph(n, edges)
+            self._check(g)
+            if abs(2 * g.min_degree() - (n - 1)) <= 2:
+                near[2 * g.min_degree() >= n - 1] += 1
+        assert min(near.values()) >= 100, near
+
 
 def _reference_is_connected(g: Graph) -> bool:
     """Every vertex reached by a plain BFS from vertex 0."""
