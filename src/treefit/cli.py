@@ -33,20 +33,13 @@ EXIT_USAGE = 3
 BENCH_FIELDS = ["instance", "outcome", "branch", "ms", "read_ms", "rounds", "note", "error"]
 
 
-def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("TREEFIT_SEED")
-    return int(env) if env else 0
-
-
 def _node_budget(args) -> int | None:
     return None if args.mode == "strict" else args.budget_nodes
 
 
 def _config_from(args) -> SolveConfig:
     return SolveConfig(
-        seed=_seed_from(args),
+        seed=args.seed,
         failure_exponent=args.failure_exponent,
         node_budget=_node_budget(args),
     )
@@ -115,7 +108,7 @@ def cmd_generate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "random":
-        rng = rng_from(_seed_from(args))
+        rng = rng_from(args.seed)
         g = random_graph_min_degree(args.n, args.min_degree, rng)
         t = random_tree(args.tree_size, rng)
         write_graph(out_dir / "instance.graph", g)
@@ -244,6 +237,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # a command with --seed, not given one
+        env = os.environ.get("TREEFIT_SEED")
+        try:
+            args.seed = int(env) if env else 0
+        except ValueError:
+            parser.error(f"TREEFIT_SEED must be an integer, got {env!r}")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -325,25 +325,32 @@ _GRAPH_TEXT = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
 def parse_graph(text: str) -> Graph:
     """Parse the graph text format: `n m` then m lines `u v` with u < v.
 
-    Well-formed text is read in bulk passes: one shape check, one integer
-    conversion, range and order checks over all edges at once, and
-    duplicates found by the degree sum.  Any other text (a rejected edge,
-    CRLF, blank lines, tabs, signs) goes through the line-by-line reader,
-    which accepts what it accepts and reports the first bad line.
+    Text in the written form, where every edge end is an id `0..n-1` as
+    `str` writes it, is read in bulk passes: one shape check, one table
+    lookup per edge end (which also checks its range), an order check over
+    all edges at once, and duplicates found by the degree sum.  The table
+    holds one int object per vertex, so the neighbour sets share it.  Any
+    other text (a rejected edge, an id with a leading zero, CRLF, blank
+    lines, tabs, signs) goes through the line-by-line reader, which accepts
+    what it accepts and reports the first bad line.
     """
     if _GRAPH_TEXT.fullmatch(text):
-        ends = list(map(int, text.split()))
-        n, m = ends[0], ends[1]
-        us, vs = ends[2::2], ends[3::2]
-        if len(us) == m and (not m or max(vs) < n) and all(map(lt, us, vs)):
-            if n > 257:
-                # int() makes a new object for each value above 256: mapped
-                # through one list of ids, the neighbour sets share one
-                # object per vertex instead of holding one per edge end
-                ids = list(range(n)).__getitem__
-                us, vs = map(ids, us), map(ids, vs)
+        head, _, body = text.partition("\n")
+        n, m = map(int, head.split())
+        tokens = body.split()
+        ends = None
+        if len(tokens) == 2 * m:  # counted first: the table's size is the header's n
+            ids = dict(zip(map(str, range(n)), range(n)))
+            try:
+                ends = list(map(ids.__getitem__, tokens))
+            except KeyError:  # an id out of range or with a leading zero
+                pass
+            del ids
+        del tokens
+        if ends is not None and all(map(lt, ends[0::2], ends[1::2])):
             adj: list[list[int]] = [[] for _ in range(n)]
-            for u, v in zip(us, vs):
+            pairs = iter(ends)
+            for u, v in zip(pairs, pairs):
                 adj[u].append(v)
                 adj[v].append(u)
             g = Graph._from_adjacency(adj)

@@ -454,7 +454,10 @@ _TREE_TEXT = re.compile(r"[0-9]+\n(?:[0-9]+ [0-9]+\n)*")
 def parse_tree(text: str) -> Tree:
     """Parse the tree text format: `n` then n-1 lines `u v`.
 
-    Well-formed text is read in bulk passes, as in `graph.parse_graph`; any
+    Well-formed text is read in bulk passes: one shape check, one integer
+    conversion, one range check, and connectivity.  `graph.parse_graph`
+    takes only ids in the written form in bulk; this bulk path also takes
+    ids with leading zeros, which `int` reads as the line reader does.  Any
     other text, and any edge set that is not a tree, goes through the
     line-by-line reader, which reports the error and its line.
     """

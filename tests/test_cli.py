@@ -137,6 +137,26 @@ class TestSolve:
         assert code == 3
         assert "line 1: non-ASCII byte 0xff" in capsys.readouterr().err
 
+    def test_seed_variable_stands_in_for_the_flag(self, tmp_path, monkeypatch):
+        write_graph(tmp_path / "c.graph", chorded_cycle())
+        write_tree(tmp_path / "c.tree", spider(3, 3))
+        args = ["solve", "--graph", str(tmp_path / "c.graph"), "--tree", str(tmp_path / "c.tree")]
+        monkeypatch.setenv("TREEFIT_SEED", "3")
+        code, out = run_cli(args + ["--budget-nodes", "10"])
+        assert code == 2 and "seed=3" in out
+        code, out = run_cli(args + ["--budget-nodes", "10", "--seed", "4"])
+        assert code == 2 and "seed=4" in out
+
+    def test_non_integer_seed_variable_is_a_usage_error(self, instance_dir, capsys, monkeypatch):
+        # an uncaught ValueError would exit 1, which reads as NOT_CONTAINED
+        monkeypatch.setenv("TREEFIT_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["solve", "--graph", str(instance_dir / "a.graph"), "--tree", str(instance_dir / "a.tree")])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "TREEFIT_SEED must be an integer, got 'abc'" in captured.err
+
 
 class TestVerify:
     def test_corrupted_certificate(self, instance_dir, tmp_path):
@@ -324,6 +344,16 @@ class TestBench:
         code, out = run_cli(["bench", "--dir", str(tmp_path)])
         assert code == 0
         assert len(out.strip().splitlines()) == 1
+
+    def test_non_integer_seed_variable_is_a_usage_error(self, instance_dir, capsys, monkeypatch):
+        # rejected before the first instance, not once per row
+        monkeypatch.setenv("TREEFIT_SEED", "1.5")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bench", "--dir", str(instance_dir)])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "TREEFIT_SEED must be an integer, got '1.5'" in captured.err
 
 
 class TestModuleEntry:

@@ -296,9 +296,12 @@ MALFORMED_GRAPHS = [
     ("3 2\n0 1", "header claims 2 edges, found 1", 2),
     ("3 2\n0 1\n\n", "header claims 2 edges, found 1", 3),
     ("3 2\r\n0 1\r\n0 1\r\n", "duplicate edge (0,1)", 3),
+    ("300 3\n0 299\n5 300\n1 2\n", "edge (5,300) violates 0 <= u < v < n", 3),
+    ("3 0\n0 5\n", "edge (0,5) violates 0 <= u < v < n", 2),
+    ("3 0\n0 01\n", "header claims 0 edges, found 1", 2),
 ]
 
-# texts outside the bulk reader's shape that still parse: (text, n, edges)
+# texts outside the written form that still parse: (text, n, edges)
 LOOSE_GRAPHS = [
     ("3 2\n0 1\n1 2", 3, [(0, 1), (1, 2)]),
     ("3 2\r\n0 1\r\n1 2\r\n", 3, [(0, 1), (1, 2)]),
@@ -306,6 +309,9 @@ LOOSE_GRAPHS = [
     ("3\t2\n0\t1\n 1  2 \n", 3, [(0, 1), (1, 2)]),
     ("+3 +2\n+0 +1\n1 +2\n", 3, [(0, 1), (1, 2)]),
     ("3 0", 3, []),
+    ("03 1\n00 02\n", 3, [(0, 2)]),
+    ("3 2\n0 01\n1 2\n", 3, [(0, 1), (1, 2)]),
+    ("300 2\n0 0299\n007 8\n", 300, [(0, 299), (7, 8)]),
 ]
 
 
@@ -348,6 +354,43 @@ class TestBulkParse:
         assert _same_graph(g, Graph(n, edges))
         assert len({id(v) for s in g.adjacency() for v in s}) <= g.n
         assert _same_graph(_parse_graph_lines(text), g)
+
+    @staticmethod
+    def _large_graphs(seed: int, count: int):
+        """(n, edges, text) with n from 300 to 3000, so most ids lie above
+        the interpreter's cached small ints, and shuffled written-form text."""
+        rng = Random(seed)
+        for _ in range(count):
+            n = rng.randint(300, 3000)
+            edges = set()
+            for _ in range(rng.randint(0, 4 * n)):
+                u, v = rng.sample(range(n), 2)
+                edges.add((min(u, v), max(u, v)))
+            edges = sorted(edges)
+            yield n, edges, _graph_text(n, edges, rng)
+
+    def test_large_well_formed_texts_take_the_bulk_path(self, monkeypatch):
+        def line_reader_called(text):
+            raise AssertionError("line reader used")
+
+        monkeypatch.setattr(graph_module, "_parse_graph_lines", line_reader_called)
+        for n, edges, text in self._large_graphs(6, 8):
+            expected = Graph(n, edges)
+            assert _same_graph(parse_graph(text), expected)
+            assert _same_graph(parse_graph(format_graph(expected)), expected)
+
+    def test_bulk_and_line_readers_iterate_alike(self):
+        # equal sets may still iterate in different orders, and the search
+        # walks neighbour sets in their iteration order
+        texts = [text for _, _, text in self._large_graphs(7, 6)]
+        rng = Random(8)
+        for _ in range(200):
+            n = rng.randint(0, 40)
+            pairs = list(itertools.combinations(range(n), 2))
+            texts.append(_graph_text(n, rng.sample(pairs, rng.randint(0, len(pairs))), rng))
+        for text in texts:
+            bulk = [list(s) for s in parse_graph(text).adjacency()]
+            assert bulk == [list(s) for s in _parse_graph_lines(text).adjacency()]
 
     @pytest.mark.parametrize("text,n,edges", LOOSE_GRAPHS)
     def test_loose_texts_parse_as_before(self, text, n, edges):
