@@ -5,7 +5,7 @@ regime where T has up to min_degree(G)+k vertices, and always backs a YES
 with an explicit verified embedding.
 """
 
-from .embedding import PartialEmbedding, chvatal_extend, complete_leaves, solve_delta_plus_two, verify
+from .embedding import PartialEmbedding, chvatal_extend, verify
 from .graph import Graph, parse_graph, read_graph
 from .outcome import Contains, NotContained, NotFound, SolveOutcome
 from .pipeline import SolveConfig, brute_force_contains, solve, verify_certificate
@@ -22,13 +22,11 @@ __all__ = [
     "Tree",
     "brute_force_contains",
     "chvatal_extend",
-    "complete_leaves",
     "parse_graph",
     "parse_tree",
     "read_graph",
     "read_tree",
     "solve",
-    "solve_delta_plus_two",
     "verify",
     "verify_certificate",
 ]

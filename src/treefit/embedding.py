@@ -3,17 +3,15 @@
 A PartialEmbedding is an injective, edge-preserving map from a connected
 subtree of the guest tree into the host graph.  This module also houses the
 greedy extension engine (attach the next vertex to a free neighbor of its
-already-mapped tree neighbor), the delta+2 solver built on it, and leaf
-completion.
+already-mapped tree neighbor) and the certificate text format.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .errors import HypothesisNotMet, ParseError, PreconditionViolated, read_ascii
-from .graph import Graph, neighbor_deficiency
-from .outcome import Contains, NotContained, SolveOutcome
+from .errors import ParseError, PreconditionViolated, read_ascii
+from .graph import Graph
 from .trees import Tree
 
 
@@ -25,10 +23,6 @@ class PartialEmbedding:
     def __init__(self, mapping: Mapping[int, int]):
         self.mapping: dict[int, int] = dict(mapping)
         self.image: frozenset[int] = frozenset(self.mapping.values())
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(self.mapping)
 
     def __len__(self) -> int:
         return len(self.mapping)
@@ -191,144 +185,6 @@ def chvatal_extend(
     out = PartialEmbedding(result)
     if not verify(out, g, t):
         raise AssertionError("greedy extension produced an invalid embedding")
-    return out
-
-
-# -- the delta+2 characterization ------------------------------------------------
-
-def _is_star(t: Tree) -> int | None:
-    """Center of t if t is a star on >= 3 vertices, else None."""
-    if t.n < 3:
-        return None
-    centers = [v for v in range(t.n) if t.degree(v) == t.n - 1]
-    return centers[0] if centers else None
-
-
-def solve_delta_plus_two(g: Graph, t: Tree) -> SolveOutcome:
-    """Decide containment for guests up to min_degree+2 vertices.
-
-    The single NO case: a regular host and a star guest on min_degree+2
-    vertices.  Every other instance gets an explicit certificate.
-    """
-    delta = g.min_degree()
-    if not g.is_connected():
-        raise PreconditionViolated("host must be connected")
-    if t.n > min(g.n, delta + 2):
-        raise PreconditionViolated(
-            f"guest on {t.n} vertices exceeds min(n, min_degree+2) = {min(g.n, delta + 2)}"
-        )
-    if t.n <= delta + 1:
-        return Contains(chvatal_extend(g, t, PartialEmbedding({})), branch="chvatal")
-
-    # t.n == delta + 2 from here on
-    star_center = _is_star(t)
-    regular = g.max_degree() == delta
-    if star_center is not None and t.degree(star_center) == delta + 1 and regular:
-        return NotContained(reason="regular host, star guest on min_degree+2 vertices")
-
-    leaf = min(t.leaves())
-    anchor = min(t.adj(leaf))
-    rest = set(range(t.n)) - {leaf}
-
-    if not regular:
-        u = min(v for v in range(g.n) if g.degree(v) > delta)
-        partial = chvatal_extend(g, t, PartialEmbedding({anchor: u}), rest)
-        free = sorted(g.closed_adj(u) - partial.image)
-        if not free:
-            raise AssertionError("high-degree vertex ran out of neighbors")
-        full = partial.extended({leaf: free[0]})
-    else:
-        # Regular host, non-star guest: route a 3-vertex tree path onto a
-        # host path that exits the anchor image's closed neighborhood.
-        x = min(v for v in t.adj(anchor) if t.degree(v) > 1)
-        y = min(v for v in t.adj(x) if v != anchor)
-        u = 0
-        vw = None
-        for v in sorted(g.closed_adj(u)):
-            outside = sorted(g.adj(v) - g.closed_adj(u))
-            if outside:
-                vw = (v, outside[0])
-                break
-        if vw is None:
-            raise AssertionError("connected host has no edge leaving a closed neighborhood")
-        v, w = vw
-        if v == u:
-            raise AssertionError("crossing edge cannot start at u itself")
-        partial = chvatal_extend(g, t, PartialEmbedding({anchor: u, x: v, y: w}), rest)
-        free = sorted(g.closed_adj(u) - partial.image)
-        if not free:
-            raise AssertionError("saved neighbor was lost")
-        full = partial.extended({leaf: free[0]})
-
-    if not verify(full, g, t, require_full=True):
-        raise AssertionError("delta+2 construction produced an invalid embedding")
-    return Contains(full, branch="delta-plus-two")
-
-
-# -- leaf completion ---------------------------------------------------------------
-
-def complete_leaves(
-    g: Graph,
-    t: Tree,
-    leaves: Iterable[int],
-    partial: PartialEmbedding,
-) -> PartialEmbedding:
-    """Finish an embedding whose image saved enough non-neighbors.
-
-    The partial map covers a subtree of T minus the given k-1 leaves and
-    occupies, for each leaf anchor w, at least ndef(image(w)) vertices
-    outside N[image(w)].  Extends to T minus the leaves greedily, then places
-    the leaves on free anchor neighbors in ascending-deficiency order.
-    """
-    leaf_list = list(leaves)
-    delta = g.min_degree()
-    k = t.n - delta
-    if k < 1 or len(leaf_list) != k - 1:
-        raise PreconditionViolated(
-            f"expected {max(t.n - delta - 1, 0)} leaves for a guest on {t.n} vertices, got {len(leaf_list)}"
-        )
-    if len(set(leaf_list)) != len(leaf_list):
-        raise PreconditionViolated("leaves must be distinct")
-    for v in leaf_list:
-        if t.degree(v) != 1:
-            raise PreconditionViolated(f"vertex {v} is not a leaf")
-    anchors = {v: min(t.adj(v)) for v in leaf_list}
-    domain = set(partial.mapping)
-    if domain & set(leaf_list):
-        raise PreconditionViolated("partial domain must avoid the chosen leaves")
-    if not set(anchors.values()) <= domain:
-        raise PreconditionViolated("every leaf anchor must already be mapped")
-    if not verify(partial, g, t):
-        raise PreconditionViolated("partial embedding does not verify")
-    for w in sorted(set(anchors.values())):
-        image_w = partial.mapping[w]
-        saved = len(partial.image - g.closed_adj(image_w))
-        need = neighbor_deficiency(g, image_w, k)
-        if saved < need:
-            raise HypothesisNotMet(
-                f"anchor {w} (image {image_w}) has {saved} saved non-neighbors, needs {need}",
-                witness=w,
-            )
-
-    trunk_target = set(range(t.n)) - set(leaf_list)
-    trunk = chvatal_extend(g, t, partial, trunk_target)
-
-    order = sorted(
-        leaf_list,
-        key=lambda v: (neighbor_deficiency(g, trunk.mapping[anchors[v]], k), v),
-    )
-    mapping = dict(trunk.mapping)
-    used = set(trunk.image)
-    for leaf in order:
-        a_img = mapping[anchors[leaf]]
-        options = sorted(g.adj(a_img) - used)
-        if not options:
-            raise AssertionError(f"no free neighbor left for leaf {leaf}")
-        mapping[leaf] = options[0]
-        used.add(options[0])
-    out = PartialEmbedding(mapping)
-    if not verify(out, g, t, require_full=True):
-        raise AssertionError("leaf completion produced an invalid embedding")
     return out
 
 

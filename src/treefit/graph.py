@@ -12,13 +12,7 @@ from collections import deque
 from operator import lt
 from typing import Iterable, Iterator
 
-from .errors import (
-    EmptyGraphError,
-    IsEscapeVertexError,
-    ParseError,
-    TooSmallError,
-    read_ascii,
-)
+from .errors import EmptyGraphError, ParseError, read_ascii
 
 
 class Graph:
@@ -159,161 +153,6 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-# -- degree slack ----------------------------------------------------------
-
-def neighbor_deficiency(g: Graph, v: int, k: int) -> int:
-    """How many image vertices must avoid N[v] before v's free neighbors
-    suffice for leaf placement: max{(min_degree+k-1) - deg(v), 0}."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return max(g.min_degree() + k - 1 - g.degree(v), 0)
-
-
-# -- bipartite matching and covers ------------------------------------------
-
-def max_bipartite_matching(
-    g: Graph, left: Iterable[int], right: Iterable[int]
-) -> list[tuple[int, int]]:
-    """Maximum matching of the bipartite subgraph between two disjoint sides.
-
-    Augmenting-path fixpoint; deterministic (ascending vertex order).
-    Returns matched (left, right) pairs sorted by the left endpoint.
-    """
-    left_list = sorted(set(left))
-    right_set = frozenset(right)
-    if right_set & set(left_list):
-        raise ValueError("matching sides must be disjoint")
-    match_right: dict[int, int] = {}
-    match_left: dict[int, int] = {}
-
-    def augment(u: int, blocked: set[int]) -> bool:
-        for v in sorted(g.adj(u) & right_set):
-            if v in blocked:
-                continue
-            blocked.add(v)
-            if v not in match_right or augment(match_right[v], blocked):
-                match_right[v] = u
-                match_left[u] = v
-                return True
-        return False
-
-    for u in left_list:
-        augment(u, set())
-    return sorted(match_left.items())
-
-
-def min_vertex_cover_bipartite(
-    g: Graph, left: Iterable[int], right: Iterable[int]
-) -> set[int]:
-    """Minimum vertex cover of the bipartite cut graph, recovered from a
-    maximum matching by alternating reachability."""
-    left_set = frozenset(left)
-    right_set = frozenset(right)
-    matching = max_bipartite_matching(g, left_set, right_set)
-    match_left = dict(matching)
-    match_right = {v: u for u, v in matching}
-
-    reached_left = {u for u in left_set if u not in match_left}
-    reached_right: set[int] = set()
-    queue = deque(sorted(reached_left))
-    while queue:
-        u = queue.popleft()
-        for v in g.adj(u) & right_set:
-            if v in reached_right or match_left.get(u) == v:
-                continue
-            reached_right.add(v)
-            w = match_right.get(v)
-            if w is not None and w not in reached_left:
-                reached_left.add(w)
-                queue.append(w)
-    return (left_set - reached_left) | reached_right
-
-
-# -- escape vertices and separators ------------------------------------------
-
-def is_q_escape(g: Graph, v: int, q: int) -> bool:
-    """True iff deg(v) >= min_degree+q or the matching between N[v] and the
-    rest of the graph has size >= q."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    if q < 0:
-        raise ValueError("q must be non-negative")
-    if q == 0 or g.degree(v) >= g.min_degree() + q:
-        return True
-    closed = g.closed_adj(v)
-    rest = [u for u in range(g.n) if u not in closed]
-    if not rest:
-        return False
-    return len(max_bipartite_matching(g, closed, rest)) >= q
-
-
-def nonescape_separator(g: Graph, v: int, q: int) -> set[int]:
-    """A separator of size < q around a non-escape vertex v.
-
-    Takes the minimum vertex cover of the bipartite graph between N[v] and
-    the rest; v never appears in it.  Raises if v is a q-escape vertex or if
-    either separated side would be empty.
-    """
-    closed = g.closed_adj(v)
-    rest = sorted(u for u in range(g.n) if u not in closed)
-    if not rest:
-        raise TooSmallError("no vertices outside the closed neighborhood")
-    if is_q_escape(g, v, q):
-        raise IsEscapeVertexError(f"vertex {v} is a {q}-escape vertex")
-    cover = min_vertex_cover_bipartite(g, closed, rest)
-    if v in cover:
-        raise AssertionError("cover recovery placed v itself in the cover")
-    if len(cover) >= q:
-        raise AssertionError("cover exceeds the matching bound")
-    if not set(rest) - cover:
-        raise TooSmallError("far side of the separator is empty")
-    near = closed - cover
-    far = set(rest) - cover
-    forbidden = frozenset(cover)
-    reach = set(
-        u for u, d in enumerate(g.bfs_distances(v, forbidden)) if d < g.n
-    )
-    if reach & far or not near <= reach | cover:
-        raise AssertionError("separator fails the components check")
-    return set(cover)
-
-
-# -- paths -------------------------------------------------------------------
-
-def shortest_path_avoiding(
-    g: Graph, s: int, t: int, forbidden: Iterable[int]
-) -> list[int] | None:
-    """A shortest s-t path in the graph minus `forbidden`, or None."""
-    banned = frozenset(forbidden)
-    if s in banned or t in banned:
-        raise ValueError("path endpoints must not be forbidden")
-    if s == t:
-        return [s]
-    inf = g.n
-    dist = [inf] * g.n
-    prev = [-1] * g.n
-    dist[s] = 0
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        if u == t:
-            break
-        for v in sorted(g.adj(u)):
-            if dist[v] == inf and v not in banned:
-                dist[v] = dist[u] + 1
-                prev[v] = u
-                queue.append(v)
-    if dist[t] == inf:
-        return None
-    path = [t]
-    while path[-1] != s:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
 
 
 # -- text format --------------------------------------------------------------

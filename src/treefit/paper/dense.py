@@ -5,16 +5,15 @@ outside vertex is adjacent to almost everything, so an embedding can always
 be grown one leaf at a time: either the new leaf fits on a free neighbor, or
 a local rewiring (swap a leaf image through a shared neighbor, or relocate a
 whole vertex to an outside twin) makes room.
-
-Paper-reproduction library: `solve` does not call it; tests run it directly.
 """
 
 from __future__ import annotations
 
-from .embedding import PartialEmbedding, chvatal_extend, verify
-from .errors import PreconditionViolated
-from .graph import Graph
-from .trees import Tree, leaf_degree
+from ..embedding import PartialEmbedding, chvatal_extend, verify
+from ..errors import PreconditionViolated
+from ..graph import Graph
+from ..trees import Tree
+from .lemmas import leaf_degree
 
 
 def hitting_set_lower_bound(t: Tree) -> int:

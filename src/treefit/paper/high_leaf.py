@@ -7,21 +7,21 @@ degree is small; an annotated hitting search anchored at the witness when
 the tree has no long path out of it; and otherwise a direct construction
 that walks out of a neighborhood (or exploits density) and finishes with
 leaf completion.
-
-Paper-reproduction library: `solve` does not call it; tests run it directly.
 """
 
 from __future__ import annotations
 
 from random import Random
 
-from .color_coding import AhscInstance, contains_tree_by_size, solve_ahsc
-from .embedding import PartialEmbedding, complete_leaves
-from .errors import HypothesisNotMet, PreconditionViolated
-from .graph import Graph, neighbor_deficiency
-from .outcome import Contains, NotContained, NotFound, SolveOutcome
-from .seeds import rng_from
-from .trees import Tree, farthest_from, leaf_degree, tree_path
+from ..color_coding import contains_tree_by_size
+from ..embedding import PartialEmbedding
+from ..errors import HypothesisNotMet, PreconditionViolated
+from ..graph import Graph
+from ..outcome import Contains, NotContained, NotFound, SolveOutcome
+from ..seeds import rng_from
+from ..trees import Tree
+from .ahsc import AhscInstance, solve_ahsc
+from .lemmas import complete_leaves, farthest_from, leaf_degree, neighbor_deficiency, tree_path
 
 
 def expanding_vertices(g: Graph, v: int, k: int) -> set[int]:

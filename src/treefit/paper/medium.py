@@ -4,34 +4,30 @@ separators, and the dispatcher that picks among them.
 All four engines here are constructive and always succeed inside their
 stated regimes; under relaxed thresholds (used by tests) every postcondition
 is still verified, never assumed.
-
-Paper-reproduction library: `solve` does not call it; tests run it directly.
 """
 
 from __future__ import annotations
 
 import math
 
-from .embedding import (
-    PartialEmbedding,
-    chvatal_extend,
+from ..embedding import PartialEmbedding, chvatal_extend, greedy_extend, greedy_extend_adjacency, verify
+from ..errors import PreconditionViolated
+from ..graph import Graph
+from ..trees import Tree
+from .lemmas import (
     complete_leaves,
-    greedy_extend,
-    greedy_extend_adjacency,
-    verify,
-)
-from .errors import PreconditionViolated
-from .graph import Graph, is_q_escape, neighbor_deficiency, nonescape_separator, shortest_path_avoiding
-from .preserving import embed_via_preserving_path, modulator_to_preserving_path
-from .trees import (
-    Tree,
     diametral_path,
     find_separable_edge,
+    is_q_escape,
     leaf_degree,
     maximal_trivial_paths,
     minimal_spanning_subtree,
+    neighbor_deficiency,
+    nonescape_separator,
+    shortest_path_avoiding,
     tree_diameter,
 )
+from .preserving import embed_via_preserving_path, modulator_to_preserving_path
 
 
 def _leaf_block(t: Tree, k: int, mandatory: list[int]) -> list[int]:

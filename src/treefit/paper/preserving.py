@@ -9,8 +9,6 @@ greedy anti-dominating set for building preserving sets in the first place.
 
 Every constructor re-checks its output; the checks are part of the
 operations, not just the tests.
-
-Paper-reproduction library: `solve` does not call it; tests run it directly.
 """
 
 from __future__ import annotations
@@ -21,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .embedding import PartialEmbedding, verify
-from .errors import PreconditionViolated
-from .graph import Graph, neighbor_deficiency, shortest_path_avoiding
-from .trees import Tree, diametral_path, tree_diameter
+from ..embedding import PartialEmbedding, verify
+from ..errors import PreconditionViolated
+from ..graph import Graph
+from ..trees import Tree
+from .lemmas import diametral_path, neighbor_deficiency, shortest_path_avoiding, tree_diameter
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,6 @@ distinct neighbors of a host vertex, tries every injection from a small set
 of representative leaf-adjacent guest vertices onto the sample, and hands
 each pinned map to the anchored solver, which reduces to annotated hitting
 searches plus a saturating matching for the final leaves.
-
-Paper-reproduction library: `solve` does not call it; tests run it directly.
 """
 
 from __future__ import annotations
@@ -17,13 +15,21 @@ from itertools import combinations, permutations, product
 from random import Random
 from typing import Iterator
 
-from .color_coding import AhscInstance, solve_ahsc
-from .embedding import PartialEmbedding, chvatal_extend, verify
-from .errors import PreconditionViolated, TreeIsSeparableError
-from .graph import Graph, is_q_escape, max_bipartite_matching, neighbor_deficiency
-from .outcome import Contains, NotContained, NotFound, SolveOutcome
-from .seeds import rng_from
-from .trees import Tree, assert_not_separable, canonical_code, leaf_degree
+from ..embedding import PartialEmbedding, chvatal_extend, verify
+from ..errors import PreconditionViolated, TreeIsSeparableError
+from ..graph import Graph
+from ..outcome import Contains, NotContained, NotFound, SolveOutcome
+from ..seeds import rng_from
+from ..trees import Tree
+from .ahsc import AhscInstance, solve_ahsc
+from .lemmas import (
+    assert_not_separable,
+    canonical_code,
+    is_q_escape,
+    leaf_degree,
+    max_bipartite_matching,
+    neighbor_deficiency,
+)
 
 
 @dataclass(frozen=True)

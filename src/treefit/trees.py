@@ -1,9 +1,9 @@
-"""Guest tree representation and the structural queries the solver dispatches on.
+"""Guest tree representation, rooted views and the tree text format.
 
 Subtrees are always vertex subsets of the original tree (induced edges),
 never re-indexed, so partial embeddings stay composable across pipeline
-stages.  Most helpers therefore take an optional `within` vertex set and
-operate on the induced subtree.
+stages.  Rooted views therefore take an optional `within` vertex set and
+orient the induced subtree.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import HypothesisNotMet, ParseError, TreeIsSeparableError, read_ascii
+from .errors import ParseError, read_ascii
 
 
 class Tree:
@@ -163,286 +163,6 @@ def connected_view(
     if active is not None and len(view.order) != len(active):
         raise ValueError(f"{name} is not connected")
     return view
-
-
-def farthest_from(t: Tree, source: int, within: Iterable[int] | None = None) -> tuple[int, int, dict[int, int]]:
-    """(distance, lowest farthest vertex, parent map) by BFS in the induced subtree."""
-    view = RootedView.build(t, source, None if within is None else _active(t, within))
-    parent = {v: view.parent[v] for v in view.order}
-    dist = {source: 0}
-    for v in view.order[1:]:
-        dist[v] = dist[parent[v]] + 1
-    far = min(view.order, key=lambda v: (-dist[v], v))
-    return dist[far], far, parent
-
-
-def tree_path(t: Tree, u: int, v: int, within: Iterable[int] | None = None) -> list[int]:
-    """The unique u-v path in the (induced) tree."""
-    _, _, parent = farthest_from(t, u, within)
-    if v not in parent:
-        raise ValueError("endpoints are not connected inside the subtree")
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def diametral_path(t: Tree, within: Iterable[int] | None = None) -> list[int]:
-    """A longest shortest path of the induced subtree (double BFS)."""
-    active = _active(t, within)
-    start = min(active)
-    _, a, _ = farthest_from(t, start, active)
-    _, b, parent = farthest_from(t, a, active)
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def tree_diameter(t: Tree, within: Iterable[int] | None = None) -> int:
-    return len(diametral_path(t, within)) - 1
-
-
-# -- leaf structure -------------------------------------------------------------
-
-def leaf_degree(t: Tree) -> tuple[int, int]:
-    """Maximum number of leaf neighbors over all vertices, with a witness."""
-    if t.n < 2:
-        raise ValueError("leaf degree needs at least two vertices")
-    leaves = set(t.leaves())
-    best, witness = -1, 0
-    for v in range(t.n):
-        count = len(t.adj(v) & leaves)
-        if count > best:
-            best, witness = count, v
-    return best, witness
-
-
-def leaf_count_lower_bound_holds(t: Tree, q: int) -> bool:
-    """Executable assertion: n >= q*diam and diam >= 1 force >= q leaves."""
-    diam = tree_diameter(t)
-    if diam < 1 or t.n < q * diam:
-        raise HypothesisNotMet(f"need diam >= 1 and n >= q*diam, got n={t.n}, diam={diam}, q={q}")
-    if len(t.leaves()) < q:
-        raise AssertionError(f"tree with n={t.n}, diam={diam} has fewer than {q} leaves")
-    return True
-
-
-# -- splits ---------------------------------------------------------------------
-
-def find_separable_edge(t: Tree, q: int) -> tuple[int, int] | None:
-    """An edge whose removal leaves two components of >= q vertices each."""
-    if t.n < 2:
-        raise ValueError("needs at least one edge")
-    view = t.rooted(0)
-    best: tuple[int, int] | None = None
-    for v in range(1, t.n):
-        side = view.size[v]
-        if min(side, t.n - side) >= q:
-            edge = tuple(sorted((v, view.parent[v])))
-            if best is None or edge < best:
-                best = edge  # lexicographically smallest, for reproducibility
-    return best
-
-
-def find_balanced_edge(t: Tree) -> tuple[int, int]:
-    """Edge from a centroid to its largest component; both sides end up with
-    at least ceil((n-1)/max_degree) vertices."""
-    if t.n < 2:
-        raise ValueError("needs at least one edge")
-    view = t.rooted(0)
-    centroid, best_heavy = 0, t.n
-    for v in range(t.n):
-        heavy = t.n - view.size[v]
-        for c in view.children[v]:
-            heavy = max(heavy, view.size[c])
-        if heavy < best_heavy:  # ties break toward the smaller index
-            centroid, best_heavy = v, heavy
-    pieces = [(view.size[c], c) for c in view.children[centroid]]
-    if view.parent[centroid] >= 0:
-        pieces.append((t.n - view.size[centroid], view.parent[centroid]))
-    size, other = max(pieces, key=lambda p: (p[0], -p[1]))
-    max_deg = max(t.degree(v) for v in range(t.n))
-    bound = -(-(t.n - 1) // max_deg)
-    if min(size, t.n - size) < bound:
-        raise AssertionError("balanced edge misses the degree bound")
-    return tuple(sorted((centroid, other)))
-
-
-# -- trivial paths ---------------------------------------------------------------
-
-def maximal_trivial_paths(
-    t: Tree,
-    within: Iterable[int] | None = None,
-    breaks: Iterable[int] = (),
-) -> list[list[int]]:
-    """Decompose the induced subtree's edges into maximal paths whose inner
-    vertices all have induced degree two.  Every edge lies in exactly one
-    path.  Vertices in `breaks` are forced to be path endpoints."""
-    active = _active(t, within)
-    if len(active) < 2:
-        return []
-    stop = set(breaks) & active
-    deg = {v: len(t.adj(v) & active) for v in active}
-    terminals = sorted(v for v in active if deg[v] != 2 or v in stop)
-    paths: list[list[int]] = []
-    used: set[tuple[int, int]] = set()
-    for a in terminals:
-        for b in sorted(t.adj(a) & active):
-            if (a, b) in used:
-                continue
-            path = [a, b]
-            used.add((a, b))
-            used.add((b, a))
-            while deg[path[-1]] == 2 and path[-1] not in stop:
-                nxt = next(x for x in t.adj(path[-1]) & active if x != path[-2])
-                used.add((path[-1], nxt))
-                used.add((nxt, path[-1]))
-                path.append(nxt)
-            paths.append(path)
-    return paths
-
-
-def minimal_spanning_subtree(t: Tree, w: Iterable[int], within: Iterable[int] | None = None) -> set[int]:
-    """Vertex set of the unique minimal connected subtree containing w."""
-    active = _active(t, within)
-    targets = set(w)
-    if not targets:
-        raise ValueError("w must be nonempty")
-    if not targets <= active:
-        raise ValueError("w must lie inside the subtree")
-    keep = set(active)
-    deg = {v: len(t.adj(v) & active) for v in active}
-    queue = deque(v for v in active if deg[v] <= 1 and v not in targets)
-    while queue:
-        v = queue.popleft()
-        if v not in keep:
-            continue
-        keep.discard(v)
-        for u in t.adj(v) & active:
-            if u in keep:
-                deg[u] -= 1
-                if deg[u] <= 1 and u not in targets:
-                    queue.append(u)
-    return keep
-
-
-@dataclass(frozen=True)
-class ContractedTree:
-    """Result of capping trivial-path lengths.
-
-    Vertices keep original ids for terminals; contracted interiors are
-    represented positionally (each path owes `owed[i]` edges back, to be
-    re-expanded by whoever embeds the tree).
-    """
-
-    paths: tuple[tuple[int, ...], ...]           # kept vertex sequences
-    original_paths: tuple[tuple[int, ...], ...]  # full sequences before capping
-    owed: tuple[int, ...]                        # edges to re-insert per path
-
-
-def contract_trivial_paths(t: Tree, cap: int, within: Iterable[int] | None = None) -> ContractedTree:
-    """Shorten every maximal trivial path longer than cap to exactly cap edges.
-
-    Path endpoints are preserved; the kept interior is the path's prefix.
-    """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    originals = maximal_trivial_paths(t, within)
-    kept: list[tuple[int, ...]] = []
-    owed: list[int] = []
-    for path in originals:
-        edges = len(path) - 1
-        if edges > cap:
-            kept.append(tuple(path[:cap] + [path[-1]]))
-            owed.append(edges - cap)
-        else:
-            kept.append(tuple(path))
-            owed.append(0)
-    return ContractedTree(tuple(kept), tuple(p and tuple(p) for p in originals), tuple(owed))
-
-
-# -- canonical codes and rooted containment ---------------------------------------
-
-def canonical_code(t: Tree, root: int, within: Iterable[int] | None = None) -> str:
-    """AHU code: equal exactly for rooted-isomorphic (sub)trees.  A `within`
-    that is not connected raises ValueError."""
-    view = connected_view(t, root, within)
-    code: dict[int, str] = {}
-    for v in reversed(view.order):
-        code[v] = "(" + "".join(sorted(code[c] for c in view.children[v])) + ")"
-    return code[root]
-
-
-def contains_rooted_subtree(
-    host: Tree,
-    host_root: int,
-    guest: Tree,
-    guest_root: int,
-    host_within: Iterable[int] | None = None,
-    guest_within: Iterable[int] | None = None,
-) -> dict[int, int] | None:
-    """Root-preserving subtree embedding of guest into host, or None.
-
-    Children of each guest vertex must map injectively to children of the
-    image; solved by recursive feasibility plus bipartite matching.  A
-    `host_within` or `guest_within` that is not connected raises ValueError.
-    """
-    h_children = connected_view(host, host_root, host_within, "host subtree").children
-    g_children = connected_view(guest, guest_root, guest_within, "guest subtree").children
-    memo: dict[tuple[int, int], dict[int, int] | None] = {}
-
-    def embed(gv: int, hv: int) -> dict[int, int] | None:
-        key = (gv, hv)
-        if key in memo:
-            return memo[key]
-        g_kids = g_children[gv]
-        h_kids = h_children[hv]
-        result: dict[int, int] | None
-        if not g_kids:
-            result = {gv: hv}
-        elif len(g_kids) > len(h_kids):
-            result = None
-        else:
-            feasible = {
-                gc: [hc for hc in h_kids if embed(gc, hc) is not None]
-                for gc in g_kids
-            }
-            assignment: dict[int, int] = {}
-
-            def match(i: int, taken: set[int]) -> bool:
-                if i == len(g_kids):
-                    return True
-                gc = g_kids[i]
-                for hc in feasible[gc]:
-                    if hc in taken:
-                        continue
-                    assignment[gc] = hc
-                    taken.add(hc)
-                    if match(i + 1, taken):
-                        return True
-                    taken.discard(hc)
-                    del assignment[gc]
-                return False
-
-            if match(0, set()):
-                result = {gv: hv}
-                for gc, hc in assignment.items():
-                    result.update(embed(gc, hc))  # type: ignore[arg-type]
-            else:
-                result = None
-        memo[key] = result
-        return result
-
-    return embed(guest_root, host_root)
-
-
-def assert_not_separable(t: Tree, q: int) -> None:
-    edge = find_separable_edge(t, q)
-    if edge is not None:
-        raise TreeIsSeparableError(f"tree splits at {edge} into parts of >= {q} vertices")
 
 
 # -- text format -------------------------------------------------------------------

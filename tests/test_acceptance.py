@@ -14,8 +14,7 @@ from helpers import (
     random_embedding,
 )
 from treefit.color_coding import colorful_full_tree_dp, sample_coloring
-from treefit.dense import embed_dense, hitting_set_lower_bound
-from treefit.embedding import PartialEmbedding, chvatal_extend, solve_delta_plus_two, verify
+from treefit.embedding import PartialEmbedding, chvatal_extend, verify
 from treefit.generate import (
     circulant,
     random_connected_graph,
@@ -31,16 +30,18 @@ from treefit.hardness import (
     generate_hardness_instance,
 )
 from treefit.outcome import Contains, NotContained
-from treefit.pipeline import SolveConfig, brute_force_contains, solve, verify_certificate
-from treefit.preserving import (
+from treefit.paper.dense import embed_dense, hitting_set_lower_bound
+from treefit.paper.lemmas import leaf_degree, solve_delta_plus_two, tree_diameter
+from treefit.paper.preserving import (
     anti_dominating_set,
     build_preserving_set,
     is_k_preserving,
     modulator_to_preserving_path,
     set_to_preserving_path,
 )
+from treefit.pipeline import SolveConfig, brute_force_contains, solve, verify_certificate
 from treefit.seeds import rng_from
-from treefit.trees import Tree, leaf_degree, tree_diameter
+from treefit.trees import Tree
 
 TALLY = {"contains": 0, "bad_certificates": 0}
 

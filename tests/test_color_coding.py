@@ -14,15 +14,11 @@ from helpers import (
     star_tree,
 )
 from treefit.color_coding import (
-    AhscInstance,
     Coloring,
     colorful_full_tree_dp,
-    compositions_at_most,
     contains_tree_by_size,
     exact_constrained_embed,
-    rooted_subtrees_with_leaf_count,
     sample_coloring,
-    solve_ahsc,
     trial_count,
 )
 from treefit.embedding import PartialEmbedding, verify
@@ -30,9 +26,11 @@ from treefit.errors import BudgetExceededError
 from treefit.generate import random_graph, random_graph_min_degree, random_tree
 from treefit.graph import Graph
 from treefit.outcome import Contains, NotContained, NotFound
+from treefit.paper.ahsc import AhscInstance, compositions_at_most, rooted_subtrees_with_leaf_count, solve_ahsc
+from treefit.paper.lemmas import canonical_code, contains_rooted_subtree
 from treefit.pipeline import SolveConfig, brute_force_contains
 from treefit.seeds import rng_from
-from treefit.trees import Tree, canonical_code, contains_rooted_subtree
+from treefit.trees import Tree
 
 
 class TestColorfulDp:

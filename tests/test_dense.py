@@ -1,15 +1,15 @@
 import pytest
 
 from helpers import min_hitting_set_size, path_tree, star_tree
-from treefit.dense import embed_dense, hitting_set_lower_bound
 from treefit.embedding import verify
 from treefit.errors import PreconditionViolated
 from treefit.generate import (
     random_graph_min_degree,
     random_tree_bounded_leaf_degree,
 )
+from treefit.paper.dense import embed_dense, hitting_set_lower_bound
+from treefit.paper.lemmas import leaf_degree
 from treefit.seeds import rng_from
-from treefit.trees import leaf_degree
 
 
 def dense_host(n: int, delta: int, rng):

@@ -9,19 +9,12 @@ from helpers import (
     random_embedding,
     star_tree,
 )
-from treefit.embedding import (
-    PartialEmbedding,
-    chvatal_extend,
-    complete_leaves,
-    format_certificate,
-    parse_certificate,
-    solve_delta_plus_two,
-    verify,
-)
+from treefit.embedding import PartialEmbedding, chvatal_extend, format_certificate, parse_certificate, verify
 from treefit.errors import HypothesisNotMet, PreconditionViolated
 from treefit.generate import random_connected_graph, random_tree
-from treefit.graph import Graph, neighbor_deficiency
+from treefit.graph import Graph
 from treefit.outcome import Contains, NotContained
+from treefit.paper.lemmas import complete_leaves, neighbor_deficiency, solve_delta_plus_two
 from treefit.pipeline import brute_force_contains
 from treefit.seeds import rng_from
 from treefit.trees import Tree

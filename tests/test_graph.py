@@ -14,19 +14,16 @@ from treefit.errors import (
     TooSmallError,
 )
 from treefit import graph as graph_module
-from treefit.graph import (
-    Graph,
-    _parse_graph_lines,
-    format_graph,
+from treefit.graph import Graph, _parse_graph_lines, format_graph, parse_graph
+from treefit.generate import random_graph
+from treefit.paper.lemmas import (
     is_q_escape,
     max_bipartite_matching,
     min_vertex_cover_bipartite,
     neighbor_deficiency,
     nonescape_separator,
-    parse_graph,
     shortest_path_avoiding,
 )
-from treefit.generate import random_graph
 from treefit.seeds import rng_from
 
 

@@ -5,7 +5,8 @@ from treefit.embedding import verify
 from treefit.errors import HypothesisNotMet, PreconditionViolated
 from treefit.generate import random_graph
 from treefit.graph import Graph
-from treefit.high_leaf import (
+from treefit.outcome import Contains, NotContained
+from treefit.paper.high_leaf import (
     _embed_dense_close_pair,
     _embed_dense_far_pair,
     build_expanding_walk,
@@ -13,10 +14,10 @@ from treefit.high_leaf import (
     expanding_vertices,
     solve_high_leaf_degree,
 )
-from treefit.outcome import Contains, NotContained
+from treefit.paper.lemmas import leaf_degree
 from treefit.pipeline import brute_force_contains
 from treefit.seeds import rng_from
-from treefit.trees import Tree, leaf_degree
+from treefit.trees import Tree
 
 
 def two_cluster_host(m: int, pairs: int, cross: int = 1) -> Graph:

@@ -5,14 +5,15 @@ from treefit.embedding import PartialEmbedding, verify
 from treefit.errors import PreconditionViolated
 from treefit.generate import circulant
 from treefit.graph import Graph
-from treefit.medium import (
+from treefit.paper.lemmas import tree_diameter
+from treefit.paper.medium import (
     embed_or_separator,
     embed_via_escape,
     embed_via_trivial_paths,
     embed_with_separator,
     solve_medium,
 )
-from treefit.trees import Tree, tree_diameter
+from treefit.trees import Tree
 
 
 def clique(edges, lo, hi):

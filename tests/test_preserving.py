@@ -8,7 +8,7 @@ from treefit.embedding import verify
 from treefit.errors import PreconditionViolated
 from treefit.generate import circulant, random_graph_min_degree
 from treefit.graph import Graph
-from treefit.preserving import (
+from treefit.paper.preserving import (
     PreservingPath,
     anti_dominating_set,
     build_preserving_set,

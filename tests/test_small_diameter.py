@@ -5,15 +5,15 @@ from treefit.embedding import verify
 from treefit.errors import PreconditionViolated
 from treefit.graph import Graph
 from treefit.outcome import Contains, NotContained, NotFound
-from treefit.pipeline import brute_force_contains
-from treefit.seeds import rng_from
-from treefit.small_diameter import (
+from treefit.paper.small_diameter import (
     build_w_candidates,
     enumerate_multi_leaf_params,
     params_of_witness,
     solve_small_diameter,
     solve_with_leaf_anchor,
 )
+from treefit.pipeline import brute_force_contains
+from treefit.seeds import rng_from
 from treefit.trees import Tree
 
 

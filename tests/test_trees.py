@@ -4,27 +4,20 @@ from random import Random
 import pytest
 
 from helpers import path_tree, rooted_isomorphic, spider, star_tree
-from treefit.errors import HypothesisNotMet, ParseError
+from treefit.errors import ParseError
 from treefit.generate import random_tree
-from treefit.seeds import rng_from
-from treefit import trees as trees_module
-from treefit.trees import (
-    RootedView,
-    Tree,
-    _parse_tree_lines,
+from treefit.paper.lemmas import (
     canonical_code,
     contains_rooted_subtree,
-    contract_trivial_paths,
-    find_balanced_edge,
     find_separable_edge,
-    format_tree,
-    leaf_count_lower_bound_holds,
     leaf_degree,
     maximal_trivial_paths,
     minimal_spanning_subtree,
-    parse_tree,
     tree_diameter,
 )
+from treefit.seeds import rng_from
+from treefit import trees as trees_module
+from treefit.trees import RootedView, Tree, _parse_tree_lines, format_tree, parse_tree
 
 
 def h_shape(bridge_edges: int) -> Tree:
@@ -71,37 +64,6 @@ class TestLeafDegree:
             leaf_degree(Tree(1, []))
 
 
-class TestLeafCountBound:
-    def test_star_bound(self):
-        assert leaf_count_lower_bound_holds(star_tree(6), 3)
-
-    def test_path_bound(self):
-        assert leaf_count_lower_bound_holds(path_tree(8), 1)
-
-    def test_hypothesis_rejected(self):
-        with pytest.raises(HypothesisNotMet):
-            leaf_count_lower_bound_holds(path_tree(5), 3)
-
-    def test_random_trees(self):
-        rng = rng_from(21)
-        for _ in range(30):
-            t = random_tree(20, rng)
-            diam = tree_diameter(t)
-            q = 20 // diam
-            if q >= 1:
-                assert leaf_count_lower_bound_holds(t, q)
-
-    def test_exhaustive_small(self, small_trees):
-        for n in range(2, 11):
-            for t in small_trees[n]:
-                diam = tree_diameter(t)
-                if diam < 1:
-                    continue
-                for q in range(0, n // diam + 1):
-                    if n >= q * diam:
-                        assert leaf_count_lower_bound_holds(t, q)
-
-
 class TestSeparableEdge:
     def test_path_middle(self):
         assert find_separable_edge(path_tree(10), 5) == (4, 5)
@@ -125,37 +87,6 @@ class TestSeparableEdge:
         child = v if view.parent[v] == u else u
         side = view.size[child] if view.parent[v] == u else t.n - view.size[u]
         assert min(side, t.n - side) >= 3
-
-
-class TestBalancedEdge:
-    def test_p4_middle(self):
-        assert find_balanced_edge(path_tree(4)) == (1, 2)
-
-    def test_star_any(self):
-        edge = find_balanced_edge(star_tree(3))
-        assert 0 in edge
-
-    def test_random_trees_meet_bound(self):
-        rng = rng_from(22)
-        for _ in range(40):
-            t = random_tree(15, rng)
-            u, v = find_balanced_edge(t)
-            view = t.rooted(u)
-            assert view.parent[v] == u
-            side = view.size[v]
-            max_deg = max(t.degree(x) for x in range(t.n))
-            bound = -(-(t.n - 1) // max_deg)
-            assert min(side, t.n - side) >= bound
-
-    def test_exhaustive_bound(self, small_trees):
-        for n in range(2, 11):
-            for t in small_trees[n]:
-                u, v = find_balanced_edge(t)
-                view = t.rooted(u)
-                side = view.size[v]
-                max_deg = max(t.degree(x) for x in range(t.n))
-                bound = -(-(t.n - 1) // max_deg)
-                assert min(side, t.n - side) >= bound
 
 
 class TestTrivialPaths:
@@ -230,35 +161,6 @@ class TestMinimalSpanningSubtree:
                                 reach.add(y)
                                 stack.append(y)
                     assert len(reach) != len(chosen), "smaller connected cover exists"
-
-
-class TestContractTrivialPaths:
-    def test_long_path(self):
-        out = contract_trivial_paths(path_tree(20), 4)
-        assert len(out.paths) == 1
-        assert len(out.paths[0]) == 5  # 4 edges survive
-        assert out.owed == (15,)
-
-    def test_star_unchanged(self):
-        out = contract_trivial_paths(star_tree(3), 4)
-        assert out.owed == (0, 0, 0)
-        assert all(len(p) == 2 for p in out.paths)
-
-    def test_h_shape_bridge(self):
-        t = h_shape(10)
-        out = contract_trivial_paths(t, 4)
-        kept_edges = sum(len(p) - 1 for p in out.paths)
-        assert kept_edges == 4 + 4  # capped bridge plus four pendant edges
-        total_owed = sum(out.owed)
-        assert kept_edges + total_owed == t.n - 1
-
-    def test_expansion_restores_count(self):
-        rng = rng_from(25)
-        for _ in range(30):
-            t = random_tree(rng.randint(2, 20), rng)
-            out = contract_trivial_paths(t, 3)
-            kept = sum(len(p) - 1 for p in out.paths)
-            assert kept + sum(out.owed) == t.n - 1
 
 
 def inline_sorted_bfs(t: Tree, root: int, active: frozenset[int]):
