@@ -24,7 +24,7 @@ from .embedding import PartialEmbedding, verify
 from .errors import BudgetExceededError
 from .graph import Graph
 from .outcome import Contains, NotContained, NotFound, SolveOutcome
-from .trees import RootedView, Tree, connected_view
+from .trees import Tree, connected_view
 
 Family = tuple[frozenset[int], int]
 
@@ -76,20 +76,6 @@ def sample_coloring(
     return Coloring(tuple(colors), palette)
 
 
-def _guest_view(
-    t: Tree, kappa: Mapping[int, int], within: Iterable[int] | None, root: int | None = None
-) -> RootedView:
-    """BFS view of the guest (sub)tree shared by the DP and the exact search,
-    rooted at `root`, else at the lowest pinned vertex, else at the lowest
-    vertex."""
-    active = range(t.n) if within is None else frozenset(within)
-    if not all(map(active.__contains__, kappa)):
-        raise ValueError("pinned vertices must lie inside the guest subtree")
-    if root is None:
-        root = min(kappa) if kappa else 0 if within is None else min(active)
-    return connected_view(t, root, within, "guest subtree")
-
-
 # -- colorful DP ----------------------------------------------------------------
 
 def colorful_full_tree_dp(
@@ -108,8 +94,14 @@ def colorful_full_tree_dp(
     pointers for reconstruction.
     """
     kappa = dict(kappa or {})
-    view = _guest_view(t, kappa, within)
-    root, order, children = view.root, view.order, view.children
+    active = range(t.n) if within is None else frozenset(within)
+    if not all(map(active.__contains__, kappa)):
+        raise ValueError("pinned vertices must lie inside the guest subtree")
+    # a BFS view of the guest (sub)tree from its lowest pinned vertex, else
+    # from its lowest vertex
+    root = min(kappa) if kappa else min(active)
+    view = connected_view(t, root, within, "guest subtree")
+    order, children = view.order, view.children
     if len(order) > coloring.palette:
         return None
     fams = [(frozenset(F), int(q)) for F, q in families]
@@ -179,7 +171,7 @@ def colorful_full_tree_dp(
             if quota == goal:
                 mapping = reconstruct(root, gv, root_table[gv][key])
                 emb = PartialEmbedding(mapping)
-                if not verify(emb, g, t):
+                if not verify(emb, g, t, require_full=within is None):
                     raise AssertionError("colorful DP reconstructed an invalid embedding")
                 return emb
     return None
@@ -238,36 +230,55 @@ def exact_constrained_embed(
     the degree check, the density test and every count of unused vertices
     read the component alone, so the search runs as it would on a copy of
     the component.  Pins must then lie inside it.
+
+    The embedding it returns has passed `verify`, over the whole guest
+    (`require_full`) when `within` is None; this is the one check of an
+    exact-search certificate from `solve`.
     """
     kappa = dict(kappa or {})
     fams = [(frozenset(F), int(q)) for F, q in families]
     within = None if within is None else frozenset(within)
-    split = (t.n if within is None else len(within)) > 2 and not fams
+    active = range(t.n) if within is None else within
+    near = t.adj if within is None else lambda v: t.adj(v) & within  # neighbours in the subtree
+    size = len(active)
+    split = size > 2 and not fams
     root = None  # the lowest pinned vertex, else the lowest non-leaf, else the lowest
     if split and not kappa:
-        if within is None:
-            root = 0
-            while t.degree(root) == 1:
-                root += 1
-        else:
-            root = next((v for v in sorted(within) if len(t.adj(v) & within) != 1), None)
-    view = _guest_view(t, kappa, within, root)
-    parent_of, children = view.parent, view.children
-    order = view.order
-    size = skeleton = len(order)
-    if split:
-        # the root is pinned or no leaf, so the free leaves are the childless
-        # vertices without a pin
-        bfs = order
-        order = [tv for tv in bfs if children[tv] or tv in kappa]
-        skeleton = len(order)
-        order += [tv for tv in bfs if not children[tv] and tv not in kappa]
-    position = {tv: i for i, tv in enumerate(order)}
-    # per position: the parent's position and the pin; per skeleton position:
-    # the children
-    parent_at = [-1] + [position[parent_of[tv]] for tv in order[1:]]
-    pin_at = [kappa.get(tv) for tv in order] if kappa else [None] * size
-    kids_at = [len(children[tv]) for tv in order[:skeleton]] + [0]  # a spare entry
+        root = next((v for v in sorted(active) if len(near(v)) != 1), None)
+    if not all(map(active.__contains__, kappa)):
+        raise ValueError("pinned vertices must lie inside the guest subtree")
+    if root is None:
+        root = min(kappa) if kappa else min(active)
+    if within is not None and not all(0 <= v < t.n for v in within):
+        raise ValueError("vertex subset out of range")
+    # one BFS over the guest (sub)tree, children in ascending id: a skeleton
+    # vertex takes the next position as it is reached, a free leaf (childless,
+    # unpinned) waits with its parent's position until the skeleton is done;
+    # per position: the vertex, its parent's position and its pin, and per
+    # skeleton position the number of children
+    order, parent_at, pin_at, kids_at = [root], [-1], [kappa.get(root)], []
+    leaves: list[int] = []
+    leaf_parent_at: list[int] = []
+    for pos, u in enumerate(order):  # grows while it is read: a BFS queue
+        kids = sorted(near(u))
+        if pos:
+            kids.remove(order[parent_at[pos]])  # a tree's only visited neighbour
+        kids_at.append(len(kids))
+        for v in kids:
+            if split and v not in kappa and len(near(v)) == 1:
+                leaves.append(v)
+                leaf_parent_at.append(pos)
+            else:
+                order.append(v)
+                parent_at.append(pos)
+                pin_at.append(kappa.get(v))
+    skeleton = len(order)
+    order += leaves
+    if len(order) != size:
+        raise ValueError("guest subtree is not connected")
+    parent_at += leaf_parent_at
+    pin_at += [None] * len(leaves)
+    kids_at.append(0)  # a spare entry
     cap = math.inf if node_cap is None else node_cap
 
     n = g.n
@@ -503,7 +514,7 @@ def exact_constrained_embed(
             frames[depth] = iter(neighbours)
 
     emb = PartialEmbedding(dict(zip(order, images)))
-    if not verify(emb, g, t):
+    if not verify(emb, g, t, require_full=within is None):
         raise AssertionError("constrained search produced an invalid embedding")
     return emb
 

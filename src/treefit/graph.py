@@ -57,9 +57,6 @@ class Graph:
 
     # -- basic queries ----------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def adj(self, v: int) -> frozenset[int]:
         return self._adj[v]
 

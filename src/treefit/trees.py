@@ -65,9 +65,6 @@ class Tree:
 
     # -- basic queries -----------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def adj(self, v: int) -> frozenset[int]:
         return self._adj[v]
 

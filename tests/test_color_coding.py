@@ -299,6 +299,17 @@ class TestGuestView:
         with pytest.raises(ValueError, match="host subtree is not connected"):
             contains_rooted_subtree(t, 0, t, 0, host_within={0, 2})
 
+    def test_pin_outside_within_rejected(self):
+        g = complete(4)
+        t = path_tree(4)
+        coloring = Coloring((0, 1, 2, 3), 4)
+        message = "pinned vertices must lie inside the guest subtree"
+        for within in ({0, 1}, {0, 1, 2}):  # two vertices, and a split into skeleton and leaves
+            with pytest.raises(ValueError, match=message):
+                exact_constrained_embed(g, t, {3: 0}, within=within)
+            with pytest.raises(ValueError, match=message):
+                colorful_full_tree_dp(g, t, coloring, {3: 0}, within=within)
+
 
 class TestContainsTreeBySize:
     def test_triangle_path(self):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from collections import Counter
@@ -15,7 +17,7 @@ from helpers import (
     reference_induced,
     star_tree,
 )
-from treefit import pipeline
+from treefit import color_coding, embedding, pipeline
 from treefit.embedding import PartialEmbedding, format_certificate
 from treefit.errors import BudgetExceededError, EmptyGraphError
 from treefit.generate import (
@@ -316,3 +318,105 @@ class TestStructuralRefutations:
         out = solve(g, t)
         assert isinstance(out, Contains) and out.branch == "exact-search"
         assert verify_certificate(g, t, out.embedding)
+
+
+class TestOneCertificateCheck:
+    """Each Contains from `solve` passes through exactly one `verify` call,
+    over the whole guest, in the engine that built it."""
+
+    @pytest.fixture
+    def verify_calls(self, monkeypatch):
+        calls = []
+        real = embedding.verify
+
+        def recording(e, g, t, **kwargs):
+            ok = real(e, g, t, **kwargs)
+            calls.append((e, kwargs.get("require_full", False), ok))
+            return ok
+
+        # every module binding, so a check added anywhere on the solve path counts
+        for module in (color_coding, embedding, pipeline):
+            monkeypatch.setattr(module, "verify", recording)
+        return calls
+
+    def _solve_once_checked(self, calls, g, t, branch, config=None):
+        out = solve(g, t, config)
+        assert isinstance(out, Contains) and out.branch == branch
+        assert [(e is out.embedding, full, ok) for e, full, ok in calls] == [(True, True, True)]
+
+    def test_greedy_guarantee(self, verify_calls):
+        self._solve_once_checked(verify_calls, cycle(6), path_tree(3), "greedy-guarantee")
+
+    def test_greedy_guarantee_in_a_component(self, verify_calls):
+        # a triangle beside a K_5: the guest fits the K_5 alone
+        edges = [(0, 1), (1, 2), (0, 2)] + [(a, b) for a in range(3, 8) for b in range(a + 1, 8)]
+        self._solve_once_checked(verify_calls, Graph(8, edges), star_tree(3), "greedy-guarantee")
+
+    def test_exact_search(self, verify_calls):
+        self._solve_once_checked(verify_calls, circulant(40, [1, 2, 3, 4]), multi_star(5, 2), "exact-search")
+
+    def test_color_coding(self, verify_calls):
+        # K_{3,40} plus the edge 41-42: a spider with legs 2, 2, 1, 1 from
+        # vertex 1 needs that edge, and the search overruns 200k nodes in
+        # the bipartite part first, leaving 200_000 // (2^8 * 8 * 43) = 2
+        # trials; the first finds it
+        g = Graph(43, [(a, b) for a in range(3) for b in range(3, 43)] + [(41, 42)])
+        t = Tree(8, [(0, 1), (0, 4), (0, 6), (1, 2), (1, 3), (4, 5), (6, 7)])
+        self._solve_once_checked(verify_calls, g, t, "color-coding", SolveConfig(node_budget=200_000))
+
+    def test_no_check_without_a_certificate(self, verify_calls):
+        # the budget miss of K_{3,40} and P_8 runs its 2 trials and finds nothing
+        g = Graph(43, [(a, b) for a in range(3) for b in range(3, 43)])
+        out = solve(g, path_tree(8), SolveConfig(node_budget=200_000))
+        assert out == NotFound(2, 0, 20, "BudgetExceeded") and verify_calls == []
+
+
+def _golden_outcomes():
+    """A fixed seeded set of 200 solves on hosts and guests from
+    treefit.generate."""
+    rng = rng_from(58)
+    for trial in range(200):
+        kind = trial % 5
+        budget = 2_000_000
+        if kind == 0:  # at most min degree + 1 guest vertices: the greedy guarantee
+            n = rng.randint(8, 30)
+            g = random_graph_min_degree(n, rng.randint(2, n - 3), rng)
+            size = g.min_degree() + rng.randint(-2, 1)
+        elif kind == 1:  # sweep-shaped: min degree + 2..4
+            n = rng.randint(13, 40)
+            g = random_graph_min_degree(n, rng.randint(2, n - 3), rng)
+            size = min(n, g.min_degree() + rng.randint(2, 4))
+        elif kind == 2:  # sparse hosts and near-spanning guests: many exact NOs
+            n = rng.randint(8, 14)
+            g = random_graph_min_degree(n, 2, rng, p=0.1)
+            size = n - rng.randint(0, 2)
+        elif kind == 3:  # hosts that may be disconnected, solved per component
+            n = rng.randint(6, 12)
+            g = random_graph(n, rng.uniform(0.15, 0.5), rng)
+            size = rng.randint(2, n)
+        else:  # circulants, some under a budget too small to decide
+            n = rng.randint(16, 30)
+            g = circulant(n, list(range(1, rng.randint(2, 4) + 1)))
+            size = rng.randint(g.min_degree() + 2, min(n, g.min_degree() + 5))
+            budget = rng.choice((5, budget))
+        yield solve(g, random_tree(max(1, size), rng), SolveConfig(seed=trial, node_budget=budget))
+
+
+class TestGoldenDigest:
+    """Outcomes and certificates stay byte-identical across refactors (the
+    seed guarantee); a change to the digest needs a stated reason."""
+
+    DIGEST = "123b46e437c1a2cc756f539040c342fcdeaeb773370e16031f5cbfd0b52beff2"
+
+    def test_outcomes_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        seen = Counter()
+        for out in _golden_outcomes():
+            # the repr carries the certificate in the order the search built it
+            cert = sorted(out.embedding.mapping.items()) if isinstance(out, Contains) else None
+            digest.update(f"{out!r} {cert}\n".encode())
+            seen[type(out).__name__, getattr(out, "branch", "")] += 1
+        assert seen["Contains", "greedy-guarantee"] >= 40
+        assert seen["Contains", "exact-search"] >= 100
+        assert seen["NotContained", ""] >= 25 and seen["NotFound", ""] >= 20
+        assert digest.hexdigest() == self.DIGEST
