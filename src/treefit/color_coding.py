@@ -24,7 +24,7 @@ from .embedding import PartialEmbedding, verify
 from .errors import BudgetExceededError
 from .graph import Graph
 from .outcome import Contains, NotContained, NotFound, SolveOutcome
-from .trees import Tree, connected_view
+from .trees import Tree, _active, connected_view
 
 Family = tuple[frozenset[int], int]
 
@@ -94,7 +94,7 @@ def colorful_full_tree_dp(
     pointers for reconstruction.
     """
     kappa = dict(kappa or {})
-    active = range(t.n) if within is None else frozenset(within)
+    active = range(t.n) if within is None else _active(t, within)
     if not all(map(active.__contains__, kappa)):
         raise ValueError("pinned vertices must lie inside the guest subtree")
     # a BFS view of the guest (sub)tree from its lowest pinned vertex, else
@@ -108,6 +108,7 @@ def colorful_full_tree_dp(
     goal = tuple(q for _, q in fams)
 
     colors = coloring.colors
+    degree = g.degrees()
 
     def unit_quota(gv: int) -> tuple[int, ...]:
         return tuple(min(1 if gv in F else 0, q) for F, q in fams)
@@ -126,7 +127,7 @@ def colorful_full_tree_dp(
             candidates = [kappa[tv]]
         else:
             need = len(children[tv]) + (tv != root)
-            candidates = [v for v in coloured if g.degree(v) >= need]
+            candidates = [v for v in coloured if degree[v] >= need]
         table: dict[int, dict] = {}
         for gv in candidates:
             if colors[gv] < 0:
@@ -225,7 +226,7 @@ def exact_constrained_embed(
     the free neighbours in ascending order), and free neighbours are
     counted along it when it is shorter than the neighbour set.
 
-    `hosts`, the sorted vertex list of one component of the host, keeps the
+    `hosts`, the sorted vertices of one component of the host, keeps the
     search inside that component: the root goes only on its vertices, and
     the degree check, the density test and every count of unused vertices
     read the component alone, so the search runs as it would on a copy of
@@ -237,7 +238,7 @@ def exact_constrained_embed(
     """
     kappa = dict(kappa or {})
     fams = [(frozenset(F), int(q)) for F, q in families]
-    within = None if within is None else frozenset(within)
+    within = None if within is None else _active(t, within)
     active = range(t.n) if within is None else within
     near = t.adj if within is None else lambda v: t.adj(v) & within  # neighbours in the subtree
     size = len(active)
@@ -249,8 +250,6 @@ def exact_constrained_embed(
         raise ValueError("pinned vertices must lie inside the guest subtree")
     if root is None:
         root = min(kappa) if kappa else min(active)
-    if within is not None and not all(0 <= v < t.n for v in within):
-        raise ValueError("vertex subset out of range")
     # one BFS over the guest (sub)tree, children in ascending id: a skeleton
     # vertex takes the next position as it is reached, a free leaf (childless,
     # unpinned) waits with its parent's position until the skeleton is done;
@@ -292,7 +291,7 @@ def exact_constrained_embed(
     if not count or top > g.max_degree(hosts):
         return None
     adj = g.adjacency()
-    degree = list(map(len, adj))
+    degree = g.degrees()
     sorted_adj: list[list[int] | None] = [None] * n
     images = [-1] * size
     used = [0] * n  # host vertex -> 1 + the position on it, 0 while free
@@ -446,7 +445,7 @@ def exact_constrained_embed(
     elif hosts is None:  # the root goes on every host vertex of large enough degree
         frames[0] = compress(range(n), map(kids_at[0].__le__, degree))
     else:
-        frames[0] = compress(hosts, [kids_at[0] <= degree[v] for v in hosts])
+        frames[0] = compress(hosts, map(kids_at[0].__le__, map(degree.__getitem__, hosts)))
     depth = 0
     while True:
         kids = kids_at[depth]
@@ -537,7 +536,7 @@ def contains_tree_by_size(
     search within `node_budget` nodes, then randomized color coding only if
     the search ran out of budget (never with `node_budget=None`, which
     leaves the search unbounded).  One-sided: no false positives.  With
-    `hosts`, the sorted vertex list of one component of the host, both
+    `hosts`, the sorted vertices of one component of the host, both
     stay inside that component, as they would on a copy of it.
 
     `rng_source` takes no arguments and returns the generator that draws the

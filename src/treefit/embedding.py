@@ -162,7 +162,7 @@ def chvatal_extend(
 
     Guaranteed to succeed whenever the target has at most min_degree(G)+1
     vertices; a failure past the precondition check is a bug and raises
-    AssertionError.  With `hosts`, the sorted vertex list of one component
+    AssertionError.  With `hosts`, the sorted vertices of one component
     of G, an empty partial embedding grows inside that component from its
     lowest vertex, and the component's minimum degree is the one that counts.
     """

@@ -1,8 +1,11 @@
 """Host graph representation and the graph-side primitives of the solver.
 
 Vertices are dense integers 0..n-1.  The graph is immutable after
-construction; every query below is pure, so concurrent reads are safe.
-Vertex sets are plain Python sets/frozensets throughout.
+construction.  Its degree table and component split are computed lazily,
+once per `Graph`, and kept in slots; filling a slot is idempotent (two
+readers that race both store equal values), so concurrent reads stay safe.
+Every other query is pure.  Vertex sets are plain Python sets/frozensets
+throughout.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from .errors import EmptyGraphError, ParseError, read_ascii
 
 
 class Graph:
-    """Simple undirected graph with adjacency sets and cached degree stats."""
+    """Simple undirected graph with adjacency sets and cached host tables:
+    the degree table, its least and largest entries, and the component split."""
 
-    __slots__ = ("n", "edge_count", "_adj", "_min_degree", "_max_degree")
+    __slots__ = ("n", "edge_count", "_adj", "_degrees", "_components", "_min_degree", "_max_degree")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -38,8 +42,7 @@ class Graph:
         self.n = n
         self.edge_count = m
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._min_degree: int | None = None
-        self._max_degree: int | None = None
+        self._clear_tables()
 
     @classmethod
     def _from_adjacency(cls, adj: Iterable[Iterable[int]]) -> "Graph":
@@ -52,8 +55,15 @@ class Graph:
         g._adj = tuple(map(frozenset, map(set, adj)))
         g.n = len(g._adj)
         g.edge_count = sum(map(len, g._adj)) // 2
-        g._min_degree = g._max_degree = None
+        g._clear_tables()
         return g
+
+    def _clear_tables(self) -> None:
+        """Leave every lazily computed table unset, to be filled on first use."""
+        self._degrees: tuple[int, ...] | None = None
+        self._components: tuple[tuple[int, ...], ...] | None = None
+        self._min_degree: int | None = None
+        self._max_degree: int | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -70,6 +80,13 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
+    def degrees(self) -> tuple[int, ...]:
+        """Every vertex's degree, indexed by vertex; computed on first use."""
+        degrees = self._degrees
+        if degrees is None:
+            degrees = self._degrees = tuple(map(len, self._adj))
+        return degrees
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
@@ -82,21 +99,21 @@ class Graph:
     def min_degree(self, among: Iterable[int] | None = None) -> int:
         """Least degree over every vertex, or over the vertices `among`."""
         if among is not None:
-            return min(map(len, map(self._adj.__getitem__, among)))
+            return min(map(self.degrees().__getitem__, among))
         if self.n == 0:
             raise EmptyGraphError("minimum degree of the empty graph")
         if self._min_degree is None:
-            self._min_degree = min(map(len, self._adj))
+            self._min_degree = min(self.degrees())
         return self._min_degree
 
     def max_degree(self, among: Iterable[int] | None = None) -> int:
         """Largest degree over every vertex, or over the vertices `among`."""
         if among is not None:
-            return max(map(len, map(self._adj.__getitem__, among)))
+            return max(map(self.degrees().__getitem__, among))
         if self.n == 0:
             raise EmptyGraphError("maximum degree of the empty graph")
         if self._max_degree is None:
-            self._max_degree = max(len(s) for s in self._adj)
+            self._max_degree = max(self.degrees())
         return self._max_degree
 
     # -- traversal --------------------------------------------------------
@@ -118,15 +135,19 @@ class Graph:
                     queue.append(v)
         return dist
 
-    def components(self) -> list[list[int]]:
-        """Vertex lists of the components, each sorted, ordered by least vertex."""
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex tuples of the components, each sorted, ordered by least
+        vertex; computed on the first call, the same object after that."""
+        if self._components is not None:
+            return self._components
         if self.n and 2 * self.min_degree() >= self.n - 1:
             # two non-adjacent vertices have n - 1 or more neighbours among
             # the n - 2 others, so they share one: the graph is connected
-            return [list(range(self.n))]
+            self._components = (tuple(range(self.n)),)
+            return self._components
         adj = self._adj
         unseen = set(range(self.n))
-        out: list[list[int]] = []
+        out: list[tuple[int, ...]] = []
         s = 0
         while unseen:
             while s not in unseen:
@@ -141,8 +162,9 @@ class Graph:
                     if not unseen:
                         break
             comp.sort()
-            out.append(comp)
-        return out
+            out.append(tuple(comp))
+        self._components = tuple(out)
+        return self._components
 
     def is_connected(self) -> bool:
         """One component, or none: the empty graph counts as connected."""

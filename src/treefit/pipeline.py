@@ -85,10 +85,10 @@ def brute_force_contains(
 
 
 def _solve_connected(
-    g: Graph, t: Tree, config: SolveConfig, stream: int, hosts: list[int] | None = None
+    g: Graph, t: Tree, config: SolveConfig, stream: int, hosts: tuple[int, ...] | None = None
 ) -> SolveOutcome:
     """Solve on a connected part of the host that is at least as large as
-    the guest: the component `hosts` (its sorted vertex list) in place, or
+    the guest: the component `hosts` (its sorted vertices) in place, or
     the whole host, connected, when None."""
     if t.n - g.min_degree(hosts) <= 1:
         emb = chvatal_extend(g, t, PartialEmbedding({}), hosts=hosts)

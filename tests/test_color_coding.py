@@ -299,6 +299,22 @@ class TestGuestView:
         with pytest.raises(ValueError, match="host subtree is not connected"):
             contains_rooted_subtree(t, 0, t, 0, host_within={0, 2})
 
+    @pytest.mark.parametrize(
+        "within, message",
+        [
+            ({0, 1, 5}, "vertex subset out of range"),  # an id past the guest
+            ({0, 1, -1}, "vertex subset out of range"),  # not read from the end
+            (set(), "empty vertex subset"),
+        ],
+    )
+    def test_within_checked_before_the_root(self, within, message):
+        g = path_graph(3)
+        t = path_tree(3)
+        with pytest.raises(ValueError, match=message):
+            exact_constrained_embed(g, t, within=within)
+        with pytest.raises(ValueError, match=message):
+            colorful_full_tree_dp(g, t, Coloring((0, 1, 2), 3), within=within)
+
     def test_pin_outside_within_rejected(self):
         g = complete(4)
         t = path_tree(4)

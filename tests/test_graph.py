@@ -2,11 +2,12 @@ import itertools
 from collections import deque
 from random import Random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete, cycle, path_graph, petersen
+from helpers import complete, cycle, path_graph, petersen, to_networkx
 from treefit.errors import (
     EmptyGraphError,
     IsEscapeVertexError,
@@ -16,6 +17,7 @@ from treefit.errors import (
 from treefit import graph as graph_module
 from treefit.graph import Graph, _parse_graph_lines, format_graph, parse_graph
 from treefit.generate import random_graph
+from treefit.hardness import ThreePartitionInstance, generate_hardness_instance
 from treefit.paper.lemmas import (
     is_q_escape,
     max_bipartite_matching,
@@ -431,7 +433,7 @@ class TestBulkParse:
                 assert _same_graph(parse_graph(text), expected)
 
 
-def _reference_components(g: Graph) -> list[list[int]]:
+def _reference_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Plain BFS, one neighbour at a time."""
     seen = [False] * g.n
     out = []
@@ -446,8 +448,8 @@ def _reference_components(g: Graph) -> list[list[int]]:
                     seen[v] = True
                     comp.append(v)
                     queue.append(v)
-        out.append(sorted(comp))
-    return out
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
 
 
 def _random_split_graph(rng: Random) -> Graph:
@@ -479,7 +481,7 @@ class TestComponents:
         self._check(Graph(0, []))
         self._check(Graph(7, []))
         self._check(Graph(7, [(2, 5)]))
-        assert Graph(4, []).components() == [[0], [1], [2], [3]]
+        assert Graph(4, []).components() == ((0,), (1,), (2,), (3,))
 
     def test_dense_two_block_host(self):
         rng = Random(7)
@@ -493,7 +495,7 @@ class TestComponents:
             if rng.random() < 0.9
         ]
         g = Graph(300, edges)
-        assert g.components() == sorted(sorted(b) for b in blocks)
+        assert g.components() == tuple(sorted(tuple(sorted(b)) for b in blocks))
         self._check(g)
 
     def test_minimum_degree_threshold(self):
@@ -522,6 +524,58 @@ class TestComponents:
             if abs(2 * g.min_degree() - (n - 1)) <= 2:
                 near[2 * g.min_degree() >= n - 1] += 1
         assert min(near.values()) >= 100, near
+
+    def test_matches_networkx(self):
+        # seeded random hosts: split blocks, sparse and dense G(n, p) with
+        # isolated vertices, hosts that meet the minimum-degree shortcut,
+        # and n = 0 and n = 1
+        rng = Random(10)
+        graphs = [Graph(0, []), Graph(1, []), Graph(5, []), complete(6), cycle(7)]
+        graphs += [_random_split_graph(rng) for _ in range(300)]
+        graphs += [random_graph(rng.randint(0, 30), rng.choice((0.02, 0.1, 0.3, 0.9)), rng) for _ in range(300)]
+        shortcut = 0
+        for g in graphs:
+            expected = tuple(sorted(tuple(sorted(c)) for c in nx.connected_components(to_networkx(g))))
+            assert g.components() == expected
+            shortcut += g.n > 0 and 2 * g.min_degree() >= g.n - 1
+        assert shortcut >= 20 and any(0 in g.degrees() for g in graphs if g.n > 1)
+
+
+class TestHostTables:
+    """The degree table and the component split: lazy, once per Graph."""
+
+    def test_computed_once(self):
+        rng = Random(11)
+        for g in (Graph(0, []), Graph(1, []), complete(5), _random_split_graph(rng), random_graph(20, 0.1, rng)):
+            first = g.components()
+            assert type(first) is tuple and all(type(c) is tuple for c in first)
+            assert g.components() is first
+            assert g.is_connected() == (len(first) <= 1) and g.components() is first
+            degrees = g.degrees()
+            assert type(degrees) is tuple and degrees == tuple(g.degree(v) for v in range(g.n))
+            assert g.degrees() is degrees
+
+    def test_every_construction_path_sets_every_slot(self, monkeypatch):
+        # an unset slot would raise AttributeError only when its lazy table
+        # is first read
+        def unset(g: Graph) -> list[str]:
+            return [name for name in Graph.__slots__ if not hasattr(g, name)]
+
+        text = "4 3\n0 1\n0 2\n1 2\n"
+        graphs = {
+            "Graph(n, edges)": Graph(4, [(0, 1), (0, 2), (1, 2)]),
+            "line reader": parse_graph(text.replace("\n", "\r\n")),
+            "hardness reduction": generate_hardness_instance(
+                ThreePartitionInstance((1, 1, 1), 3), 3.0, strict_bounds=False
+            ).graph,
+        }
+        with monkeypatch.context() as m:
+            m.setattr(graph_module, "_parse_graph_lines", None)  # the bulk path alone
+            graphs["bulk path"] = parse_graph(text)
+        for path, g in graphs.items():
+            assert unset(g) == [], path
+        for path, g in graphs.items():
+            assert g.components() and g.degrees() and g.min_degree() <= g.max_degree(), path
 
 
 def _reference_is_connected(g: Graph) -> bool:
