@@ -24,7 +24,7 @@ from .embedding import PartialEmbedding, verify
 from .errors import BudgetExceededError
 from .graph import Graph
 from .outcome import Contains, NotContained, NotFound, SolveOutcome
-from .trees import Tree, _active, connected_view
+from .trees import RootedView, Tree, _active
 
 Family = tuple[frozenset[int], int]
 
@@ -94,13 +94,16 @@ def colorful_full_tree_dp(
     pointers for reconstruction.
     """
     kappa = dict(kappa or {})
-    active = range(t.n) if within is None else _active(t, within)
+    within = None if within is None else _active(t, within)
+    active = range(t.n) if within is None else within
     if not all(map(active.__contains__, kappa)):
         raise ValueError("pinned vertices must lie inside the guest subtree")
     # a BFS view of the guest (sub)tree from its lowest pinned vertex, else
     # from its lowest vertex
     root = min(kappa) if kappa else min(active)
-    view = connected_view(t, root, within, "guest subtree")
+    view = RootedView.build(t, root, within)
+    if len(view.order) != len(active):
+        raise ValueError("guest subtree is not connected")
     order, children = view.order, view.children
     if len(order) > coloring.palette:
         return None

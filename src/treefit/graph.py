@@ -137,7 +137,11 @@ class Graph:
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Vertex tuples of the components, each sorted, ordered by least
-        vertex; computed on the first call, the same object after that."""
+        vertex; computed on the first call, the same object after that.
+
+        A tuple of tuples, so that no caller can change the kept split;
+        earlier versions returned a list of lists, and a result compared
+        with lists (`== [[0, 1], [2]]`) is now False."""
         if self._components is not None:
             return self._components
         if self.n and 2 * self.min_degree() >= self.n - 1:
