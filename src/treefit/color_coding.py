@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import countOf
 from random import Random
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .embedding import PartialEmbedding, verify
 from .errors import BudgetExceededError
@@ -531,11 +531,12 @@ def contains_tree_by_size(
     node_budget: int | None = None,
     kappa: Mapping[int, int] | None = None,
     families: Sequence[Family] = (),
-    within: Collection[int] | None = None,
+    within: Iterable[int] | None = None,
     hosts: Sequence[int] | None = None,
 ) -> SolveOutcome:
     """Decide containment of the whole guest, or of its connected subset
-    `within`, respecting the pins `kappa` and the quota `families`: exact
+    `within` (a set of guest ids: a repeated id counts once), respecting
+    the pins `kappa` and the quota `families`: exact
     search within `node_budget` nodes, then randomized color coding only if
     the search ran out of budget (never with `node_budget=None`, which
     leaves the search unbounded).  One-sided: no false positives.  With
@@ -551,6 +552,7 @@ def contains_tree_by_size(
 
     The one driver of the exact search and the colorful DP: `solve` and
     the paper library (`treefit.paper`) reach them through here."""
+    within = None if within is None else _active(t, within)
     s = t.n if within is None else len(within)
     count = g.n if hosts is None else len(hosts)
     if s > count:

@@ -50,10 +50,11 @@ def verify(
     g: Graph,
     t: Tree,
     *,
-    require_connected: bool = True,
     require_full: bool = False,
 ) -> bool:
-    """Check every invariant of e against g and t."""
+    """Check every invariant of e against g and t: injective, in range,
+    edge-preserving, with a connected domain, and the whole guest when
+    `require_full`."""
     mapping = e.mapping
     if require_full and len(mapping) != t.n:
         return False
@@ -75,7 +76,7 @@ def verify(
                     return False
                 inner += 1
     # a forest is connected when it has one edge fewer than vertices
-    return not require_connected or inner == 2 * (len(mapping) - 1)
+    return inner == 2 * (len(mapping) - 1)
 
 
 # -- greedy extension engine ---------------------------------------------------

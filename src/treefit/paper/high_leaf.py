@@ -21,7 +21,7 @@ from ..outcome import Contains, NotContained, NotFound, SolveOutcome
 from ..seeds import rng_from
 from ..trees import Tree
 from .ahsc import AhscInstance, solve_ahsc
-from .lemmas import complete_leaves, farthest_from, leaf_degree, neighbor_deficiency, tree_path
+from .lemmas import complete_leaves, farthest_from, greedy_walk, leaf_degree, neighbor_deficiency, tree_path
 
 
 def expanding_vertices(g: Graph, v: int, k: int) -> set[int]:
@@ -133,21 +133,6 @@ def embed_high_leaf_degree_unconditional(
     return complete_leaves(g, t, leaves, emb)
 
 
-def _greedy_inside(g: Graph, start: int, pool: set[int], used: set[int], count: int) -> list[int] | None:
-    """Extend a path from `start` by `count` unused vertices inside `pool`."""
-    out: list[int] = []
-    cur = start
-    taken = set(used)
-    for _ in range(count):
-        options = sorted((g.adj(cur) & pool) - taken)
-        if not options:
-            return None
-        cur = options[0]
-        out.append(cur)
-        taken.add(cur)
-    return out
-
-
 def _embed_dense_far_pair(g: Graph, t: Tree, k: int, prefix: list[int]) -> PartialEmbedding | None:
     """Distance-3 pair: route the prefix out through a shortest path and keep
     going among the far endpoint's non-expanding neighbors."""
@@ -164,7 +149,7 @@ def _embed_dense_far_pair(g: Graph, t: Tree, k: int, prefix: list[int]) -> Parti
                     continue
                 a = mids[0]
                 used = {u0, a, b}
-                tail = _greedy_inside(g, b, pool - {b}, used, k - 2)
+                tail = greedy_walk(g, b, pool, used, k - 2)
                 if tail is None:
                     continue
                 images = [u0, a, b] + tail
@@ -185,7 +170,7 @@ def _embed_dense_close_pair(g: Graph, t: Tree, k: int, prefix: list[int]) -> Par
             pool = nonexp - g.adj(v0) - {v0}
             for mid in sorted(common):
                 used = {v0, mid, u0}
-                tail = _greedy_inside(g, u0, pool, used, k - 2)
+                tail = greedy_walk(g, u0, pool, used, k - 2)
                 if tail is None:
                     continue
                 images = [v0, mid, u0] + tail

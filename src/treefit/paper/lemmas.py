@@ -1,7 +1,8 @@
 """Graph, tree and embedding lemmas that only the paper's constructions use.
 
 Host side: degree deficiency, bipartite matchings and covers, escape
-vertices and their separators, and shortest paths that avoid a vertex set.
+vertices and their separators, shortest paths and greedy walks that avoid a
+vertex set, and the components left when a set is removed.
 Guest side: paths and diameters of induced subtrees, leaf degree,
 separable edges, maximal trivial paths, minimal spanning subtrees, canonical
 codes and rooted containment.  Embeddings: the min-degree+2 solver and leaf
@@ -147,38 +148,71 @@ def nonescape_separator(g: Graph, v: int, q: int) -> set[int]:
     return set(cover)
 
 
-# -- paths -------------------------------------------------------------------
+# -- paths and components -----------------------------------------------------
 
-def shortest_path_avoiding(
-    g: Graph, s: int, t: int, forbidden: Iterable[int]
+def shortest_path_between(
+    g: Graph, sources: Iterable[int], targets: Iterable[int], forbidden: Iterable[int] = ()
 ) -> list[int] | None:
-    """A shortest s-t path in the graph minus `forbidden`, or None."""
+    """A shortest path from a vertex of `sources` to one of `targets` in the
+    graph minus `forbidden`, or None.  Breadth-first from the sources in
+    ascending order, neighbours in ascending order, so ties go to the
+    lowest ids."""
     banned = frozenset(forbidden)
-    if s in banned or t in banned:
+    starts = sorted(set(sources))
+    goals = frozenset(targets)
+    if banned.intersection(starts) or banned & goals:
         raise ValueError("path endpoints must not be forbidden")
-    if s == t:
-        return [s]
-    inf = g.n
-    dist = [inf] * g.n
-    prev = [-1] * g.n
-    dist[s] = 0
-    queue = deque([s])
+    prev = dict.fromkeys(starts, -1)
+    queue = deque(starts)
     while queue:
         u = queue.popleft()
-        if u == t:
-            break
+        if u in goals:
+            path = [u]
+            while prev[path[-1]] != -1:
+                path.append(prev[path[-1]])
+            path.reverse()
+            return path
         for v in sorted(g.adj(u)):
-            if dist[v] == inf and v not in banned:
-                dist[v] = dist[u] + 1
+            if v not in prev and v not in banned:
                 prev[v] = u
                 queue.append(v)
-    if dist[t] == inf:
-        return None
-    path = [t]
-    while path[-1] != s:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
+    return None
+
+
+def greedy_walk(g: Graph, start: int, pool: set[int], used: Iterable[int], length: int) -> list[int] | None:
+    """The `length` vertices after `start` of a path that steps each time to
+    the lowest neighbour inside `pool` that is neither in `used` nor on the
+    path yet, or None when it gets stuck."""
+    walk: list[int] = []
+    taken = set(used)
+    taken.add(start)
+    cur = start
+    for _ in range(length):
+        cur = min((g.adj(cur) & pool) - taken, default=None)
+        if cur is None:
+            return None
+        walk.append(cur)
+        taken.add(cur)
+    return walk
+
+
+def components_avoiding(g: Graph, s: Iterable[int]) -> list[list[int]]:
+    """Vertex lists of the components of G minus `s`, each sorted, ordered
+    by least vertex."""
+    unseen = set(range(g.n)).difference(s)
+    out = []
+    for seed in range(g.n):
+        if seed not in unseen:
+            continue
+        unseen.discard(seed)
+        comp = [seed]
+        for u in comp:  # grows while it is read: a BFS queue
+            new = g.adj(u) & unseen
+            unseen -= new
+            comp += new
+        comp.sort()
+        out.append(comp)
+    return out
 
 
 # -- tree paths and diameters --------------------------------------------------

@@ -16,6 +16,7 @@ from ..graph import Graph
 from ..trees import Tree
 from .lemmas import (
     complete_leaves,
+    components_avoiding,
     diametral_path,
     find_separable_edge,
     is_q_escape,
@@ -24,7 +25,7 @@ from .lemmas import (
     minimal_spanning_subtree,
     neighbor_deficiency,
     nonescape_separator,
-    shortest_path_avoiding,
+    shortest_path_between,
     tree_diameter,
 )
 from .preserving import embed_via_preserving_path, modulator_to_preserving_path
@@ -174,7 +175,7 @@ def _splice_and_inflate(
         goal = seq[idx]
         remaining = set(seq[idx + 1 : -1])
         forbidden = (fixed | set(q_path[:-1]) | remaining) - {q_path[-1], goal}
-        hop = shortest_path_avoiding(g, q_path[-1], goal, forbidden)
+        hop = shortest_path_between(g, [q_path[-1]], [goal], forbidden)
         if hop is None or len(hop) - 1 > 2 * k + 1:
             modulator = set(forbidden)
             path = modulator_to_preserving_path(g, modulator, k)
@@ -465,7 +466,7 @@ def embed_with_separator(
     sep = set(s)
     if len(g.components()) != 1:
         raise PreconditionViolated("host must be connected")
-    if not _is_separator(g, sep):
+    if len(components_avoiding(g, sep)) < 2:
         raise PreconditionViolated("given set is not a separator")
     if enforce:
         if delta < 3 * len(sep):
@@ -479,7 +480,7 @@ def embed_with_separator(
     while changed:
         changed = False
         for v in sorted(sep):
-            if _is_separator(g, sep - {v}):
+            if len(components_avoiding(g, sep - {v})) > 1:
                 sep.discard(v)
                 changed = True
     edge = find_separable_edge(t, len(sep) + k)
@@ -493,7 +494,7 @@ def embed_with_separator(
     if 3 * t.degree(x) > delta:
         raise AssertionError("light endpoint exceeds a third of the min degree")
 
-    comps = [set(c) for c in _components_without(g, sep)]
+    comps = [set(c) for c in components_avoiding(g, sep)]
     best = None
     for sv in sorted(sep):
         for ci, comp in enumerate(comps):
@@ -529,39 +530,6 @@ def _in_subtree(view, v: int, root_of_side: int) -> bool:
             return True
         v = view.parent[v]
     return False
-
-
-def _is_separator(g: Graph, s: set[int]) -> bool:
-    rest = [v for v in range(g.n) if v not in s]
-    if not rest:
-        return False
-    seen = {rest[0]}
-    queue = [rest[0]]
-    while queue:
-        u = queue.pop()
-        for v in g.adj(u):
-            if v not in s and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) != len(rest)
-
-
-def _components_without(g: Graph, s: set[int]) -> list[list[int]]:
-    out = []
-    left = set(range(g.n)) - s
-    while left:
-        seed = min(left)
-        comp = {seed}
-        queue = [seed]
-        while queue:
-            u = queue.pop()
-            for v in g.adj(u):
-                if v in left and v not in comp:
-                    comp.add(v)
-                    queue.append(v)
-        out.append(sorted(comp))
-        left -= comp
-    return out
 
 
 def solve_medium(

@@ -14,16 +14,22 @@ operations, not just the tests.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from ..embedding import PartialEmbedding, verify
+from ..embedding import PartialEmbedding, greedy_extend, verify
 from ..errors import PreconditionViolated
 from ..graph import Graph
 from ..trees import Tree
-from .lemmas import diametral_path, neighbor_deficiency, shortest_path_avoiding, tree_diameter
+from .lemmas import (
+    components_avoiding,
+    diametral_path,
+    greedy_walk,
+    neighbor_deficiency,
+    shortest_path_between,
+    tree_diameter,
+)
 
 
 @dataclass(frozen=True)
@@ -122,20 +128,7 @@ def embed_via_preserving_path(g: Graph, t: Tree, p: PreservingPath, k: int) -> P
         used.add(options[0])
 
     # grow the remainder; the preserving property guarantees free neighbors
-    queue = sorted(mapping)
-    while queue:
-        tv = queue.pop(0)
-        for nxt in sorted(t.adj(tv)):
-            if nxt in mapping:
-                continue
-            options = sorted(g.adj(mapping[tv]) - used)
-            if not options:
-                raise AssertionError(
-                    f"no free neighbor for tree vertex {nxt}; preserving guarantee broken"
-                )
-            mapping[nxt] = options[0]
-            used.add(options[0])
-            queue.append(nxt)
+    mapping = greedy_extend(g, t, mapping, range(t.n))
     out = PartialEmbedding(mapping)
     if not verify(out, g, t, require_full=True):
         raise AssertionError("preserving-path construction produced an invalid embedding")
@@ -193,14 +186,7 @@ def modulator_to_preserving_path(g: Graph, s: Iterable[int], k: int) -> Preservi
         raise PreconditionViolated("S covers the whole graph")
 
     forbidden = frozenset(s_set)
-    unassigned = set(rest)
-    comps: list[list[int]] = []
-    while unassigned:
-        seed = min(unassigned)
-        dist = g.bfs_distances(seed, forbidden)
-        members = sorted(v for v in rest if dist[v] < g.n)
-        comps.append(members)
-        unassigned -= set(members)
+    comps = components_avoiding(g, forbidden)
 
     if len(comps) == 1:
         path = _distance_2k_path(g, forbidden, rest, k)
@@ -215,10 +201,13 @@ def modulator_to_preserving_path(g: Graph, s: Iterable[int], k: int) -> Preservi
         return _checked(g, whole, k, bound)
 
     c1, c2 = comps[0], comps[1]
-    q = _shortest_between_sets(g, c1, c2)
-    v1, v2 = q[0], q[-1]
-    arm1 = _arm_inside(g, v1, set(c1), set(q), k - 1)
-    arm2 = _arm_inside(g, v2, set(c2), set(q) | set(arm1), k - 1)
+    q = shortest_path_between(g, c1, c2)
+    if q is None:
+        raise AssertionError("connected host has no path between components")
+    arm1 = greedy_walk(g, q[0], set(c1), q, k - 1)
+    arm2 = None if arm1 is None else greedy_walk(g, q[-1], set(c2), q + arm1, k - 1)
+    if arm2 is None:
+        raise AssertionError("component too thin for the arm; degree bound broken")
     path = list(reversed(arm1)) + q + arm2
     return _checked(g, _insert_modulator(g, path, s_set, k), k, bound)
 
@@ -233,51 +222,11 @@ def _distance_2k_path(
         if not targets:
             continue
         target = min(targets, key=lambda v: (dist[v], v))
-        path = shortest_path_avoiding(g, u, target, forbidden)
+        path = shortest_path_between(g, [u], [target], forbidden)
         if path is None:
             continue
         return path[: 2 * k + 1]
     return None
-
-
-def _shortest_between_sets(g: Graph, a: list[int], b: list[int]) -> list[int]:
-    b_set = set(b)
-    dist = {v: 0 for v in a}
-    prev = {v: -1 for v in a}
-    queue = deque(sorted(a))
-    hit = None
-    while queue:
-        u = queue.popleft()
-        if u in b_set:
-            hit = u
-            break
-        for v in sorted(g.adj(u)):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                prev[v] = u
-                queue.append(v)
-    if hit is None:
-        raise AssertionError("connected host has no path between components")
-    path = [hit]
-    while prev[path[-1]] != -1:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
-
-
-def _arm_inside(g: Graph, start: int, comp: set[int], banned: set[int], length: int) -> list[int]:
-    """Greedy path of exactly `length` edges inside one component."""
-    arm: list[int] = []
-    used = set(banned) | {start}
-    cur = start
-    for _ in range(length):
-        options = sorted((g.adj(cur) & comp) - used)
-        if not options:
-            raise AssertionError("component too thin for the arm; degree bound broken")
-        cur = options[0]
-        arm.append(cur)
-        used.add(cur)
-    return arm
 
 
 def set_to_preserving_path(g: Graph, s: Iterable[int], k: int) -> PreservingPath:
@@ -309,7 +258,7 @@ def set_to_preserving_path(g: Graph, s: Iterable[int], k: int) -> PreservingPath
             break
         remaining = [v for v in remaining if v != nxt and v not in path]
         blocked = frozenset(path[:-1])
-        hop = shortest_path_avoiding(g, path[-1], nxt, blocked)
+        hop = shortest_path_between(g, [path[-1]], [nxt], blocked)
         if hop is None or len(hop) - 1 > 2 * k - 1:
             return _fallback_via_modulator(g, path, k, bound)
         path.extend(hop[1:])

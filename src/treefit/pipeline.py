@@ -84,25 +84,6 @@ def brute_force_contains(
     return NotContained(reason="exhaustive oracle")
 
 
-def _solve_connected(
-    g: Graph, t: Tree, config: SolveConfig, stream: int, hosts: tuple[int, ...] | None = None
-) -> SolveOutcome:
-    """Solve on a connected part of the host that is at least as large as
-    the guest: the component `hosts` (its sorted vertices) in place, or
-    the whole host, connected, when None."""
-    if t.n - g.min_degree(hosts) <= 1:
-        emb = chvatal_extend(g, t, PartialEmbedding({}), hosts=hosts)
-        return Contains(emb, branch="greedy-guarantee")
-    return contains_tree_by_size(
-        g,
-        t,
-        config.failure_exponent,
-        lambda: rng_from(config.seed, stream, 1),
-        config.node_budget,
-        hosts=hosts,
-    )
-
-
 def solve(g: Graph, t: Tree, config: SolveConfig | None = None) -> SolveOutcome:
     """Decide whether the host contains the guest tree.
 
@@ -112,8 +93,10 @@ def solve(g: Graph, t: Tree, config: SolveConfig | None = None) -> SolveOutcome:
     guest: `chvatal_extend`, `exact_constrained_embed` or
     `colorful_full_tree_dp` calls `verify(..., require_full=True)` before
     returning it, and `solve` adds no second check.
-    Disconnected hosts are solved per component, in place, with
-    component-local slack.
+    Each host component at least as large as the guest runs the same
+    steps in place, with component-local slack: the greedy guarantee, then
+    `contains_tree_by_size`.  The first certificate wins; the misses of all
+    components merge into one NotFound.
     """
     config = config or SolveConfig()
     if g.n == 0:
@@ -122,28 +105,38 @@ def solve(g: Graph, t: Tree, config: SolveConfig | None = None) -> SolveOutcome:
         return NotContained(reason="guest larger than host")
 
     components = g.components()
-    if len(components) == 1:
-        out = _solve_connected(g, t, config, 0)
-        if isinstance(out, NotFound) and out.seed is None:
-            out = NotFound(out.rounds, config.seed, out.failure_exponent, out.note)
-        return out
-
+    split = len(components) > 1
     misses: list[NotFound] = []
-    for index, comp in enumerate(components):
+    stream = 0
+    for comp in components:
+        # a connected host is searched whole on colouring stream 0; the
+        # components of a split host in place, on streams 1, 2, ...
+        stream += 1
         if len(comp) < t.n:
             continue
-        out = _solve_connected(g, t, config, index + 1, comp)
+        hosts = comp if split else None
+        if t.n - g.min_degree(hosts) <= 1:
+            emb = chvatal_extend(g, t, PartialEmbedding({}), hosts=hosts)
+            return Contains(emb, branch="greedy-guarantee")
+        out = contains_tree_by_size(
+            g,
+            t,
+            config.failure_exponent,
+            lambda: rng_from(config.seed, stream if split else 0, 1),
+            config.node_budget,
+            hosts=hosts,
+        )
         if isinstance(out, Contains):
             return out
         if isinstance(out, NotFound):
             misses.append(out)
+        elif not split:
+            return out  # the search's own NotContained reason
     if misses:
-        total = sum(m.rounds for m in misses)
         return NotFound(
-            rounds=total,
+            rounds=sum(m.rounds for m in misses),
             seed=config.seed,
             failure_exponent=config.failure_exponent,
             note="; ".join(filter(None, (m.note for m in misses))),
         )
     return NotContained(reason="no component can host the guest")
-

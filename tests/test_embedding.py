@@ -36,7 +36,6 @@ class TestVerify:
     def test_disconnected_domain(self):
         e = PartialEmbedding({0: 0, 2: 2})
         assert not verify(e, cycle(6), path_tree(3))
-        assert verify(e, cycle(6), path_tree(3), require_connected=False)
 
 
 class TestChvatalExtend:

@@ -23,8 +23,9 @@ from treefit.paper.lemmas import (
     max_bipartite_matching,
     min_vertex_cover_bipartite,
     neighbor_deficiency,
+    components_avoiding,
     nonescape_separator,
-    shortest_path_avoiding,
+    shortest_path_between,
 )
 from treefit.seeds import rng_from
 
@@ -223,13 +224,47 @@ class TestBfsAndDiameter:
 
 class TestShortestPathAvoiding:
     def test_cycle_around(self):
-        assert shortest_path_avoiding(cycle(6), 0, 3, {1, 2}) == [0, 5, 4, 3]
+        assert shortest_path_between(cycle(6), [0], [3], {1, 2}) == [0, 5, 4, 3]
 
     def test_blocked_both_ways(self):
-        assert shortest_path_avoiding(cycle(6), 0, 3, {1, 4}) is None
+        assert shortest_path_between(cycle(6), [0], [3], {1, 4}) is None
 
     def test_direct_edge(self):
-        assert shortest_path_avoiding(complete(4), 0, 3, set()) == [0, 3]
+        assert shortest_path_between(complete(4), [0], [3], set()) == [0, 3]
+
+    def test_lengths_match_networkx(self):
+        rng = rng_from(91)
+        for _ in range(300):
+            g = random_graph(rng.randint(2, 14), rng.uniform(0.1, 0.5), rng)
+            sources = rng.sample(range(g.n), rng.randint(1, g.n))
+            targets = rng.sample(range(g.n), rng.randint(1, g.n))
+            free = [v for v in range(g.n) if v not in sources and v not in targets]
+            forbidden = set(rng.sample(free, rng.randint(0, len(free))))
+            path = shortest_path_between(g, sources, targets, forbidden)
+            nxg = to_networkx(g)
+            nxg.remove_nodes_from(forbidden)
+            nxg.add_edges_from(("s", v) for v in sources)
+            nxg.add_edges_from((v, "t") for v in targets)
+            if not nx.has_path(nxg, "s", "t"):
+                assert path is None
+                continue
+            assert len(path) == nx.shortest_path_length(nxg, "s", "t") - 1
+            assert path[0] in sources and path[-1] in targets
+            assert not forbidden & set(path) and len(set(path)) == len(path)
+            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+
+    def test_ties_go_to_the_lowest_ids(self):
+        # C_8 from {0, 4} to {2, 6}: four shortest paths of two edges, and
+        # a source that is a target is a path of its own
+        g = cycle(8)
+        assert shortest_path_between(g, [4, 0], [6, 2]) == [0, 1, 2]
+        assert shortest_path_between(g, [4, 0], [6, 2], {1}) == [0, 7, 6]
+        assert shortest_path_between(g, [5, 3], [3, 5]) == [3]
+
+    def test_forbidden_endpoint_rejected(self):
+        for sources, targets in (([0, 1], [3]), ([0], [3, 1])):
+            with pytest.raises(ValueError, match="endpoints"):
+                shortest_path_between(cycle(6), sources, targets, {1})
 
     def test_matches_exhaustive_enumeration(self):
         g = cycle(6)
@@ -242,6 +277,18 @@ class TestShortestPathAvoiding:
                 if all(g.has_edge(a, b) for a, b in zip(cand, cand[1:])):
                     found.append(cand)
         assert not found
+
+
+class TestComponentsAvoiding:
+    def test_matches_networkx(self):
+        rng = rng_from(92)
+        for _ in range(300):
+            g = random_graph(rng.randint(1, 16), rng.uniform(0.05, 0.4), rng)
+            s = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+            nxg = to_networkx(g)
+            nxg.remove_nodes_from(s)
+            expected = sorted(sorted(c) for c in nx.connected_components(nxg))
+            assert components_avoiding(g, s) == expected
 
 
 class TestTextFormat:

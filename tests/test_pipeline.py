@@ -18,7 +18,8 @@ from helpers import (
     star_tree,
 )
 from treefit import color_coding, embedding, pipeline
-from treefit.embedding import PartialEmbedding, format_certificate
+from treefit.color_coding import contains_tree_by_size
+from treefit.embedding import PartialEmbedding, chvatal_extend, format_certificate
 from treefit.errors import BudgetExceededError, EmptyGraphError
 from treefit.generate import (
     circulant,
@@ -107,15 +108,24 @@ class TestSolveBasics:
 
 def _solve_on_copies(g: Graph, t: Tree, config: SolveConfig):
     """Reference for solve on a disconnected host: each component at least
-    as large as the guest solved on its own induced copy, with rng stream
-    index + 1, a certificate mapped back to the host's ids, the misses
-    merged into one NotFound."""
+    as large as the guest solved on its own induced copy by the greedy
+    guarantee, then the search on rng stream index + 1, a certificate mapped
+    back to the host's ids, the misses merged into one NotFound."""
     misses = []
     for index, comp in enumerate(g.components()):
         if len(comp) < t.n:
             continue
         sub, old = reference_induced(g, comp)
-        out = pipeline._solve_connected(sub, t, config, index + 1)
+        if t.n - sub.min_degree() <= 1:
+            out = Contains(chvatal_extend(sub, t, PartialEmbedding({})), branch="greedy-guarantee")
+        else:
+            out = contains_tree_by_size(
+                sub,
+                t,
+                config.failure_exponent,
+                lambda: rng_from(config.seed, index + 1, 1),
+                config.node_budget,
+            )
         if isinstance(out, Contains):
             mapping = {tv: old[gv] for tv, gv in out.embedding.mapping.items()}
             return Contains(PartialEmbedding(mapping), branch=out.branch)
