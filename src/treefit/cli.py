@@ -1,7 +1,8 @@
 """Batch front-end.
 
 Subcommands: solve, verify, generate, oracle, bench.  Exit codes for solve
-and oracle: 0 = contains, 1 = not contained, 2 = not found (probabilistic),
+and oracle: 0 = contains, 1 = not contained, 2 = not found (a bound only
+when its rounds reach the trial count, none with a BudgetExceeded note),
 anything above 2 is a usage or parse error.
 """
 
@@ -170,6 +171,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """The argparse type of the count flags: a negative value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Exits with EXIT_USAGE on a usage error, not argparse's 2 (the
     NOT_FOUND code); subcommand parsers share the class."""
@@ -188,9 +200,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None, help="64-bit master seed (or TREEFIT_SEED)")
-        p.add_argument("--failure-exponent", type=int, default=20)
+        p.add_argument("--failure-exponent", type=_count, default=20)
         p.add_argument("--mode", choices=["strict", "budgeted"], default="budgeted")
-        p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
+        p.add_argument("--budget-nodes", type=_count, default=DEFAULT_NODE_BUDGET)
 
     p_solve = sub.add_parser("solve", help="decide containment and emit a certificate")
     p_solve.add_argument("--graph", required=True)
@@ -215,9 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write instance files")
     gen_sub = p_gen.add_subparsers(dest="kind", required=True)
     p_rand = gen_sub.add_parser("random")
-    p_rand.add_argument("--n", type=int, required=True)
-    p_rand.add_argument("--min-degree", type=int, required=True)
-    p_rand.add_argument("--tree-size", type=int, required=True)
+    p_rand.add_argument("--n", type=_count, required=True)
+    p_rand.add_argument("--min-degree", type=_count, required=True)
+    p_rand.add_argument("--tree-size", type=_count, required=True)
     p_rand.add_argument("--seed", type=int, default=None)
     p_rand.add_argument("--out-dir", required=True)
     p_rand.set_defaults(func=cmd_generate, kind="random")

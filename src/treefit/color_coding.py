@@ -1,10 +1,13 @@
 """Exact search and randomized color coding for a whole (sub)tree.
 
-Layers: a colorful dynamic program that embeds a whole (sub)tree under a
-vertex coloring while honoring a pinned partial map and per-set hitting
-quotas; an exact constrained backtracking search for the same problem; and
-the one driver of both, `contains_tree_by_size`, which runs the exact
-search first under its node budget and the DP only after a budget miss.
+Layers: one guest plan, `_guest_plan`, which checks the pins and `within`
+and lays the guest (sub)tree out by BFS position; a colorful dynamic
+program that embeds a whole (sub)tree under a vertex coloring while
+honoring a pinned partial map and per-set hitting quotas; an exact
+constrained backtracking search for the same problem; and the one driver
+of both, `contains_tree_by_size`, which runs the exact search first under
+its node budget and the DP only after a budget miss.  Both searches read
+the same plan: the search splits off the free leaves, the DP does not.
 
 All searches are one-sided: a returned embedding is always verified, a miss
 is only probabilistic (unless the exact branch ran, which callers can see on
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from operator import countOf
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -24,7 +27,7 @@ from .embedding import PartialEmbedding, verify
 from .errors import BudgetExceededError
 from .graph import Graph
 from .outcome import Contains, NotContained, NotFound, SolveOutcome
-from .trees import RootedView, Tree, _active
+from .trees import Tree, _active
 
 Family = tuple[frozenset[int], int]
 
@@ -76,6 +79,62 @@ def sample_coloring(
     return Coloring(tuple(colors), palette)
 
 
+# -- the guest plan both searches read --------------------------------------------
+
+def _guest_plan(
+    t: Tree, kappa: Mapping[int, int] | None, within: Iterable[int] | None, split: bool
+) -> tuple[list[int], list[int], list[int | None], list[int], int]:
+    """The guest (sub)tree by BFS position, as both searches read it.
+
+    Checks `within` (through `_active`), then the pins, then that the
+    subtree is connected, raising ValueError.  The BFS starts at the lowest
+    pinned vertex, else (with `split`) the lowest non-leaf, else the lowest
+    vertex, and takes children in ascending id.  With `split` and more than
+    two vertices, the free leaves (childless, unpinned) follow the rest, the
+    skeleton; without it, a position's children are the consecutive
+    positions from `accumulate(kids_at, initial=1)`.  Returns per position
+    the vertex, its parent's position (-1 at the root) and its pin or None;
+    per skeleton position its number of children, and a spare 0; and the
+    number of skeleton positions.
+    """
+    kappa = kappa or {}
+    within = None if within is None else _active(t, within)
+    active = range(t.n) if within is None else within
+    if not all(map(active.__contains__, kappa)):
+        raise ValueError("pinned vertices must lie inside the guest subtree")
+    near = t.adj if within is None else lambda v: t.adj(v) & within  # neighbours in the subtree
+    split = split and len(active) > 2
+    if kappa:
+        root = min(kappa)
+    else:  # the lowest non-leaf when splitting, else (or if none) the lowest
+        lowest = sorted(active)
+        root = next((v for v in lowest if not split or len(near(v)) != 1), lowest[0])
+    order, parent_at, pin_at, kids_at = [root], [-1], [kappa.get(root)], []
+    leaves: list[int] = []
+    leaf_parent_at: list[int] = []
+    for pos, u in enumerate(order):  # grows while it is read: a BFS queue
+        kids = sorted(near(u))
+        if pos:
+            kids.remove(order[parent_at[pos]])  # a tree's only visited neighbour
+        kids_at.append(len(kids))
+        for v in kids:
+            if split and v not in kappa and len(near(v)) == 1:
+                leaves.append(v)
+                leaf_parent_at.append(pos)
+            else:
+                order.append(v)
+                parent_at.append(pos)
+                pin_at.append(kappa.get(v))
+    skeleton = len(order)
+    order += leaves
+    if len(order) != len(active):
+        raise ValueError("guest subtree is not connected")
+    parent_at += leaf_parent_at
+    pin_at += [None] * len(leaves)
+    kids_at.append(0)
+    return order, parent_at, pin_at, kids_at, skeleton
+
+
 # -- colorful DP ----------------------------------------------------------------
 
 def colorful_full_tree_dp(
@@ -89,23 +148,14 @@ def colorful_full_tree_dp(
     """Embed the whole (sub)tree with pairwise-distinct colors, or None.
 
     The embedding respects kappa pointwise and hits at least the quota in
-    every family.  State per (tree vertex, host vertex): reachable
-    (color-mask, capped quota vector) pairs with self-contained back
-    pointers for reconstruction.
+    every family.  The guest is read in the order of `_guest_plan`, without
+    the leaf split, bottom-up.  State per (guest position, host vertex):
+    reachable (color-mask, capped quota vector) pairs with self-contained
+    back pointers for reconstruction.
     """
-    kappa = dict(kappa or {})
-    within = None if within is None else _active(t, within)
-    active = range(t.n) if within is None else within
-    if not all(map(active.__contains__, kappa)):
-        raise ValueError("pinned vertices must lie inside the guest subtree")
-    # a BFS view of the guest (sub)tree from its lowest pinned vertex, else
-    # from its lowest vertex
-    root = min(kappa) if kappa else min(active)
-    view = RootedView.build(t, root, within)
-    if len(view.order) != len(active):
-        raise ValueError("guest subtree is not connected")
-    order, children = view.order, view.children
-    if len(order) > coloring.palette:
+    order, _, pin_at, kids_at, _ = _guest_plan(t, kappa, within, split=False)
+    size = len(order)
+    if size > coloring.palette:
         return None
     fams = [(frozenset(F), int(q)) for F, q in families]
     goal = tuple(q for _, q in fams)
@@ -119,24 +169,23 @@ def colorful_full_tree_dp(
     def add_quota(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(min(x + y, q) for x, y, (_, q) in zip(a, b, fams))
 
-    # states[tv][gv]: {(mask, quota): backptr}; backptr is ("base",) or
-    # ("join", prev_bp, child_tv, child_gv, child_bp)
+    # states[pos][gv]: {(mask, quota): backptr}; backptr is ("base",) or
+    # ("join", prev_bp, child_pos, child_gv, child_bp)
     states: dict[int, dict[int, dict[tuple[int, tuple[int, ...]], tuple]]] = {}
     # the coloured vertices, once: a colouring of one component leaves the
     # rest of the host at -1
     coloured = list(compress(range(g.n), map((0).__le__, colors)))
-    for tv in reversed(order):
-        if tv in kappa:
-            candidates = [kappa[tv]]
-        else:
-            need = len(children[tv]) + (tv != root)
-            candidates = [v for v in coloured if degree[v] >= need]
+    first = list(accumulate(kids_at, initial=1))  # each position's first child
+    for pos in reversed(range(size)):
+        need = kids_at[pos] + (pos > 0)
+        pinned = pin_at[pos]
+        candidates = [v for v in coloured if degree[v] >= need] if pinned is None else [pinned]
         table: dict[int, dict] = {}
         for gv in candidates:
             if colors[gv] < 0:
                 continue
             table[gv] = {(1 << colors[gv], unit_quota(gv)): ("base",)}
-        for child in children[tv]:
+        for child in range(first[pos], first[pos + 1]):
             child_states = states[child]
             nxt: dict[int, dict] = {}
             for gv, entries in table.items():
@@ -157,23 +206,23 @@ def colorful_full_tree_dp(
             table = nxt
             if not table:
                 break
-        states[tv] = table
+        states[pos] = table
 
-    root_table = states[root]
+    root_table = states[0]
 
-    def reconstruct(tv: int, gv: int, bp: tuple) -> dict[int, int]:
+    def reconstruct(pos: int, gv: int, bp: tuple) -> dict[int, int]:
         if bp[0] == "base":
-            return {tv: gv}
-        _, prev_bp, child_tv, child_gv, child_bp = bp
-        out = reconstruct(tv, gv, prev_bp)
-        out.update(reconstruct(child_tv, child_gv, child_bp))
+            return {order[pos]: gv}
+        _, prev_bp, child, child_gv, child_bp = bp
+        out = reconstruct(pos, gv, prev_bp)
+        out.update(reconstruct(child, child_gv, child_bp))
         return out
 
     for gv in sorted(root_table):
         for key in sorted(root_table[gv]):
             _, quota = key
             if quota == goal:
-                mapping = reconstruct(root, gv, root_table[gv][key])
+                mapping = reconstruct(0, gv, root_table[gv][key])
                 emb = PartialEmbedding(mapping)
                 if not verify(emb, g, t, require_full=within is None):
                     raise AssertionError("colorful DP reconstructed an invalid embedding")
@@ -194,29 +243,26 @@ def exact_constrained_embed(
 ) -> PartialEmbedding | None:
     """Deterministic backtracking for the same problem the DP solves.
 
-    The free leaves (leaves of the guest, or of its subtree `within`, that
-    carry no pin) come last; the other vertices, the skeleton, are searched.
-    With quota families, or with at most two guest vertices, every vertex is
-    a skeleton vertex.  Skeleton vertices are placed in BFS order from the
-    lowest pinned vertex, else from the lowest non-leaf: each on its pin if
-    it has one, else the root on every host vertex of large enough degree
-    and any other vertex on every free neighbour of its parent's image, in
-    ascending order.  A candidate is skipped when it has fewer free
-    neighbours than its vertex has children, or when taking it leaves a
-    placed image fewer free neighbours than that vertex has children still
-    to place; free neighbours are counted only where degrees do not settle
-    it.  With the skeleton placed, each leaf
-    takes the lowest free neighbour of its parent's image, and a leaf that
-    finds none looks for an augmenting path (Kuhn) that moves placed leaves
-    aside.  Without one, no placement of the leaves exists, and the search
-    goes straight back to the last skeleton position.  When the guest (or
-    `within`) spans the host (or the component `hosts`), every unused
-    vertex must take a leaf, so a leaf phase first checks that each unused
-    vertex lies beside an anchor, the image of a vertex with leaves to
-    place, and goes back at the first that does not, before it places any
-    leaf (Hall's condition).  A guest vertex of
-    larger degree than every host vertex ends the search before its first
-    node.
+    The guest is read in the order of `_guest_plan`, split into skeleton
+    and free leaves unless there are quota families (then every vertex is a
+    skeleton vertex).  Skeleton vertices are placed in that order: each on
+    its pin if it has one, else the root on every host vertex of large
+    enough degree and any other vertex on every free neighbour of its
+    parent's image, in ascending order.  A candidate is skipped when it has
+    fewer free neighbours than its vertex has children, or when taking it
+    leaves a placed image fewer free neighbours than that vertex has
+    children still to place; free neighbours are counted only where degrees
+    do not settle it.  With the skeleton placed, each leaf takes the lowest
+    free neighbour of its parent's image, and a leaf that finds none looks
+    for an augmenting path (Kuhn) that moves placed leaves aside.  Without
+    one, no placement of the leaves exists, and the search goes straight
+    back to the last skeleton position.  When the guest (or `within`) spans
+    the host (or the component `hosts`), every unused vertex must take a
+    leaf, so a leaf phase first checks that each unused vertex lies beside
+    an anchor, the image of a vertex with leaves to place, and goes back at
+    the first that does not, before it places any leaf (Hall's condition).
+    A guest vertex of larger degree than every host vertex ends the search
+    before its first node.
 
     Search nodes: every skeleton candidate tried (a used neighbour is
     skipped without counting), every leaf placed greedily, and every host
@@ -239,48 +285,9 @@ def exact_constrained_embed(
     (`require_full`) when `within` is None; this is the one check of an
     exact-search certificate from `solve`.
     """
-    kappa = dict(kappa or {})
     fams = [(frozenset(F), int(q)) for F, q in families]
-    within = None if within is None else _active(t, within)
-    active = range(t.n) if within is None else within
-    near = t.adj if within is None else lambda v: t.adj(v) & within  # neighbours in the subtree
-    size = len(active)
-    split = size > 2 and not fams
-    root = None  # the lowest pinned vertex, else the lowest non-leaf, else the lowest
-    if split and not kappa:
-        root = next((v for v in sorted(active) if len(near(v)) != 1), None)
-    if not all(map(active.__contains__, kappa)):
-        raise ValueError("pinned vertices must lie inside the guest subtree")
-    if root is None:
-        root = min(kappa) if kappa else min(active)
-    # one BFS over the guest (sub)tree, children in ascending id: a skeleton
-    # vertex takes the next position as it is reached, a free leaf (childless,
-    # unpinned) waits with its parent's position until the skeleton is done;
-    # per position: the vertex, its parent's position and its pin, and per
-    # skeleton position the number of children
-    order, parent_at, pin_at, kids_at = [root], [-1], [kappa.get(root)], []
-    leaves: list[int] = []
-    leaf_parent_at: list[int] = []
-    for pos, u in enumerate(order):  # grows while it is read: a BFS queue
-        kids = sorted(near(u))
-        if pos:
-            kids.remove(order[parent_at[pos]])  # a tree's only visited neighbour
-        kids_at.append(len(kids))
-        for v in kids:
-            if split and v not in kappa and len(near(v)) == 1:
-                leaves.append(v)
-                leaf_parent_at.append(pos)
-            else:
-                order.append(v)
-                parent_at.append(pos)
-                pin_at.append(kappa.get(v))
-    skeleton = len(order)
-    order += leaves
-    if len(order) != size:
-        raise ValueError("guest subtree is not connected")
-    parent_at += leaf_parent_at
-    pin_at += [None] * len(leaves)
-    kids_at.append(0)  # a spare entry
+    order, parent_at, pin_at, kids_at, skeleton = _guest_plan(t, kappa, within, split=not fams)
+    size = len(order)
     cap = math.inf if node_cap is None else node_cap
 
     n = g.n

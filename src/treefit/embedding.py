@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError, PreconditionViolated, read_ascii
+from .errors import ParseError, PreconditionViolated, read_ascii, read_pairs
 from .graph import Graph
 from .trees import Tree
 
@@ -198,16 +198,8 @@ def format_certificate(e: PartialEmbedding) -> str:
 
 def parse_certificate(text: str) -> PartialEmbedding:
     mapping: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise ParseError("expected `t_vertex g_vertex`", lineno)
-        try:
-            tv, gv = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("non-integer vertex", lineno) from None
+    pairs = read_pairs(text.splitlines(), 1, "expected `t_vertex g_vertex`", "non-integer vertex")
+    for lineno, tv, gv in pairs:
         if tv in mapping:
             raise ParseError(f"tree vertex {tv} mapped twice", lineno)
         mapping[tv] = gv

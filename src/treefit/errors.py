@@ -1,6 +1,7 @@
 """Exception hierarchy shared by every treefit module."""
 
 import re
+from typing import Iterable, Iterator
 
 
 class TreefitError(Exception):
@@ -29,6 +30,25 @@ def read_ascii(path) -> str:
     bad = re.search(rb"[\x80-\xff]", data).start()
     line = len((data[:bad].decode("ascii") + "x").splitlines())
     raise ParseError(f"non-ASCII byte 0x{data[bad]:02x}", line)
+
+
+def read_pairs(
+    lines: Iterable[str], start: int, shape: str, non_integer: str
+) -> Iterator[tuple[int, int, int]]:
+    """(line number, a, b) per non-blank line, numbered from `start`; a line
+    of another token count raises ParseError(shape), a non-integer token
+    ParseError(non_integer), on that line."""
+    for lineno, raw in enumerate(lines, start):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise ParseError(shape, lineno)
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(non_integer, lineno) from None
+        yield lineno, a, b
 
 
 class EmptyGraphError(TreefitError):

@@ -13,9 +13,9 @@ from __future__ import annotations
 import re
 from collections import deque
 from operator import lt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyGraphError, ParseError, read_ascii
+from .errors import EmptyGraphError, ParseError, read_ascii, read_pairs
 
 
 class Graph:
@@ -142,32 +142,13 @@ class Graph:
         A tuple of tuples, so that no caller can change the kept split;
         earlier versions returned a list of lists, and a result compared
         with lists (`== [[0, 1], [2]]`) is now False."""
-        if self._components is not None:
-            return self._components
-        if self.n and 2 * self.min_degree() >= self.n - 1:
-            # two non-adjacent vertices have n - 1 or more neighbours among
-            # the n - 2 others, so they share one: the graph is connected
-            self._components = (tuple(range(self.n)),)
-            return self._components
-        adj = self._adj
-        unseen = set(range(self.n))
-        out: list[tuple[int, ...]] = []
-        s = 0
-        while unseen:
-            while s not in unseen:
-                s += 1
-            unseen.remove(s)
-            comp = [s]
-            for u in comp:  # grows while it is read: a BFS queue
-                new = adj[u] & unseen
-                if new:
-                    unseen -= new
-                    comp += new
-                    if not unseen:
-                        break
-            comp.sort()
-            out.append(tuple(comp))
-        self._components = tuple(out)
+        if self._components is None:
+            if self.n and 2 * self.min_degree() >= self.n - 1:
+                # two non-adjacent vertices have n - 1 or more neighbours among
+                # the n - 2 others, so they share one: the graph is connected
+                self._components = (tuple(range(self.n)),)
+            else:
+                self._components = tuple(map(tuple, _component_split(self._adj, set(range(self.n)))))
         return self._components
 
     def is_connected(self) -> bool:
@@ -176,6 +157,26 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def _component_split(adj: Sequence[frozenset[int]], unseen: set[int]) -> Iterator[list[int]]:
+    """Vertex lists of the components that the vertices `unseen` induce,
+    each sorted, by least vertex; the walk empties `unseen`."""
+    s = 0
+    while unseen:
+        while s not in unseen:
+            s += 1
+        unseen.remove(s)
+        comp = [s]
+        for u in comp:  # grows while it is read: a BFS queue
+            new = adj[u] & unseen
+            if new:
+                unseen -= new
+                comp += new
+                if not unseen:
+                    break
+        comp.sort()
+        yield comp
 
 
 # -- text format --------------------------------------------------------------
@@ -235,29 +236,17 @@ def _parse_graph_lines(text: str) -> Graph:
         raise ParseError("non-integer header", 1) from None
     if n < 0 or m < 0:
         raise ParseError("negative counts in header", 1)
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    lineno = 1
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise ParseError("expected `u v`", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("non-integer endpoint", lineno) from None
+    edges: dict[tuple[int, int], None] = {}  # in line order
+    for lineno, u, v in read_pairs(lines[1:], 2, "expected `u v`", "non-integer endpoint"):
         if u == v:
             raise ParseError(f"loop edge ({u},{v})", lineno)
         if not (0 <= u < v < n):
             raise ParseError(f"edge ({u},{v}) violates 0 <= u < v < n", lineno)
-        if (u, v) in seen:
+        if (u, v) in edges:
             raise ParseError(f"duplicate edge ({u},{v})", lineno)
-        seen.add((u, v))
-        edges.append((u, v))
+        edges[u, v] = None
     if len(edges) != m:
-        raise ParseError(f"header claims {m} edges, found {len(edges)}", lineno)
+        raise ParseError(f"header claims {m} edges, found {len(edges)}", len(lines))
     return Graph(n, edges)
 
 

@@ -1,10 +1,10 @@
 """Solver outcomes.
 
 Contains carries a verified certificate.  NotContained is only ever produced
-by exact steps (size check, exhaustive search).  NotFound is the
-probabilistic miss: the randomized engines saw no witness within their
-round budget, so the instance is a NO up to the stated failure probability
-2**-failure_exponent.
+by exact steps (size check, exhaustive search).  NotFound is a miss: no
+witness was seen.  Its `failure_exponent` is the one requested; the miss
+bound 2**-failure_exponent holds only when `rounds` equals the trial count
+for the guest, and a `BudgetExceeded` note claims no bound.
 """
 
 from __future__ import annotations

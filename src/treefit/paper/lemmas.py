@@ -22,7 +22,7 @@ from ..errors import (
     TooSmallError,
     TreeIsSeparableError,
 )
-from ..graph import Graph
+from ..graph import Graph, _component_split
 from ..outcome import Contains, NotContained, SolveOutcome
 from ..trees import RootedView, Tree, _active, connected_view
 
@@ -198,21 +198,9 @@ def greedy_walk(g: Graph, start: int, pool: set[int], used: Iterable[int], lengt
 
 def components_avoiding(g: Graph, s: Iterable[int]) -> list[list[int]]:
     """Vertex lists of the components of G minus `s`, each sorted, ordered
-    by least vertex."""
-    unseen = set(range(g.n)).difference(s)
-    out = []
-    for seed in range(g.n):
-        if seed not in unseen:
-            continue
-        unseen.discard(seed)
-        comp = [seed]
-        for u in comp:  # grows while it is read: a BFS queue
-            new = g.adj(u) & unseen
-            unseen -= new
-            comp += new
-        comp.sort()
-        out.append(comp)
-    return out
+    by least vertex: the split behind `Graph.components`, on the vertices
+    outside `s`."""
+    return list(_component_split(g.adjacency(), set(range(g.n)).difference(s)))
 
 
 # -- tree paths and diameters --------------------------------------------------

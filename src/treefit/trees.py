@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import ParseError, read_ascii
+from .errors import ParseError, read_ascii, read_pairs
 
 
 class Tree:
@@ -203,22 +203,11 @@ def _parse_tree_lines(text: str) -> Tree:
         n = int(lines[0].strip())
     except ValueError:
         raise ParseError("expected vertex count", 1) from None
-    edges = []
-    lineno = 1
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise ParseError("expected `u v`", lineno)
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ParseError("non-integer endpoint", lineno) from None
+    edges = [(u, v) for _, u, v in read_pairs(lines[1:], 2, "expected `u v`", "non-integer endpoint")]
     try:
         return Tree(n, edges)
     except ValueError as exc:
-        raise ParseError(str(exc), lineno) from None
+        raise ParseError(str(exc), len(lines)) from None
 
 
 def format_tree(t: Tree) -> str:

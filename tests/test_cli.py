@@ -158,6 +158,41 @@ class TestSolve:
         assert "TREEFIT_SEED must be an integer, got 'abc'" in captured.err
 
 
+class TestCountFlags:
+    """A negative count is a usage error (exit 3), not a ValueError
+    traceback with exit 1 (NOT_CONTAINED's code) or a solve under a
+    negative budget."""
+
+    @pytest.mark.parametrize(
+        "flag", ["--n", "--min-degree", "--tree-size", "--budget-nodes", "--failure-exponent"]
+    )
+    def test_negative_value_exits_3(self, instance_dir, capsys, flag):
+        if flag in ("--budget-nodes", "--failure-exponent"):
+            args = ["solve", "--graph", str(instance_dir / "a.graph"), "--tree", str(instance_dir / "a.tree")]
+            args += [flag, "-5"]
+        else:
+            counts = {"--n": "6", "--min-degree": "2", "--tree-size": "3", flag: "-1"}
+            args = ["generate", "random", "--out-dir", str(instance_dir / "x")]
+            args += [part for item in counts.items() for part in item]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {flag}: must be non-negative" in captured.err
+        assert not (instance_dir / "x").exists()
+
+    def test_zero_and_non_integers_as_before(self, tmp_path, capsys):
+        write_graph(tmp_path / "c.graph", chorded_cycle())
+        write_tree(tmp_path / "c.tree", spider(3, 3))
+        args = ["solve", "--graph", str(tmp_path / "c.graph"), "--tree", str(tmp_path / "c.tree")]
+        code, out = run_cli(args + ["--budget-nodes", "0", "--failure-exponent", "0"])
+        assert code == 2 and out == "NOT_FOUND rounds=0 seed=0 note=BudgetExceeded\n"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + ["--budget-nodes", "ten"])
+        assert exc.value.code == 3
+        assert "argument --budget-nodes: invalid int value: 'ten'" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_corrupted_certificate(self, instance_dir, tmp_path):
         cert = tmp_path / "bad.cert"

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -561,3 +564,77 @@ class TestSingleColoringSuccessRate:
             if colorful_full_tree_dp(g, t, coloring) is not None:
                 hits += 1
         assert hits >= 269  # 0.7 * 120/3125 * 10000, one-sided
+
+
+def _engine_calls():
+    """A fixed seeded list of (engine, call) pairs: 1,500 colorful DP calls
+    on sampled colourings with the pins' reserved colours, and 1,500 exact
+    searches, every other one under a small node cap.  Hosts are random,
+    sometimes one component of a disconnected host; guests carry pins,
+    quota families and connected `within` sets, some naming an id twice,
+    some an id past the guest, and some pins fall outside `within`."""
+    rng = rng_from(71)
+    for i in range(3000):
+        dp = i % 2 == 0
+        n = rng.randint(2, 9 if dp else 14)
+        g = random_graph(n, rng.uniform(0.2, 0.9), rng)
+        hosts = None
+        if not dp and i % 6 == 1:
+            g, (hosts, _) = interleaved_union([g, random_graph(rng.randint(1, 6), 0.5, rng)], rng)
+        t = random_tree(rng.randint(1, 7 if dp else 10), rng)
+        within = None
+        if rng.random() < 0.5:
+            within = sorted(random_connected_subtree(t, rng.randint(1, t.n), rng))
+            roll = rng.random()
+            if roll < 0.15:
+                within.append(within[0])  # a repeated id counts once
+            elif roll < 0.2:
+                within.append(t.n)  # out of range
+            elif roll < 0.25 and t.n > len(within):
+                within.append(rng.choice(sorted(set(range(t.n)) - set(within))))  # maybe disconnected
+        domain = sorted(set(range(t.n) if within is None else within) & set(range(t.n)))
+        pool = hosts if hosts is not None else range(g.n)
+        pins = rng.randint(0, min(2, len(domain), len(pool)))
+        kappa = dict(zip(rng.sample(domain, pins), rng.sample(pool, pins)))
+        free = sorted(set(pool) - set(kappa.values()))
+        if within is not None and free and rng.random() < 0.1:
+            kappa[rng.randrange(t.n)] = rng.choice(free)  # maybe outside `within`
+        families = [
+            (frozenset(rng.sample(range(g.n), rng.randint(1, g.n))), rng.randint(0, 2))
+            for _ in range(rng.randint(1, 2) if rng.random() < 0.4 else 0)
+        ]
+        if dp:
+            reserved = {kappa[tv]: c for c, tv in enumerate(sorted(kappa))} or None
+            palette = len(domain) + rng.randint(-1, 1)
+            coloring = sample_coloring(g, max(palette, 0), rng_from(71, i), reserved)
+            yield "dp", partial(colorful_full_tree_dp, g, t, coloring, kappa, families, within)
+        else:
+            cap = None if i % 4 == 1 else rng.randint(1, 16)
+            yield "exact", partial(exact_constrained_embed, g, t, kappa, families, within, cap, hosts)
+
+
+class TestEngineDigest:
+    """The colorful DP and the exact search give byte-identical results
+    across refactors: certificates (in insertion order), misses, budget
+    overruns with their node counts, and rejected arguments."""
+
+    DIGEST = "5a52fd8529758c5b9cbd4b40a06f5842cfd7ace22460860f555eda8cc4b30e8f"
+
+    def test_outputs_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        seen = Counter()
+        for name, call in _engine_calls():
+            try:
+                emb = call()
+            except BudgetExceededError as exc:
+                kind, out = "budget", f"budget {exc.nodes}"
+            except ValueError as exc:
+                kind, out = "rejected", f"ValueError: {exc}"
+            else:
+                kind = "miss" if emb is None else "found"
+                out = "None" if emb is None else repr(list(emb.mapping.items()))
+            seen[name, kind] += 1
+            digest.update(f"{name} {out}\n".encode())
+        assert min(seen[name, kind] for name in ("dp", "exact") for kind in ("found", "miss")) >= 400
+        assert min(seen["dp", "rejected"], seen["exact", "rejected"], seen["exact", "budget"]) >= 50
+        assert digest.hexdigest() == self.DIGEST
