@@ -10,7 +10,6 @@ throughout.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from operator import lt
 from typing import Iterable, Iterator, Sequence
@@ -181,45 +180,80 @@ def _component_split(adj: Sequence[frozenset[int]], unseen: set[int]) -> Iterato
 
 # -- text format --------------------------------------------------------------
 
-# a well-formed graph text: the header and every edge line are `<digits> <digits>\n`
-_GRAPH_TEXT = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+# bytes per bulk pass, run on to the end of the last line: one pass's token
+# list stays small, and the per-pass calls are few next to the per-edge work
+_CHUNK = 1 << 16
+
+
+def _pair_tokens(chunk: bytes) -> list[bytes] | None:
+    """The tokens of `chunk` when it is whole lines `<digits> <digits>\n`,
+    else None: without its digits a well-formed chunk is `" \n"` once per
+    line, and no digit run is empty when there are two tokens per line."""
+    lines = chunk.count(b"\n")
+    tokens = chunk.split()
+    if (
+        len(tokens) == 2 * lines
+        and chunk.endswith(b"\n")
+        and chunk.translate(None, b"0123456789") == b" \n" * lines
+    ):
+        return tokens
+    return None
 
 
 def parse_graph(text: str) -> Graph:
     """Parse the graph text format: `n m` then m lines `u v` with u < v.
 
     Text in the written form, where every edge end is an id `0..n-1` as
-    `str` writes it, is read in bulk passes: one shape check, one table
+    `str` writes it, is read as ASCII bytes in chunks of whole lines.  The
+    header is checked and the line count compared with its `m` before
+    anything of size n is built.  Then each chunk gets a shape check (its
+    digits deleted, what is left must be one `" \n"` per line), one table
     lookup per edge end (which also checks its range), an order check over
-    all edges at once, and duplicates found by the degree sum.  The table
+    its edges, and its edges appended to both ends' neighbour lists in file
+    order; duplicates are found at the end by the degree sum.  The table
     holds one int object per vertex, so the neighbour sets share it.  Any
-    other text (a rejected edge, an id with a leading zero, CRLF, blank
-    lines, tabs, signs) goes through the line-by-line reader, which accepts
-    what it accepts and reports the first bad line.
+    other text (non-ASCII, a rejected edge, an id with a leading zero, CRLF,
+    blank lines, tabs, signs) goes through the line-by-line reader, which
+    accepts what it accepts and reports the first bad line.
     """
-    if _GRAPH_TEXT.fullmatch(text):
-        head, _, body = text.partition("\n")
-        n, m = map(int, head.split())
-        tokens = body.split()
-        ends = None
-        if len(tokens) == 2 * m:  # counted first: the table's size is the header's n
-            ids = dict(zip(map(str, range(n)), range(n)))
-            try:
-                ends = list(map(ids.__getitem__, tokens))
-            except KeyError:  # an id out of range or with a leading zero
-                pass
-            del ids
-        del tokens
-        if ends is not None and all(map(lt, ends[0::2], ends[1::2])):
-            adj: list[list[int]] = [[] for _ in range(n)]
-            pairs = iter(ends)
-            for u, v in zip(pairs, pairs):
-                adj[u].append(v)
-                adj[v].append(u)
-            g = Graph._from_adjacency(adj)
-            if g.edge_count == m:
-                return g
-    return _parse_graph_lines(text)
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        return _parse_graph_lines(text)
+    g = _parse_written_form(data)
+    return _parse_graph_lines(text) if g is None else g
+
+
+def _parse_written_form(data: bytes) -> Graph | None:
+    """The graph of `data` when it is in the written form, else None."""
+    start = data.find(b"\n") + 1
+    head = _pair_tokens(data[:start])
+    if head is None:
+        return None
+    n, m = map(int, head)
+    if data.count(b"\n") != m + 1:  # counted first: the table's size is the header's n
+        return None
+    ids = dict(zip(map(b"%d".__mod__, range(n)), range(n)))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    while start < len(data):
+        end = data.find(b"\n", min(start + _CHUNK, len(data)) - 1) + 1 or len(data)
+        tokens = _pair_tokens(data[start:end])
+        if tokens is None:
+            return None
+        try:
+            ends = list(map(ids.__getitem__, tokens))
+        except KeyError:  # an id out of range or with a leading zero
+            return None
+        us, vs = ends[0::2], ends[1::2]
+        if not all(map(lt, us, vs)):
+            return None
+        for u, v in zip(us, vs):
+            adj[u].append(v)
+            adj[v].append(u)
+        start = end
+    del ids
+    g = Graph._from_adjacency(adj)
+    return g if g.edge_count == m else None
 
 
 def _parse_graph_lines(text: str) -> Graph:

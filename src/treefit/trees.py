@@ -173,8 +173,9 @@ def parse_tree(text: str) -> Tree:
 
     Well-formed text is read in bulk passes: one shape check, one integer
     conversion, one range check, and connectivity.  `graph.parse_graph`
-    takes only ids in the written form in bulk; this bulk path also takes
-    ids with leading zeros, which `int` reads as the line reader does.  Any
+    reads ASCII bytes in chunks and takes only ids in the written form in
+    bulk; this bulk path reads the whole text at once and also takes ids
+    with leading zeros, which `int` reads as the line reader does.  Any
     other text, and any edge set that is not a tree, goes through the
     line-by-line reader, which reports the error and its line.
     """

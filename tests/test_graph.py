@@ -371,6 +371,33 @@ def _graph_text(n: int, edges, rng: Random) -> str:
     return f"{n} {len(edges)}\n" + "".join(lines)
 
 
+def _late_defects():
+    """(text, message, line) with the defect past the first default-size
+    chunk: a header, about 88 KB of valid edges, then the bad line(s)."""
+    n = 3000
+    prefix = [(i, i + d) for d in (1, 2, 3) for i in range(n - d)]
+    body = "".join(f"{u} {v}\n" for u, v in prefix)
+    assert len(body) > 1 << 16
+    m = len(prefix)
+    last = m + 2  # the line after the valid edges
+    cases = {  # id: (edges the header claims, bad tail, message, line)
+        "loop": (m + 1, "7 7\n", "loop edge (7,7)", last),
+        "reversed": (m + 1, "9 4\n", "edge (9,4) violates 0 <= u < v < n", last),
+        "out-of-range": (m + 1, f"5 {n}\n", f"edge (5,{n}) violates 0 <= u < v < n", last),
+        "leading-zero": (m + 1, "0 02\n", "duplicate edge (0,2)", last),
+        "duplicate": (m + 1, "0 1\n", "duplicate edge (0,1)", last),
+        "crlf": (m + 2, "4 9\r\n1 2\n", "duplicate edge (1,2)", last + 1),
+        "token-count": (m + 2, "4 8 9\n20\n", "expected `u v`", last),
+        "no-final-newline": (m + 1, "2 2", "loop edge (2,2)", last),
+        "header-m-plus-one": (m + 1, "", f"header claims {m + 1} edges, found {m}", last - 1),
+        "header-m-minus-one": (m - 1, "", f"header claims {m - 1} edges, found {m}", last - 1),
+    }
+    return [
+        pytest.param(f"{n} {claimed}\n{body}{tail}", message, line, id=key)
+        for key, (claimed, tail, message, line) in cases.items()
+    ]
+
+
 class TestBulkParse:
     """parse_graph's bulk passes against Graph(n, edges) and the line reader."""
 
@@ -390,12 +417,14 @@ class TestBulkParse:
 
     def test_neighbour_sets_share_one_int_per_vertex(self):
         # ids above 256 are not cached by the interpreter, so a set of
-        # objects larger than n means one object per edge end
+        # objects larger than n means one object per edge end; the text
+        # spans several default-size chunks, which share one id table
         rng = Random(9)
         n = 600
         pairs = list(itertools.combinations(range(n), 2))
-        edges = rng.sample(pairs, 6000)
+        edges = rng.sample(pairs, 30000)
         text = _graph_text(n, edges, rng)
+        assert len(text) > 3 << 16
         g = parse_graph(text)
         assert _same_graph(g, Graph(n, edges))
         assert len({id(v) for s in g.adjacency() for v in s}) <= g.n
@@ -443,7 +472,7 @@ class TestBulkParse:
         assert _same_graph(parse_graph(text), Graph(n, edges))
         assert _same_graph(_parse_graph_lines(text), Graph(n, edges))
 
-    @pytest.mark.parametrize("text,message,line", MALFORMED_GRAPHS)
+    @pytest.mark.parametrize("text,message,line", MALFORMED_GRAPHS + _late_defects())
     def test_errors_match_the_line_reader(self, text, message, line):
         with pytest.raises(ParseError) as bulk:
             parse_graph(text)
@@ -478,6 +507,24 @@ class TestBulkParse:
                 assert (str(bulk.value), bulk.value.line) == (str(exc), exc.line)
             else:
                 assert _same_graph(parse_graph(text), expected)
+
+    def test_non_ascii_digits_go_to_the_line_reader(self):
+        # int() reads Arabic-Indic digits; the bytes path never sees them
+        text = "\u0663 \u0662\n\u0660 \u0661\n\u0661 \u0662\n"
+        assert _same_graph(parse_graph(text), _parse_graph_lines(text))
+        assert _same_graph(parse_graph(text), Graph(3, [(0, 1), (1, 2)]))
+        with pytest.raises(ParseError) as bulk:
+            parse_graph("3 1\n\u0661 \u0661\n")
+        assert (str(bulk.value), bulk.value.line) == ("line 2: loop edge (1,1)", 2)
+
+
+class TestBulkParseInSmallChunks(TestBulkParse):
+    """Every bulk-parse case again, with chunks of a few bytes, so that
+    every text crosses many chunk boundaries."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_CHUNK", 6)
 
 
 def _reference_components(g: Graph) -> tuple[tuple[int, ...], ...]:
