@@ -1,9 +1,9 @@
 """Batch front-end.
 
 Subcommands: solve, verify, generate, oracle, bench.  Exit codes for solve
-and oracle: 0 = contains, 1 = not contained, 2 = not found (a bound only
-when its rounds reach the trial count, none with a BudgetExceeded note),
-anything above 2 is a usage or parse error.
+and oracle: 0 = contains, 1 = not contained, 2 = not found (the node budget
+ran out: `rounds=0`, a BudgetExceeded note, and no bound claimed), anything
+above 2 is a usage or parse error.
 """
 
 from __future__ import annotations
@@ -39,11 +39,7 @@ def _node_budget(args) -> int | None:
 
 
 def _config_from(args) -> SolveConfig:
-    return SolveConfig(
-        seed=args.seed,
-        failure_exponent=args.failure_exponent,
-        node_budget=_node_budget(args),
-    )
+    return SolveConfig(seed=args.seed, node_budget=_node_budget(args))
 
 
 def _outcome_exit(outcome, cert_out) -> int:
@@ -200,7 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None, help="64-bit master seed (or TREEFIT_SEED)")
-        p.add_argument("--failure-exponent", type=_count, default=20)
         p.add_argument("--mode", choices=["strict", "budgeted"], default="budgeted")
         p.add_argument("--budget-nodes", type=_count, default=DEFAULT_NODE_BUDGET)
 

@@ -1,90 +1,44 @@
-"""Exact search and randomized color coding for a whole (sub)tree.
+"""Exact constrained search for a whole (sub)tree, and the guest plan it reads.
 
 Layers: one guest plan, `_guest_plan`, which checks the pins and `within`
-and lays the guest (sub)tree out by BFS position; a colorful dynamic
-program that embeds a whole (sub)tree under a vertex coloring while
-honoring a pinned partial map and per-set hitting quotas; an exact
-constrained backtracking search for the same problem; and the one driver
-of both, `contains_tree_by_size`, which runs the exact search first under
-its node budget and the DP only after a budget miss.  Both searches read
-the same plan: the search splits off the free leaves, the DP does not.
+and lays the guest (sub)tree out by BFS position; and an exact
+backtracking search, `exact_constrained_embed`, that embeds the whole
+(sub)tree while honoring a pinned partial map and per-set hitting quotas,
+under an optional node cap.  `solve` calls the search directly.  The
+colorful DP of colour coding, which reads the same plan without the leaf
+split, lives in the paper library (`treefit.paper.ahsc`), the only code
+that uses it.
 
-All searches are one-sided: a returned embedding is always verified, a miss
-is only probabilistic (unless the exact branch ran, which callers can see on
-the result).
+The search never errs: a returned embedding has passed `verify`, None is an
+exact NO, and running out of nodes raises BudgetExceededError, which
+decides nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import compress
 from operator import countOf
-from random import Random
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .embedding import PartialEmbedding, verify
 from .errors import BudgetExceededError
 from .graph import Graph
-from .outcome import Contains, NotContained, NotFound, SolveOutcome
 from .trees import Tree, _active
 
 Family = tuple[frozenset[int], int]
 
-LN2 = math.log(2.0)
-
-# search nodes the exact search may spend before color coding takes over
+# search nodes the exact search may spend before it gives up
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """A palette assignment over host vertices; -1 marks an unusable vertex."""
-
-    colors: tuple[int, ...]
-    palette: int
-
-
-def trial_count(witness_size: int, failure_exponent: int) -> int:
-    """Independent colorings needed to push the miss probability below
-    2**-failure_exponent for a witness of the given size."""
-    return max(1, math.ceil(math.exp(witness_size) * failure_exponent * LN2))
-
-
-def sample_coloring(
-    g: Graph,
-    palette: int,
-    rng: Random,
-    fixed: Mapping[int, int] | None = None,
-    hosts: Sequence[int] | None = None,
-) -> Coloring:
-    """Uniform coloring with reserved colors pinned to the given vertices.
-
-    Reserved colors are exclusive: unpinned vertices draw only from the
-    remaining palette (and become unusable when none remains).  With
-    `hosts`, a sorted vertex list, only those vertices draw, in ascending
-    order, and every other vertex is unusable.
-    """
-    fixed = dict(fixed or {})
-    colors = [-1] * g.n
-    for gv, c in fixed.items():
-        if not (0 <= c < len(fixed)):
-            raise ValueError("reserved colors must be 0..len(fixed)-1")
-        colors[gv] = c
-    lo = len(fixed)
-    if palette > lo:
-        for v in range(g.n) if hosts is None else hosts:
-            if v not in fixed:
-                colors[v] = rng.randrange(lo, palette)
-    return Coloring(tuple(colors), palette)
-
-
-# -- the guest plan both searches read --------------------------------------------
+# -- the guest plan ------------------------------------------------------------
 
 def _guest_plan(
     t: Tree, kappa: Mapping[int, int] | None, within: Iterable[int] | None, split: bool
 ) -> tuple[list[int], list[int], list[int | None], list[int], int]:
-    """The guest (sub)tree by BFS position, as both searches read it.
+    """The guest (sub)tree by BFS position, as the search and the paper's
+    colorful DP read it.
 
     Checks `within` (through `_active`), then the pins, then that the
     subtree is connected, raising ValueError.  The BFS starts at the lowest
@@ -135,101 +89,6 @@ def _guest_plan(
     return order, parent_at, pin_at, kids_at, skeleton
 
 
-# -- colorful DP ----------------------------------------------------------------
-
-def colorful_full_tree_dp(
-    g: Graph,
-    t: Tree,
-    coloring: Coloring,
-    kappa: Mapping[int, int] | None = None,
-    families: Sequence[Family] = (),
-    within: Iterable[int] | None = None,
-) -> PartialEmbedding | None:
-    """Embed the whole (sub)tree with pairwise-distinct colors, or None.
-
-    The embedding respects kappa pointwise and hits at least the quota in
-    every family.  The guest is read in the order of `_guest_plan`, without
-    the leaf split, bottom-up.  State per (guest position, host vertex):
-    reachable (color-mask, capped quota vector) pairs with self-contained
-    back pointers for reconstruction.
-    """
-    order, _, pin_at, kids_at, _ = _guest_plan(t, kappa, within, split=False)
-    size = len(order)
-    if size > coloring.palette:
-        return None
-    fams = [(frozenset(F), int(q)) for F, q in families]
-    goal = tuple(q for _, q in fams)
-
-    colors = coloring.colors
-    degree = g.degrees()
-
-    def unit_quota(gv: int) -> tuple[int, ...]:
-        return tuple(min(1 if gv in F else 0, q) for F, q in fams)
-
-    def add_quota(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(min(x + y, q) for x, y, (_, q) in zip(a, b, fams))
-
-    # states[pos][gv]: {(mask, quota): backptr}; backptr is ("base",) or
-    # ("join", prev_bp, child_pos, child_gv, child_bp)
-    states: dict[int, dict[int, dict[tuple[int, tuple[int, ...]], tuple]]] = {}
-    # the coloured vertices, once: a colouring of one component leaves the
-    # rest of the host at -1
-    coloured = list(compress(range(g.n), map((0).__le__, colors)))
-    first = list(accumulate(kids_at, initial=1))  # each position's first child
-    for pos in reversed(range(size)):
-        need = kids_at[pos] + (pos > 0)
-        pinned = pin_at[pos]
-        candidates = [v for v in coloured if degree[v] >= need] if pinned is None else [pinned]
-        table: dict[int, dict] = {}
-        for gv in candidates:
-            if colors[gv] < 0:
-                continue
-            table[gv] = {(1 << colors[gv], unit_quota(gv)): ("base",)}
-        for child in range(first[pos], first[pos + 1]):
-            child_states = states[child]
-            nxt: dict[int, dict] = {}
-            for gv, entries in table.items():
-                merged: dict = {}
-                neighbor_tables = [
-                    (u, child_states[u]) for u in sorted(g.adj(gv)) if u in child_states
-                ]
-                for (mask, quota), bp in entries.items():
-                    for u, sub in neighbor_tables:
-                        for (m2, q2), bp2 in sub.items():
-                            if mask & m2:
-                                continue
-                            key = (mask | m2, add_quota(quota, q2))
-                            if key not in merged:
-                                merged[key] = ("join", bp, child, u, bp2)
-                if merged:
-                    nxt[gv] = merged
-            table = nxt
-            if not table:
-                break
-        states[pos] = table
-
-    root_table = states[0]
-
-    def reconstruct(pos: int, gv: int, bp: tuple) -> dict[int, int]:
-        if bp[0] == "base":
-            return {order[pos]: gv}
-        _, prev_bp, child, child_gv, child_bp = bp
-        out = reconstruct(pos, gv, prev_bp)
-        out.update(reconstruct(child, child_gv, child_bp))
-        return out
-
-    for gv in sorted(root_table):
-        for key in sorted(root_table[gv]):
-            _, quota = key
-            if quota == goal:
-                mapping = reconstruct(0, gv, root_table[gv][key])
-                emb = PartialEmbedding(mapping)
-                if not verify(emb, g, t, require_full=within is None):
-                    raise AssertionError("colorful DP reconstructed an invalid embedding")
-                return emb
-    return None
-
-
 # -- exact constrained search -----------------------------------------------------
 
 def exact_constrained_embed(
@@ -241,7 +100,9 @@ def exact_constrained_embed(
     node_cap: int | None = None,
     hosts: Sequence[int] | None = None,
 ) -> PartialEmbedding | None:
-    """Deterministic backtracking for the same problem the DP solves.
+    """Deterministic backtracking: embed the whole guest, or its connected
+    subset `within`, respecting the pins `kappa` and hitting at least the
+    quota of every (set, quota) family, or return None.
 
     The guest is read in the order of `_guest_plan`, split into skeleton
     and free leaves unless there are quota families (then every vertex is a
@@ -526,63 +387,3 @@ def exact_constrained_embed(
     if not verify(emb, g, t, require_full=within is None):
         raise AssertionError("constrained search produced an invalid embedding")
     return emb
-
-
-# -- the search driver: exact search first, then color coding ----------------------
-
-def contains_tree_by_size(
-    g: Graph,
-    t: Tree,
-    failure_exponent: int,
-    rng_source: Callable[[], Random],
-    node_budget: int | None = None,
-    kappa: Mapping[int, int] | None = None,
-    families: Sequence[Family] = (),
-    within: Iterable[int] | None = None,
-    hosts: Sequence[int] | None = None,
-) -> SolveOutcome:
-    """Decide containment of the whole guest, or of its connected subset
-    `within` (a set of guest ids: a repeated id counts once), respecting
-    the pins `kappa` and the quota `families`: exact
-    search within `node_budget` nodes, then randomized color coding only if
-    the search ran out of budget (never with `node_budget=None`, which
-    leaves the search unbounded).  One-sided: no false positives.  With
-    `hosts`, the sorted vertices of one component of the host, both
-    stay inside that component, as they would on a copy of it.
-
-    `rng_source` takes no arguments and returns the generator that draws the
-    colourings.  It is called once, just before the first colour-coding
-    trial, and never when the exact search decides or the budget allows no
-    trial, so a caller that builds a fresh generator pays for it only when
-    a trial runs, and one that passes `lambda: rng` advances a shared
-    stream exactly as before.
-
-    The one driver of the exact search and the colorful DP: `solve` and
-    the paper library (`treefit.paper`) reach them through here."""
-    within = None if within is None else _active(t, within)
-    s = t.n if within is None else len(within)
-    count = g.n if hosts is None else len(hosts)
-    if s > count:
-        return NotContained(reason="guest larger than host")
-    try:
-        emb = exact_constrained_embed(g, t, kappa, families, within, node_budget, hosts)
-    except BudgetExceededError:
-        pass  # only a finite node_budget runs out; it also caps the trials
-    else:
-        if emb is None:
-            return NotContained(reason="exhaustive search")
-        return Contains(emb, branch="exact-search")
-
-    total = trial_count(s, failure_exponent)
-    per_trial = (2 ** min(s, 60)) * s * max(count, 1)
-    capped = min(total, max(0, node_budget // per_trial))
-    note = "BudgetExceeded" if capped < total else ""
-    # pinned images take the reserved colors, in guest-vertex order
-    reserved = {kappa[tv]: i for i, tv in enumerate(sorted(kappa))} if kappa else None
-    rng = rng_source() if capped else None
-    for trial in range(capped):
-        coloring = sample_coloring(g, s, rng, reserved, hosts)
-        emb = colorful_full_tree_dp(g, t, coloring, kappa, families, within)
-        if emb is not None:
-            return Contains(emb, branch="color-coding")
-    return NotFound(rounds=capped, failure_exponent=failure_exponent, note=note)

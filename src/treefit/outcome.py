@@ -2,9 +2,13 @@
 
 Contains carries a verified certificate.  NotContained is only ever produced
 by exact steps (size check, exhaustive search).  NotFound is a miss: no
-witness was seen.  Its `failure_exponent` is the one requested; the miss
-bound 2**-failure_exponent holds only when `rounds` equals the trial count
-for the guest, and a `BudgetExceeded` note claims no bound.
+witness was seen, and nothing is proved.  From `solve` it is a budget miss:
+`rounds` and `failure_exponent` are 0, the note reads `BudgetExceeded`
+once per component that ran out, and no bound is claimed.  The paper
+library (`treefit.paper`) fills `rounds` with the colour-coding trials it
+ran and `failure_exponent` with the one requested; there the miss bound
+2**-failure_exponent holds only when `rounds` equals the trial count for
+the guest, and a `BudgetExceeded` note claims no bound.
 """
 
 from __future__ import annotations

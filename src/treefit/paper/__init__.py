@@ -3,9 +3,10 @@
 The paper's extremal constructions and the search layers that only they
 use: the min-degree+2 solver and leaf completion, the high-leaf-degree,
 dense, long-guest (preserving paths), medium-diameter and small-diameter
-engines, and annotated hitting subtree containment (`ahsc`), with the
-graph and tree lemmas they share in `lemmas`.  Tests and the acceptance
-criteria run these modules directly.  The package imports the core
-(`treefit.graph`, `trees`, `embedding`, `color_coding`, ...); no core
-module imports it.
+engines, annotated hitting subtree containment (`ahsc`) and the colour
+coding it searches with, and the graph and tree lemmas they share
+(`lemmas`).  Tests and the acceptance criteria run these modules
+directly.  The package imports the core (`treefit.graph`, `trees`,
+`embedding`, the exact search in `color_coding`, ...); no core module
+imports it.
 """

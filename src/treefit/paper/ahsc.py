@@ -1,27 +1,209 @@
-"""Annotated hitting subtree containment (AHSC).
+"""Annotated hitting subtree containment (AHSC), and the colour coding it
+searches with.
 
 Find a connected subtree of the guest whose embedding respects a pinned
 partial map and hits every (set, quota) family: enumerate candidate
 subtrees (the minimal pinned spine plus attachment trees per composition
-of the quotas) and decide each through the core's search driver,
-`color_coding.contains_tree_by_size`.  The high-leaf and small-diameter
-engines search with it.
+of the quotas) and decide each through `contains_tree_by_size`.  It
+runs the core's exact search under its node budget, and colour
+coding (Alon, Yuster and Zwick's colorful DP over random colourings) only
+after a budget miss, with its trials capped by the same budget.  The
+high-leaf and small-diameter engines search with it; `solve` uses the
+exact search alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, compress, product
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
-from ..color_coding import DEFAULT_NODE_BUDGET, Family, contains_tree_by_size
-from ..embedding import PartialEmbedding
+from ..color_coding import DEFAULT_NODE_BUDGET, Family, _guest_plan, exact_constrained_embed
+from ..embedding import PartialEmbedding, verify
+from ..errors import BudgetExceededError
 from ..graph import Graph
-from ..outcome import Contains, NotFound
+from ..outcome import Contains, NotContained, NotFound, SolveOutcome
 from ..seeds import rng_from
-from ..trees import Tree
+from ..trees import Tree, _active
 from .lemmas import canonical_code, contains_rooted_subtree, minimal_spanning_subtree, tree_diameter
+
+LN2 = math.log(2.0)
+
+
+@dataclass(frozen=True)
+class Coloring:
+    """A palette assignment over host vertices; -1 marks an unusable vertex."""
+
+    colors: tuple[int, ...]
+    palette: int
+
+
+def trial_count(witness_size: int, failure_exponent: int) -> int:
+    """Independent colorings needed to push the miss probability below
+    2**-failure_exponent for a witness of the given size."""
+    return max(1, math.ceil(math.exp(witness_size) * failure_exponent * LN2))
+
+
+def sample_coloring(
+    g: Graph, palette: int, rng: Random, fixed: Mapping[int, int] | None = None
+) -> Coloring:
+    """Uniform coloring with reserved colors pinned to the given vertices.
+
+    Reserved colors are exclusive: unpinned vertices draw, in ascending
+    order, only from the remaining palette (and become unusable when none
+    remains).
+    """
+    fixed = dict(fixed or {})
+    colors = [-1] * g.n
+    for gv, c in fixed.items():
+        if not (0 <= c < len(fixed)):
+            raise ValueError("reserved colors must be 0..len(fixed)-1")
+        colors[gv] = c
+    lo = len(fixed)
+    if palette > lo:
+        for v in range(g.n):
+            if v not in fixed:
+                colors[v] = rng.randrange(lo, palette)
+    return Coloring(tuple(colors), palette)
+
+
+def colorful_full_tree_dp(
+    g: Graph,
+    t: Tree,
+    coloring: Coloring,
+    kappa: Mapping[int, int] | None = None,
+    families: Sequence[Family] = (),
+    within: Iterable[int] | None = None,
+) -> PartialEmbedding | None:
+    """Embed the whole (sub)tree with pairwise-distinct colors, or None.
+
+    The embedding respects kappa pointwise and hits at least the quota in
+    every family.  The guest is read in the order of the core's
+    `_guest_plan`, without the leaf split, bottom-up.  State per (guest
+    position, host vertex): reachable (color-mask, capped quota vector)
+    pairs with self-contained back pointers for reconstruction.
+    """
+    order, _, pin_at, kids_at, _ = _guest_plan(t, kappa, within, split=False)
+    size = len(order)
+    if size > coloring.palette:
+        return None
+    fams = [(frozenset(F), int(q)) for F, q in families]
+    goal = tuple(q for _, q in fams)
+
+    colors = coloring.colors
+    degree = g.degrees()
+
+    def unit_quota(gv: int) -> tuple[int, ...]:
+        return tuple(min(1 if gv in F else 0, q) for F, q in fams)
+
+    def add_quota(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(min(x + y, q) for x, y, (_, q) in zip(a, b, fams))
+
+    # states[pos][gv]: {(mask, quota): backptr}; backptr is ("base",) or
+    # ("join", prev_bp, child_pos, child_gv, child_bp)
+    states: dict[int, dict[int, dict[tuple[int, tuple[int, ...]], tuple]]] = {}
+    first = list(accumulate(kids_at, initial=1))  # each position's first child
+    for pos in reversed(range(size)):
+        need = kids_at[pos] + (pos > 0)
+        pinned = pin_at[pos]
+        candidates = compress(range(g.n), map(need.__le__, degree)) if pinned is None else (pinned,)
+        table: dict[int, dict] = {
+            gv: {(1 << colors[gv], unit_quota(gv)): ("base",)} for gv in candidates if colors[gv] >= 0
+        }
+        for child in range(first[pos], first[pos + 1]):
+            child_states = states[child]
+            nxt: dict[int, dict] = {}
+            for gv, entries in table.items():
+                merged: dict = {}
+                neighbor_tables = [
+                    (u, child_states[u]) for u in sorted(g.adj(gv)) if u in child_states
+                ]
+                for (mask, quota), bp in entries.items():
+                    for u, sub in neighbor_tables:
+                        for (m2, q2), bp2 in sub.items():
+                            if mask & m2:
+                                continue
+                            key = (mask | m2, add_quota(quota, q2))
+                            if key not in merged:
+                                merged[key] = ("join", bp, child, u, bp2)
+                if merged:
+                    nxt[gv] = merged
+            table = nxt
+            if not table:
+                break
+        states[pos] = table
+
+    root_table = states[0]
+
+    def reconstruct(pos: int, gv: int, bp: tuple) -> dict[int, int]:
+        if bp[0] == "base":
+            return {order[pos]: gv}
+        _, prev_bp, child, child_gv, child_bp = bp
+        out = reconstruct(pos, gv, prev_bp)
+        out.update(reconstruct(child, child_gv, child_bp))
+        return out
+
+    for gv in sorted(root_table):
+        for key in sorted(root_table[gv]):
+            _, quota = key
+            if quota == goal:
+                mapping = reconstruct(0, gv, root_table[gv][key])
+                emb = PartialEmbedding(mapping)
+                if not verify(emb, g, t, require_full=within is None):
+                    raise AssertionError("colorful DP reconstructed an invalid embedding")
+                return emb
+    return None
+
+
+def contains_tree_by_size(
+    g: Graph,
+    t: Tree,
+    failure_exponent: int,
+    rng: Random,
+    node_budget: int | None = None,
+    kappa: Mapping[int, int] | None = None,
+    families: Sequence[Family] = (),
+    within: Iterable[int] | None = None,
+) -> SolveOutcome:
+    """Decide containment of the whole guest, or of its connected subset
+    `within` (a set of guest ids: a repeated id counts once), respecting
+    the pins `kappa` and the quota `families`: exact search within
+    `node_budget` nodes, then colour coding only if the search ran out of
+    budget (never with `node_budget=None`, which leaves the search
+    unbounded).  One-sided: no false positives.
+
+    The trials are capped by the same budget: each costs about
+    2^s * s * n nodes for a witness of s vertices, so a miss has run
+    `min(trial_count, node_budget // (2^s * s * n))` of them and carries a
+    `BudgetExceeded` note when the cap cut them short.  `rng` draws the
+    colourings, and only when a trial runs."""
+    within = None if within is None else _active(t, within)
+    s = t.n if within is None else len(within)
+    if s > g.n:
+        return NotContained(reason="guest larger than host")
+    try:
+        emb = exact_constrained_embed(g, t, kappa, families, within, node_budget)
+    except BudgetExceededError:
+        pass  # only a finite node_budget runs out; it also caps the trials
+    else:
+        if emb is None:
+            return NotContained(reason="exhaustive search")
+        return Contains(emb, branch="exact-search")
+
+    total = trial_count(s, failure_exponent)
+    per_trial = (2 ** min(s, 60)) * s * max(g.n, 1)
+    capped = min(total, max(0, node_budget // per_trial))
+    note = "BudgetExceeded" if capped < total else ""
+    # pinned images take the reserved colors, in guest-vertex order
+    reserved = {kappa[tv]: i for i, tv in enumerate(sorted(kappa))} if kappa else None
+    for _ in range(capped):
+        coloring = sample_coloring(g, s, rng, reserved)
+        emb = colorful_full_tree_dp(g, t, coloring, kappa, families, within)
+        if emb is not None:
+            return Contains(emb, branch="color-coding")
+    return NotFound(rounds=capped, failure_exponent=failure_exponent, note=note)
 
 
 @dataclass(frozen=True)
@@ -211,7 +393,7 @@ def solve_ahsc(inst: AhscInstance, failure_exponent: int, rng: Random) -> AhscRe
                 continue
             tried.add(subtree)
             out = contains_tree_by_size(
-                g, t, failure_exponent, lambda: rng, DEFAULT_NODE_BUDGET, kappa, fams, subtree
+                g, t, failure_exponent, rng, DEFAULT_NODE_BUDGET, kappa, fams, subtree
             )
             if isinstance(out, Contains):
                 exact = exact_all and out.branch != "color-coding"

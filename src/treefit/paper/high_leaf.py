@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from random import Random
 
-from ..color_coding import contains_tree_by_size
 from ..embedding import PartialEmbedding
 from ..errors import HypothesisNotMet, PreconditionViolated
 from ..graph import Graph
 from ..outcome import Contains, NotContained, NotFound, SolveOutcome
 from ..seeds import rng_from
 from ..trees import Tree
-from .ahsc import AhscInstance, solve_ahsc
+from .ahsc import AhscInstance, contains_tree_by_size, solve_ahsc
 from .lemmas import complete_leaves, farthest_from, greedy_walk, leaf_degree, neighbor_deficiency, tree_path
 
 
@@ -204,7 +203,7 @@ def solve_high_leaf_degree(
     needed_path = 3 * k if path_length is None else path_length
 
     if delta < threshold:
-        return contains_tree_by_size(g, t, failure_exponent, lambda: rng, node_budget)
+        return contains_tree_by_size(g, t, failure_exponent, rng, node_budget)
 
     far, _, _ = farthest_from(t, witness)
     if far < needed_path:

@@ -1,5 +1,5 @@
 """The master solver: size check, component split, greedy guarantee, then
-plain containment search.
+exact containment search under a node budget.
 
 Also houses the brute-force oracle (an independent backtracking search used
 by the verification suites; deliberately sharing no code with the solver's
@@ -10,19 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .color_coding import DEFAULT_NODE_BUDGET, contains_tree_by_size
+from .color_coding import DEFAULT_NODE_BUDGET, exact_constrained_embed
 from .embedding import PartialEmbedding, chvatal_extend, verify
 from .errors import BudgetExceededError, EmptyGraphError
 from .graph import Graph
 from .outcome import Contains, NotContained, NotFound, SolveOutcome
-from .seeds import rng_from
 from .trees import Tree
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    seed: int = 0
-    failure_exponent: int = 20
+    seed: int = 0  # echoed in NotFound; `solve` draws no random numbers
     node_budget: int | None = DEFAULT_NODE_BUDGET  # None removes the budget and may run forever
 
 
@@ -88,15 +86,16 @@ def solve(g: Graph, t: Tree, config: SolveConfig | None = None) -> SolveOutcome:
     """Decide whether the host contains the guest tree.
 
     One-sided: Contains always carries a verified certificate; NotContained
-    only comes from exact branches; NotFound records the spent randomness.
+    only comes from exact steps; NotFound says the node budget ran out and
+    claims no bound (`rounds` and `failure_exponent` stay 0).
     The engine that builds a certificate checks it once, over the whole
-    guest: `chvatal_extend`, `exact_constrained_embed` or
-    `colorful_full_tree_dp` calls `verify(..., require_full=True)` before
-    returning it, and `solve` adds no second check.
+    guest: `chvatal_extend` or `exact_constrained_embed` calls
+    `verify(..., require_full=True)` before returning it, and `solve` adds
+    no second check.
     Each host component at least as large as the guest runs the same
     steps in place, with component-local slack: the greedy guarantee, then
-    `contains_tree_by_size`.  The first certificate wins; the misses of all
-    components merge into one NotFound.
+    the exact search under `config.node_budget`.  The first certificate
+    wins; the budget misses of all components merge into one NotFound.
     """
     config = config or SolveConfig()
     if g.n == 0:
@@ -106,37 +105,23 @@ def solve(g: Graph, t: Tree, config: SolveConfig | None = None) -> SolveOutcome:
 
     components = g.components()
     split = len(components) > 1
-    misses: list[NotFound] = []
-    stream = 0
+    misses = 0
     for comp in components:
-        # a connected host is searched whole on colouring stream 0; the
-        # components of a split host in place, on streams 1, 2, ...
-        stream += 1
         if len(comp) < t.n:
             continue
-        hosts = comp if split else None
+        hosts = comp if split else None  # a connected host is searched whole
         if t.n - g.min_degree(hosts) <= 1:
             emb = chvatal_extend(g, t, PartialEmbedding({}), hosts=hosts)
             return Contains(emb, branch="greedy-guarantee")
-        out = contains_tree_by_size(
-            g,
-            t,
-            config.failure_exponent,
-            lambda: rng_from(config.seed, stream if split else 0, 1),
-            config.node_budget,
-            hosts=hosts,
-        )
-        if isinstance(out, Contains):
-            return out
-        if isinstance(out, NotFound):
-            misses.append(out)
-        elif not split:
-            return out  # the search's own NotContained reason
+        try:
+            emb = exact_constrained_embed(g, t, node_cap=config.node_budget, hosts=hosts)
+        except BudgetExceededError:
+            misses += 1
+            continue
+        if emb is not None:
+            return Contains(emb, branch="exact-search")
+        if not split:
+            return NotContained(reason="exhaustive search")
     if misses:
-        return NotFound(
-            rounds=sum(m.rounds for m in misses),
-            seed=config.seed,
-            failure_exponent=config.failure_exponent,
-            note="; ".join(filter(None, (m.note for m in misses))),
-        )
+        return NotFound(rounds=0, seed=config.seed, note="; ".join(["BudgetExceeded"] * misses))
     return NotContained(reason="no component can host the guest")

@@ -1,9 +1,11 @@
 """Deterministic 64-bit seed derivation.
 
-All randomness in the solver flows from one master seed.  Child seeds are
-derived with splitmix64 over (parent, stream index), so runs are reproducible
-across platforms and independent work units (trials, rounds, instances) can
-be reseeded without sharing generator state.
+All randomness in treefit flows from one master seed: instance generation
+and the paper library's colour coding and sampling rounds (`solve` draws
+none).  Child seeds are derived with splitmix64 over (parent, stream
+index), so runs are reproducible across platforms and independent work
+units (trials, rounds, instances) can be reseeded without sharing
+generator state.
 """
 
 from __future__ import annotations

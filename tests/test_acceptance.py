@@ -13,7 +13,6 @@ from helpers import (
     random_connected_subtree,
     random_embedding,
 )
-from treefit.color_coding import colorful_full_tree_dp, sample_coloring
 from treefit.embedding import PartialEmbedding, chvatal_extend, verify
 from treefit.generate import (
     circulant,
@@ -30,6 +29,7 @@ from treefit.hardness import (
     generate_hardness_instance,
 )
 from treefit.outcome import Contains, NotContained
+from treefit.paper.ahsc import colorful_full_tree_dp, sample_coloring
 from treefit.paper.dense import embed_dense, hitting_set_lower_bound
 from treefit.paper.lemmas import leaf_degree, solve_delta_plus_two, tree_diameter
 from treefit.paper.preserving import (
@@ -59,7 +59,7 @@ def report(criterion: str, detail: str) -> None:
 
 def test_criterion_01_oracle_equivalence():
     rng = rng_from(1001)
-    config = SolveConfig(seed=4242, failure_exponent=10)
+    config = SolveConfig(seed=4242)
     instances = 0
     not_found = 0
     misses = 0
@@ -328,7 +328,7 @@ def test_criterion_09_hardness_generator_audit():
 def test_criterion_10_no_false_positives_globally():
     if TALLY["contains"] < 100:  # standalone invocation: generate some work
         rng = rng_from(1010)
-        config = SolveConfig(seed=77, failure_exponent=10)
+        config = SolveConfig(seed=77)
         for _ in range(300):
             n = rng.randint(2, 11)
             g = random_graph(n, rng.uniform(0.2, 0.9), rng)

@@ -1,5 +1,7 @@
 """The dependency between the core and the paper library runs one way:
-`treefit.paper` imports the core, and the core never imports `treefit.paper`."""
+`treefit.paper` imports the core, and the core never imports `treefit.paper`.
+And `solve` is deterministic search alone: neither it nor the exact search
+it calls can draw a random number."""
 
 import ast
 import os
@@ -40,5 +42,16 @@ def test_core_never_imports_paper():
         for path in core
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if any(name == "treefit.paper" or name.startswith("treefit.paper.") for name in imported_names(node))
+    ]
+    assert offenders == []
+
+
+def test_solve_draws_no_random_numbers():
+    offenders = [
+        f"{module}:{node.lineno} {name}"
+        for module in ("pipeline", "color_coding")
+        for node in ast.walk(ast.parse((SRC / "treefit" / f"{module}.py").read_text(encoding="utf-8")))
+        for name in imported_names(node)
+        if name.split(".")[0] == "random" or name == "treefit.seeds" or name.startswith("treefit.seeds.")
     ]
     assert offenders == []

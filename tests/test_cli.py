@@ -163,11 +163,9 @@ class TestCountFlags:
     traceback with exit 1 (NOT_CONTAINED's code) or a solve under a
     negative budget."""
 
-    @pytest.mark.parametrize(
-        "flag", ["--n", "--min-degree", "--tree-size", "--budget-nodes", "--failure-exponent"]
-    )
+    @pytest.mark.parametrize("flag", ["--n", "--min-degree", "--tree-size", "--budget-nodes"])
     def test_negative_value_exits_3(self, instance_dir, capsys, flag):
-        if flag in ("--budget-nodes", "--failure-exponent"):
+        if flag == "--budget-nodes":
             args = ["solve", "--graph", str(instance_dir / "a.graph"), "--tree", str(instance_dir / "a.tree")]
             args += [flag, "-5"]
         else:
@@ -185,12 +183,26 @@ class TestCountFlags:
         write_graph(tmp_path / "c.graph", chorded_cycle())
         write_tree(tmp_path / "c.tree", spider(3, 3))
         args = ["solve", "--graph", str(tmp_path / "c.graph"), "--tree", str(tmp_path / "c.tree")]
-        code, out = run_cli(args + ["--budget-nodes", "0", "--failure-exponent", "0"])
+        code, out = run_cli(args + ["--budget-nodes", "0"])
         assert code == 2 and out == "NOT_FOUND rounds=0 seed=0 note=BudgetExceeded\n"
         with pytest.raises(SystemExit) as exc:
             run_cli(args + ["--budget-nodes", "ten"])
         assert exc.value.code == 3
         assert "argument --budget-nodes: invalid int value: 'ten'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "bench"])
+    def test_failure_exponent_is_a_usage_error(self, instance_dir, capsys, command):
+        # `solve` runs no colour-coding trial, so it has no failure bound to set
+        if command == "bench":
+            args = ["bench", "--dir", str(instance_dir)]
+        else:
+            args = [command, "--graph", str(instance_dir / "a.graph"), "--tree", str(instance_dir / "a.tree")]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + ["--failure-exponent", "20"])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --failure-exponent 20" in captured.err
 
 
 class TestVerify:

@@ -16,20 +16,23 @@ from helpers import (
     reference_induced,
     star_tree,
 )
-from treefit.color_coding import (
-    Coloring,
-    colorful_full_tree_dp,
-    contains_tree_by_size,
-    exact_constrained_embed,
-    sample_coloring,
-    trial_count,
-)
-from treefit.embedding import PartialEmbedding, verify
+from treefit.color_coding import exact_constrained_embed
+from treefit.embedding import verify
 from treefit.errors import BudgetExceededError
 from treefit.generate import random_graph, random_graph_min_degree, random_tree
 from treefit.graph import Graph
 from treefit.outcome import Contains, NotContained, NotFound
-from treefit.paper.ahsc import AhscInstance, compositions_at_most, rooted_subtrees_with_leaf_count, solve_ahsc
+from treefit.paper.ahsc import (
+    AhscInstance,
+    Coloring,
+    colorful_full_tree_dp,
+    compositions_at_most,
+    contains_tree_by_size,
+    rooted_subtrees_with_leaf_count,
+    sample_coloring,
+    solve_ahsc,
+    trial_count,
+)
 from treefit.paper.lemmas import canonical_code, contains_rooted_subtree
 from treefit.pipeline import SolveConfig, brute_force_contains
 from treefit.seeds import rng_from
@@ -332,18 +335,18 @@ class TestGuestView:
 
 class TestContainsTreeBySize:
     def test_triangle_path(self):
-        out = contains_tree_by_size(complete(3), path_tree(3), 10, lambda: rng_from(1))
+        out = contains_tree_by_size(complete(3), path_tree(3), 10, rng_from(1))
         assert isinstance(out, Contains)
 
     def test_c4_star_not_contained_exactly(self):
-        out = contains_tree_by_size(cycle(4), star_tree(3), 10, lambda: rng_from(1))
+        out = contains_tree_by_size(cycle(4), star_tree(3), 10, rng_from(1))
         assert isinstance(out, NotContained)
 
     def test_repeated_within_id_counts_once(self):
         # two guest vertices fit on one edge, however often `within` names them
         g = Graph(2, [(0, 1)])
         for within in ([0, 1, 1], {0, 1}):
-            out = contains_tree_by_size(g, path_tree(3), 10, lambda: rng_from(1), within=within)
+            out = contains_tree_by_size(g, path_tree(3), 10, rng_from(1), within=within)
             assert isinstance(out, Contains) and sorted(out.embedding.mapping) == [0, 1]
 
     def test_oracle_sweep(self):
@@ -351,7 +354,7 @@ class TestContainsTreeBySize:
         for trial in range(500):
             g = random_graph(rng.randint(2, 12), rng.uniform(0.15, 0.8), rng)
             t = random_tree(rng.randint(1, 6), rng)
-            out = contains_tree_by_size(g, t, 8, lambda: rng_from(43, trial))
+            out = contains_tree_by_size(g, t, 8, rng_from(43, trial))
             oracle = brute_force_contains(g, t)
             if isinstance(out, Contains):
                 assert isinstance(oracle, Contains)
@@ -369,14 +372,14 @@ class TestContainsTreeBySize:
         base = random_graph_min_degree(29, 4, rng)
         g = Graph(30, list(base.edges()) + [(v, 29) for v in range(29)])
         t = random_tree(7, rng)
-        out = contains_tree_by_size(g, t, 20, lambda: rng_from(8, 1), budget)
+        out = contains_tree_by_size(g, t, 20, rng_from(8, 1), budget)
         assert isinstance(out, Contains) and out.branch == "exact-search"
         assert verify(out.embedding, g, t, require_full=True)
         # the README example: n 54, min degree 48, a 50-vertex guest (k = 2)
         rng = rng_from(0)
         g = random_graph_min_degree(54, 48, rng)
         t = random_tree(50, rng)
-        out = contains_tree_by_size(g, t, 20, lambda: rng_from(0, 1), budget)
+        out = contains_tree_by_size(g, t, 20, rng_from(0, 1), budget)
         assert isinstance(out, Contains) and out.branch == "exact-search"
         assert verify(out.embedding, g, t, require_full=True)
 
@@ -384,7 +387,7 @@ class TestContainsTreeBySize:
         # K_{3,40} cannot host P_8 (four vertices on each side); the search
         # overruns 200k nodes, leaving 200k // (2^8 * 8 * 43) = 2 DP trials
         g = Graph(43, [(a, b) for a in range(3) for b in range(3, 43)])
-        out = contains_tree_by_size(g, path_tree(8), 20, lambda: rng_from(9), node_budget=200_000)
+        out = contains_tree_by_size(g, path_tree(8), 20, rng_from(9), node_budget=200_000)
         assert out == NotFound(rounds=2, failure_exponent=20, note="BudgetExceeded")
 
     def test_constrained_budget_miss_runs_the_pinned_dp(self):
@@ -399,7 +402,7 @@ class TestContainsTreeBySize:
         kappa, family, within = {0: 0, 5: 21}, (frozenset({18, 19}), 1), frozenset(range(6))
         with pytest.raises(BudgetExceededError):
             exact_constrained_embed(g, t, kappa, [family], within, node_cap=80_000)
-        out = contains_tree_by_size(g, t, 20, lambda: rng_from(0), 80_000, kappa, [family], within)
+        out = contains_tree_by_size(g, t, 20, rng_from(0), 80_000, kappa, [family], within)
         assert isinstance(out, Contains) and out.branch == "color-coding"
         mapping = out.embedding.mapping
         assert set(mapping) == within and mapping[0] == 0 and mapping[5] == 21
@@ -408,61 +411,49 @@ class TestContainsTreeBySize:
 
 
 class TestOneComponentInPlace:
-    """`hosts` keeps the search and color coding inside one component of a
+    """`hosts` keeps the exact search inside one component of a
     disconnected host, with the results of a run on an induced copy."""
 
-    def test_budget_miss_runs_the_same_trials(self):
-        # the K_{3,40} of the budget-miss test beside a K_8 that hosts P_8,
-        # on interleaved ids: 200_000 // (2^8 * 8 * 43) = 2 trials, not the
-        # one that the whole host's 51 vertices would leave
-        k340 = Graph(43, [(a, b) for a in range(3) for b in range(3, 43)])
-        g, (comp, _) = interleaved_union([k340, complete(8)], rng_from(10))
+    def test_spends_the_nodes_of_the_copy(self):
+        # K_{3,10} cannot host P_8 (four vertices on each side), beside a
+        # K_8 that hosts it, on interleaved ids: the search in the
+        # component proves NO in exactly the nodes it takes on the copy,
+        # and one node fewer overruns on both
+        k310 = Graph(13, [(a, b) for a in range(3) for b in range(3, 13)])
+        g, (comp, _) = interleaved_union([k310, complete(8)], rng_from(10))
         sub, _ = reference_induced(g, comp)
-        out = contains_tree_by_size(g, path_tree(8), 20, lambda: rng_from(9), 200_000, hosts=comp)
-        assert out.rounds >= 1
-        assert out == contains_tree_by_size(sub, path_tree(8), 20, lambda: rng_from(9), 200_000)
+        assert TestExactConstrained.assert_nodes(g, path_tree(8), 14_983, hosts=comp) is None
+        assert TestExactConstrained.assert_nodes(sub, path_tree(8), 14_983) is None
 
-    def test_pinned_dp_hit_maps_back(self):
-        # the pinned chain instance of the budget-miss tests beside a K_6:
-        # the search overruns 80k nodes in the component and the DP finds
-        # the chain; the in-place certificate is the copy's, mapped back
+    def test_pinned_hit_maps_back(self):
+        # hub 0 on a 16-clique (1..16) and on the chain 0-17-18-19-20-21,
+        # beside a K_6; the first six vertices of P_8, ends pinned to 0 and
+        # 21, must hit {18, 19}.  Only the chain fits; the search overruns
+        # 80k nodes in the clique first, and unbounded it finds the chain.
+        # The in-place certificate is the copy's, mapped back.
         chain = [0, 17, 18, 19, 20, 21]
         clique = [(i, j) for i in range(17) for j in range(i + 1, 17)]
         part = Graph(22, clique + list(zip(chain, chain[1:])))
         g, (comp, _) = interleaved_union([part, complete(6)], rng_from(11))
         sub, old = reference_induced(g, comp)
         t, within = path_tree(8), frozenset(range(6))
-        on_copy = contains_tree_by_size(
-            sub, t, 20, lambda: rng_from(0), 80_000, {0: 0, 5: 21}, [(frozenset({18, 19}), 1)], within
-        )
-        assert isinstance(on_copy, Contains) and on_copy.branch == "color-coding"
+        on_copy = exact_constrained_embed(sub, t, {0: 0, 5: 21}, [(frozenset({18, 19}), 1)], within)
+        assert on_copy.mapping == dict(zip(range(6), chain))
         kappa, family = {0: old[0], 5: old[21]}, (frozenset({old[18], old[19]}), 1)
-        out = contains_tree_by_size(g, t, 20, lambda: rng_from(0), 80_000, kappa, [family], within, comp)
-        mapped = {tv: old[gv] for tv, gv in on_copy.embedding.mapping.items()}
-        assert out == Contains(PartialEmbedding(mapped), branch="color-coding")
+        with pytest.raises(BudgetExceededError):
+            exact_constrained_embed(g, t, kappa, [family], within, 80_000, comp)
+        out = exact_constrained_embed(g, t, kappa, [family], within, None, comp)
+        assert out.mapping == {tv: old[gv] for tv, gv in on_copy.mapping.items()}
 
     def test_checks_read_the_component(self):
         # vertex 1 of the guest has degree 3, which fits the K_5 but no
         # vertex of the 8-cycle: the degree check settles the cycle with no
-        # search node, as on its copy, although its root fits there
+        # search node, as on its copy, although its root fits there; and
+        # P_6 fits nowhere in the K_5, though the host has 13 vertices
         g, (ring, small) = interleaved_union([cycle(8), complete(5)], rng_from(14))
         t = Tree(5, [(0, 1), (0, 4), (1, 2), (1, 3)])
-        out = contains_tree_by_size(g, t, 20, lambda: rng_from(0), 1, hosts=ring)
-        assert out == NotContained(reason="exhaustive search")
-        out = contains_tree_by_size(g, path_tree(6), 20, lambda: rng_from(0), 1, hosts=small)
-        assert out == NotContained(reason="guest larger than host")
-
-    def test_coloring_draws_on_the_component_alone(self):
-        g, _ = interleaved_union([cycle(5), complete(4), path_graph(3)], rng_from(12))
-        for comp in g.components():
-            sub, old = reference_induced(g, comp)
-            outside = set(range(g.n)) - set(comp)
-            for fixed in (None, {comp[-1]: 0}):
-                on_host = sample_coloring(g, 4, rng_from(13), fixed, hosts=comp)
-                reserved = fixed and {old.index(gv): c for gv, c in fixed.items()}
-                on_copy = sample_coloring(sub, 4, rng_from(13), reserved)
-                assert [on_host.colors[v] for v in old] == list(on_copy.colors)
-                assert all(on_host.colors[v] == -1 for v in outside)
+        assert exact_constrained_embed(g, t, node_cap=0, hosts=ring) is None
+        assert exact_constrained_embed(g, path_tree(6), hosts=small) is None
 
 
 class TestTrialSchedule:

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -18,7 +19,7 @@ from helpers import (
     star_tree,
 )
 from treefit import color_coding, embedding, pipeline
-from treefit.color_coding import contains_tree_by_size
+from treefit.color_coding import exact_constrained_embed
 from treefit.embedding import PartialEmbedding, chvatal_extend, format_certificate
 from treefit.errors import BudgetExceededError, EmptyGraphError
 from treefit.generate import (
@@ -105,35 +106,38 @@ class TestSolveBasics:
         out = solve(g, path_tree(3))
         assert isinstance(out, NotContained)
 
+    def test_budget_miss_claims_no_bound(self):
+        # K_{4,40} cannot host P_10 (five vertices on each side), but the
+        # search cannot finish it in the default 2M nodes: the miss runs no
+        # trial and names no failure bound
+        g = Graph(44, [(a, b) for a in range(4) for b in range(4, 44)])
+        out = solve(g, path_tree(10))
+        assert out == NotFound(rounds=0, seed=0, failure_exponent=0, note="BudgetExceeded")
+
 
 def _solve_on_copies(g: Graph, t: Tree, config: SolveConfig):
     """Reference for solve on a disconnected host: each component at least
     as large as the guest solved on its own induced copy by the greedy
-    guarantee, then the search on rng stream index + 1, a certificate mapped
-    back to the host's ids, the misses merged into one NotFound."""
-    misses = []
-    for index, comp in enumerate(g.components()):
+    guarantee, then the exact search, a certificate mapped back to the
+    host's ids, the budget misses merged into one NotFound."""
+    misses = 0
+    for comp in g.components():
         if len(comp) < t.n:
             continue
         sub, old = reference_induced(g, comp)
         if t.n - sub.min_degree() <= 1:
-            out = Contains(chvatal_extend(sub, t, PartialEmbedding({})), branch="greedy-guarantee")
+            emb, branch = chvatal_extend(sub, t, PartialEmbedding({})), "greedy-guarantee"
         else:
-            out = contains_tree_by_size(
-                sub,
-                t,
-                config.failure_exponent,
-                lambda: rng_from(config.seed, index + 1, 1),
-                config.node_budget,
-            )
-        if isinstance(out, Contains):
-            mapping = {tv: old[gv] for tv, gv in out.embedding.mapping.items()}
-            return Contains(PartialEmbedding(mapping), branch=out.branch)
-        if isinstance(out, NotFound):
-            misses.append(out)
+            try:
+                emb, branch = exact_constrained_embed(sub, t, node_cap=config.node_budget), "exact-search"
+            except BudgetExceededError:
+                misses += 1
+                continue
+        if emb is not None:
+            mapping = {tv: old[gv] for tv, gv in emb.mapping.items()}
+            return Contains(PartialEmbedding(mapping), branch=branch)
     if misses:
-        note = "; ".join(filter(None, (m.note for m in misses)))
-        return NotFound(sum(m.rounds for m in misses), config.seed, config.failure_exponent, note)
+        return NotFound(0, config.seed, 0, "; ".join(["BudgetExceeded"] * misses))
     return NotContained(reason="no component can host the guest")
 
 
@@ -141,9 +145,8 @@ class TestComponentsInPlace:
     def test_matches_solving_induced_copies(self):
         # 2-4 connected parts on interleaved ids: random graphs, and complete
         # bipartite ones that cannot host long paths; guests up to the
-        # largest part, so smaller parts are skipped.  Small budgets run out
-        # before a color-coding trial fits in them; 2M and None let the
-        # search finish.
+        # largest part, so smaller parts are skipped.  Small budgets run
+        # out; 2M and None let the search finish.
         rng = rng_from(54)
         seen = Counter()
         for trial in range(500):
@@ -161,7 +164,7 @@ class TestComponentsInPlace:
             size = rng.randint(max(2, top - 4), max(2, top))
             t = path_tree(size) if rng.random() < 0.3 else random_tree(size, rng)
             budget = rng.choice((rng.randint(3, 60), rng.randint(60, 5_000), 2_000_000, None))
-            config = SolveConfig(seed=trial, failure_exponent=rng.randint(2, 10), node_budget=budget)
+            config = SolveConfig(seed=trial, node_budget=budget)
             out = solve(g, t, config)
             assert out == _solve_on_copies(g, t, config), trial
             seen[type(out).__name__, getattr(out, "branch", "")] += 1
@@ -172,25 +175,33 @@ class TestComponentsInPlace:
 
     def test_misses_merge_as_on_copies(self):
         # two K_{3,16} cannot host P_8 (four vertices on each side); the
-        # search overruns 50k nodes in each and leaves one color-coding
-        # trial per component, 50_000 // (2^8 * 8 * 19)
+        # search overruns 50k nodes in each, and the two misses merge into
+        # one NotFound that runs no trial and claims no bound
         k316 = Graph(19, [(a, b) for a in range(3) for b in range(3, 19)])
         g, _ = interleaved_union([k316, cycle(5), k316], rng_from(55))
         config = SolveConfig(seed=7, node_budget=50_000)
         out = solve(g, path_tree(8), config)
-        assert out == NotFound(2, 7, 20, "BudgetExceeded; BudgetExceeded")
+        assert out == NotFound(0, 7, 0, "BudgetExceeded; BudgetExceeded")
         assert out == _solve_on_copies(g, path_tree(8), config)
 
 
 class TestGeneratorOnlyForTrials:
-    """`solve` builds the colour-coding generator only when a trial runs."""
+    """`solve` builds no generator: not when it decides at once, and not
+    when its exact search runs out of budget."""
 
     @pytest.fixture
     def no_generator(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError(f"colour-coding generator built for stream {args}")
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"generator built for stream {args[1:]}")
 
-        monkeypatch.setattr(pipeline, "rng_from", refuse)
+        def drawing_nothing(fn, *args):
+            with monkeypatch.context() as m:
+                m.setattr(random.Random, "__init__", refuse)
+                for name in ("random", "randrange", "randint", "choice", "shuffle", "sample", "getrandbits"):
+                    m.setattr(random, name, refuse)
+                return fn(*args)
+
+        return drawing_nothing
 
     def test_decided_without_a_trial(self, no_generator):
         rng = rng_from(56)
@@ -200,30 +211,32 @@ class TestGeneratorOnlyForTrials:
             # joined to all, with a 7-vertex guest
             base = random_graph_min_degree(29, 4, rng)
             g = Graph(30, list(base.edges()) + [(v, 29) for v in range(29)])
-            seen[type(solve(g, random_tree(g.min_degree() + 2, rng))).__name__] += 1
+            seen[type(no_generator(solve, g, random_tree(g.min_degree() + 2, rng))).__name__] += 1
             # sweep-shaped: n 13-40 with a guest of min degree + 2..4
             n = rng.randint(13, 40)
             g = random_graph_min_degree(n, rng.randint(2, n - 3), rng)
             t = random_tree(min(g.min_degree() + rng.randint(2, 4), n), rng)
-            seen[type(solve(g, t)).__name__] += 1
+            seen[type(no_generator(solve, g, t)).__name__] += 1
             # the greedy guarantee: at most min degree + 1 guest vertices
-            out = solve(g, random_tree(g.min_degree() + 1, rng))
+            out = no_generator(solve, g, random_tree(g.min_degree() + 1, rng))
             assert out.branch == "greedy-guarantee"
             # a disconnected host, on interleaved ids
             parts = [random_connected_graph(rng.randint(1, 12), 0.4, rng) for _ in range(3)]
             g, _ = interleaved_union(parts, rng)
             t = random_tree(rng.randint(2, max(2, max(p.n for p in parts))), rng)
-            seen[type(solve(g, t)).__name__] += 1
+            seen[type(no_generator(solve, g, t)).__name__] += 1
         assert seen["Contains"] > 60 and seen["NotContained"] > 0
 
     def test_budget_without_room_for_a_trial(self, no_generator):
-        # K_{3,40} cannot host P_8: 1,000 nodes run out and leave
-        # 1_000 // (2^8 * 8 * 43) = 0 trials
+        # K_{3,40} cannot host P_8: a small and a large budget both run
+        # out, and neither miss draws a number
         g = Graph(43, [(a, b) for a in range(3) for b in range(3, 43)])
-        out = solve(g, path_tree(8), SolveConfig(node_budget=1_000))
-        assert out == NotFound(0, 0, 20, "BudgetExceeded")
+        for budget in (1_000, 200_000):
+            out = no_generator(solve, g, path_tree(8), SolveConfig(node_budget=budget))
+            assert out == NotFound(0, 0, 0, "BudgetExceeded")
+        # the guard itself refuses a generator
         with pytest.raises(AssertionError, match="generator built for stream"):
-            solve(g, path_tree(8), SolveConfig(node_budget=200_000))
+            no_generator(rng_from, 8)
 
 
 class TestDeterminism:
@@ -234,7 +247,7 @@ class TestDeterminism:
             t = random_tree(rng.randint(2, min(6, max(2, g.n))), rng)
             if g.n == 0 or t.n > g.n:
                 continue
-            config = SolveConfig(seed=123, failure_exponent=8)
+            config = SolveConfig(seed=123)
             first = solve(g, t, config)
             second = solve(g, t, config)
             assert type(first) is type(second)
@@ -248,7 +261,7 @@ class TestDeterminism:
 class TestOracleAgreement:
     def test_sweep(self):
         rng = rng_from(52)
-        config = SolveConfig(seed=99, failure_exponent=10)
+        config = SolveConfig(seed=99)
         for trial in range(400):
             g = random_graph(rng.randint(1, 12), rng.uniform(0.1, 0.9), rng)
             t = random_tree(rng.randint(1, max(1, min(g.n, 8))), rng)
@@ -260,9 +273,7 @@ class TestOracleAgreement:
             elif isinstance(out, NotContained):
                 assert isinstance(oracle, NotContained)
             else:
-                # probabilistic miss: the oracle must actually say NO, or the
-                # miss is charged against the failure budget (tracked in the
-                # acceptance suite); here we only demand the NO
+                # a budget miss: the oracle must actually say NO
                 assert isinstance(oracle, NotContained)
 
     def test_sweep_n13_to_60(self):
@@ -366,19 +377,19 @@ class TestOneCertificateCheck:
         self._solve_once_checked(verify_calls, circulant(40, [1, 2, 3, 4]), multi_star(5, 2), "exact-search")
 
     def test_color_coding(self, verify_calls):
-        # K_{3,40} plus the edge 41-42: a spider with legs 2, 2, 1, 1 from
-        # vertex 1 needs that edge, and the search overruns 200k nodes in
-        # the bipartite part first, leaving 200_000 // (2^8 * 8 * 43) = 2
-        # trials; the first finds it
+        # the instance colour coding decided when `solve` still ran it:
+        # K_{3,40} plus the edge 41-42, where a spider with legs 2, 2, 1, 1
+        # from vertex 1 needs that edge.  The search overruns 200k nodes in
+        # the bipartite part first, but finds it within the default budget.
         g = Graph(43, [(a, b) for a in range(3) for b in range(3, 43)] + [(41, 42)])
         t = Tree(8, [(0, 1), (0, 4), (0, 6), (1, 2), (1, 3), (4, 5), (6, 7)])
-        self._solve_once_checked(verify_calls, g, t, "color-coding", SolveConfig(node_budget=200_000))
+        self._solve_once_checked(verify_calls, g, t, "exact-search")
 
     def test_no_check_without_a_certificate(self, verify_calls):
-        # the budget miss of K_{3,40} and P_8 runs its 2 trials and finds nothing
+        # K_{3,40} cannot host P_8; 200k nodes run out, and no trial runs
         g = Graph(43, [(a, b) for a in range(3) for b in range(3, 43)])
         out = solve(g, path_tree(8), SolveConfig(node_budget=200_000))
-        assert out == NotFound(2, 0, 20, "BudgetExceeded") and verify_calls == []
+        assert out == NotFound(0, 0, 0, "BudgetExceeded") and verify_calls == []
 
 
 def _golden_instances():
@@ -416,7 +427,7 @@ class TestGoldenDigest:
     """Outcomes and certificates stay byte-identical across refactors (the
     seed guarantee); a change to the digest needs a stated reason."""
 
-    DIGEST = "123b46e437c1a2cc756f539040c342fcdeaeb773370e16031f5cbfd0b52beff2"
+    DIGEST = "16cb1e0df43771d3ddc69d4d2919a8421fb5d1c5390083edb7def2c5dba7ec6c"
 
     def _solve_and_check(self, instances) -> None:
         digest = hashlib.sha256()
