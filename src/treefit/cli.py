@@ -2,8 +2,9 @@
 
 Subcommands: solve, verify, generate, oracle, bench.  Exit codes for solve
 and oracle: 0 = contains, 1 = not contained, 2 = not found (the node budget
-ran out: `rounds=0`, a BudgetExceeded note, and no bound claimed), anything
-above 2 is a usage or parse error.
+ran out: a BudgetExceeded note, and no bound claimed), anything above 2 is
+a usage, parse or file error.  Only `generate random` draws random numbers,
+so it alone takes `--seed` (or TREEFIT_SEED).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ EXIT_NOT_CONTAINED = 1
 EXIT_NOT_FOUND = 2
 EXIT_USAGE = 3
 
-BENCH_FIELDS = ["instance", "outcome", "branch", "ms", "read_ms", "rounds", "note", "error"]
+BENCH_FIELDS = ["instance", "outcome", "branch", "ms", "read_ms", "note", "error"]
 
 
 def _node_budget(args) -> int | None:
@@ -39,7 +40,7 @@ def _node_budget(args) -> int | None:
 
 
 def _config_from(args) -> SolveConfig:
-    return SolveConfig(seed=args.seed, node_budget=_node_budget(args))
+    return SolveConfig(node_budget=_node_budget(args))
 
 
 def _outcome_exit(outcome, cert_out) -> int:
@@ -52,9 +53,7 @@ def _outcome_exit(outcome, cert_out) -> int:
         print(f"NOT_CONTAINED reason={outcome.reason}")
         return EXIT_NOT_CONTAINED
     assert isinstance(outcome, NotFound)
-    seed = outcome.seed if outcome.seed is not None else 0
-    note = f" note={outcome.note}" if outcome.note else ""
-    print(f"NOT_FOUND rounds={outcome.rounds} seed={seed}{note}")
+    print(f"NOT_FOUND note={outcome.note}")
     return EXIT_NOT_FOUND
 
 
@@ -71,7 +70,7 @@ def cmd_oracle(args) -> int:
     try:
         outcome = brute_force_contains(g, t, node_cap=_node_budget(args))
     except BudgetExceededError as exc:
-        outcome = NotFound(rounds=0, seed=0, note=f"BudgetExceeded nodes={exc.nodes}")
+        outcome = NotFound(note=f"BudgetExceeded nodes={exc.nodes}")
     return _outcome_exit(outcome, args.cert_out)
 
 
@@ -156,9 +155,8 @@ def cmd_bench(args) -> int:
                 row["branch"] = outcome.reason
             else:
                 row["outcome"] = "not_found"
-                row["rounds"] = str(outcome.rounds)
                 row["note"] = outcome.note
-        except TreefitError as exc:
+        except (TreefitError, OSError) as exc:
             row["error"] = str(exc)
         rows.append(row)
     writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_FIELDS, lineterminator="\n")
@@ -195,7 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None, help="64-bit master seed (or TREEFIT_SEED)")
         p.add_argument("--mode", choices=["strict", "budgeted"], default="budgeted")
         p.add_argument("--budget-nodes", type=_count, default=DEFAULT_NODE_BUDGET)
 
@@ -225,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rand.add_argument("--n", type=_count, required=True)
     p_rand.add_argument("--min-degree", type=_count, required=True)
     p_rand.add_argument("--tree-size", type=_count, required=True)
-    p_rand.add_argument("--seed", type=int, default=None)
+    p_rand.add_argument("--seed", type=int, default=None, help="64-bit master seed (or TREEFIT_SEED, then 0)")
     p_rand.add_argument("--out-dir", required=True)
     p_rand.set_defaults(func=cmd_generate, kind="random")
     p_hard = gen_sub.add_parser("hardness")
@@ -244,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", 0) is None:  # a command with --seed, not given one
+    if getattr(args, "seed", 0) is None:  # `generate random` without --seed
         env = os.environ.get("TREEFIT_SEED")
         try:
             args.seed = int(env) if env else 0
@@ -255,8 +252,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing, unreadable or unwritable path, named in exc
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TreefitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by every treefit module."""
+"""The core's exceptions and text readers (the paper library's are in its `lemmas`)."""
 
 import re
 from typing import Iterable, Iterator
@@ -57,26 +57,6 @@ class EmptyGraphError(TreefitError):
 
 class PreconditionViolated(TreefitError):
     """A documented precondition of an operation does not hold."""
-
-
-class HypothesisNotMet(TreefitError):
-    """A checked hypothesis fails; carries the violating object when known."""
-
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
-
-
-class IsEscapeVertexError(TreefitError):
-    """nonescape_separator was called on an escape vertex."""
-
-
-class TooSmallError(TreefitError):
-    """The graph is too small for both separator sides to be nonempty."""
-
-
-class TreeIsSeparableError(TreefitError):
-    """The tree admits a balanced split that the operation assumes away."""
 
 
 class InvalidThreePartitionError(TreefitError):

@@ -95,7 +95,7 @@ def generate_hardness_instance(
     """Build the (host, guest) pair; every structural invariant is audited
     before returning."""
     inst.validate(strict_bounds=strict_bounds)
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN too
         raise InvalidThreePartitionError("epsilon must be positive")
     sizes = inst.sizes
     m = len(sizes)

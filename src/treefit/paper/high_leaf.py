@@ -14,13 +14,21 @@ from __future__ import annotations
 from random import Random
 
 from ..embedding import PartialEmbedding
-from ..errors import HypothesisNotMet, PreconditionViolated
+from ..errors import PreconditionViolated
 from ..graph import Graph
 from ..outcome import Contains, NotContained, NotFound, SolveOutcome
 from ..seeds import rng_from
 from ..trees import Tree
 from .ahsc import AhscInstance, contains_tree_by_size, solve_ahsc
-from .lemmas import complete_leaves, farthest_from, greedy_walk, leaf_degree, neighbor_deficiency, tree_path
+from .lemmas import (
+    HypothesisNotMet,
+    complete_leaves,
+    farthest_from,
+    greedy_walk,
+    leaf_degree,
+    neighbor_deficiency,
+    tree_path,
+)
 
 
 def expanding_vertices(g: Graph, v: int, k: int) -> set[int]:
@@ -39,10 +47,7 @@ def build_expanding_walk(g: Graph, v: int, length: int, k: int) -> list[int]:
     """
     expanding = expanding_vertices(g, v, k)
     if len(expanding) < 3 * k:
-        raise HypothesisNotMet(
-            f"vertex {v} has {len(expanding)} expanding neighbors, needs {3 * k}",
-            witness=v,
-        )
+        raise HypothesisNotMet(f"vertex {v} has {len(expanding)} expanding neighbors, needs {3 * k}")
     open_nbrs = g.adj(v)
     closed = g.closed_adj(v)
     walk = [v]

@@ -3,28 +3,43 @@
 Host side: degree deficiency, bipartite matchings and covers, escape
 vertices and their separators, shortest paths and greedy walks that avoid a
 vertex set, and the components left when a set is removed.
-Guest side: paths and diameters of induced subtrees, leaf degree,
+Guest side: rooted views, paths and diameters of induced subtrees, leaf degree,
 separable edges, maximal trivial paths, minimal spanning subtrees, canonical
 codes and rooted containment.  Embeddings: the min-degree+2 solver and leaf
-completion, both built on the core's greedy extension.
+completion, both built on the core's greedy extension.  Also the library's
+own errors, all `TreefitError`s.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from ..embedding import PartialEmbedding, chvatal_extend, verify
-from ..errors import (
-    HypothesisNotMet,
-    IsEscapeVertexError,
-    PreconditionViolated,
-    TooSmallError,
-    TreeIsSeparableError,
-)
+from ..errors import PreconditionViolated, TreefitError
 from ..graph import Graph, _component_split
 from ..outcome import Contains, NotContained, SolveOutcome
-from ..trees import RootedView, Tree, _active, connected_view
+from ..trees import Tree, _active
+
+
+# -- errors -------------------------------------------------------------------
+
+class HypothesisNotMet(TreefitError):
+    """A checked hypothesis fails; the message names the violating object."""
+
+
+class IsEscapeVertexError(TreefitError):
+    """nonescape_separator was called on an escape vertex."""
+
+
+class TooSmallError(TreefitError):
+    """The graph is too small for both separator sides to be nonempty."""
+
+
+class TreeIsSeparableError(TreefitError):
+    """The tree admits a balanced split that the operation assumes away."""
 
 
 # -- degree slack ----------------------------------------------------------
@@ -203,6 +218,65 @@ def components_avoiding(g: Graph, s: Iterable[int]) -> list[list[int]]:
     return list(_component_split(g.adjacency(), set(range(g.n)).difference(s)))
 
 
+# -- rooted views ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RootedView:
+    """Rooted orientation of a tree or of a subtree induced by `within`.
+
+    `parent`, `children` and `size` are indexed by vertex id; vertices the
+    BFS from the root did not reach have parent -1 and no children, so a
+    view with `len(order) < len(within)` marks a disconnected subset.
+    """
+
+    root: int
+    parent: tuple[int, ...]          # -1 at the root and outside the view
+    order: tuple[int, ...]           # BFS order, children in ascending id
+    children: tuple[tuple[int, ...], ...]
+
+    @staticmethod
+    def build(t: Tree, root: int, within: frozenset[int] | None = None) -> "RootedView":
+        if not (0 <= root < t.n) or (within is not None and root not in within):
+            raise ValueError(f"root {root} outside the (sub)tree")
+        parent = [-1] * t.n
+        children: list[tuple[int, ...]] = [()] * t.n
+        order = [root]
+        adj = t._adj
+        for u in order:  # grows while it is read: a BFS queue
+            if u != root and len(adj[u]) == 1:
+                continue  # a leaf: its one neighbour is its parent
+            kids = sorted(adj[u] if within is None else adj[u] & within)
+            if u != root:
+                kids.remove(parent[u])  # a tree's only visited neighbour
+            for v in kids:
+                parent[v] = u
+            order.extend(kids)
+            children[u] = tuple(kids)
+        return RootedView(root, tuple(parent), tuple(order), tuple(children))
+
+    @cached_property
+    def size(self) -> tuple[int, ...]:
+        """Subtree sizes (1 outside the view)."""
+        size = [1] * len(self.parent)
+        for u in reversed(self.order):
+            for c in self.children[u]:
+                size[u] += size[c]
+        return tuple(size)
+
+
+def connected_view(
+    t: Tree, root: int, within: Iterable[int] | None = None, name: str = "subtree"
+) -> RootedView:
+    """RootedView of the subtree induced by `within`; a `within` that is not
+    connected raises ValueError("<name> is not connected") instead of
+    yielding the root's piece alone."""
+    active = None if within is None else _active(t, within)
+    view = RootedView.build(t, root, active)
+    if active is not None and len(view.order) != len(active):
+        raise ValueError(f"{name} is not connected")
+    return view
+
+
 # -- tree paths and diameters --------------------------------------------------
 
 def farthest_from(t: Tree, source: int, within: Iterable[int] | None = None) -> tuple[int, int, dict[int, int]]:
@@ -266,7 +340,7 @@ def find_separable_edge(t: Tree, q: int) -> tuple[int, int] | None:
     """An edge whose removal leaves two components of >= q vertices each."""
     if t.n < 2:
         raise ValueError("needs at least one edge")
-    view = t.rooted(0)
+    view = RootedView.build(t, 0)
     best: tuple[int, int] | None = None
     for v in range(1, t.n):
         side = view.size[v]
@@ -528,8 +602,7 @@ def complete_leaves(
         need = neighbor_deficiency(g, image_w, k)
         if saved < need:
             raise HypothesisNotMet(
-                f"anchor {w} (image {image_w}) has {saved} saved non-neighbors, needs {need}",
-                witness=w,
+                f"anchor {w} (image {image_w}) has {saved} saved non-neighbors, needs {need}"
             )
 
     trunk_target = set(range(t.n)) - set(leaf_list)

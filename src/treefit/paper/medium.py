@@ -15,6 +15,7 @@ from ..errors import PreconditionViolated
 from ..graph import Graph
 from ..trees import Tree
 from .lemmas import (
+    RootedView,
     complete_leaves,
     components_avoiding,
     diametral_path,
@@ -369,7 +370,7 @@ def embed_or_separator(
     if delta < need_delta:
         raise PreconditionViolated(f"min degree {delta} below {need_delta}")
 
-    view = t.rooted(0)
+    view = RootedView.build(t, 0)
     heights = [0] * t.n
     for v in reversed(view.order):
         for c in view.children[v]:
@@ -505,7 +506,7 @@ def embed_with_separator(
     side_a = comps[ci]
     side_b = set(range(g.n)) - sep - side_a
 
-    view = t.rooted(y)
+    view = RootedView.build(t, y)
     x_side = {v for v in range(t.n) if _in_subtree(view, v, x)}
     y_side = set(range(t.n)) - x_side
     if count < len(t.adj(x) & x_side):

@@ -23,6 +23,7 @@ from ..errors import PreconditionViolated
 from ..graph import Graph
 from ..trees import Tree
 from .lemmas import (
+    RootedView,
     components_avoiding,
     diametral_path,
     greedy_walk,
@@ -103,7 +104,7 @@ def embed_via_preserving_path(g: Graph, t: Tree, p: PreservingPath, k: int) -> P
     q = diam_path[: 2 * m]
 
     # side sizes after removing the middle edge
-    view = t.rooted(q[m - 1])
+    view = RootedView.build(t, q[m - 1])
     cut_child = q[m]
     far_side = view.size[cut_child]
     near_side = t.n - far_side

@@ -16,13 +16,15 @@ from random import Random
 from typing import Iterator
 
 from ..embedding import PartialEmbedding, chvatal_extend, verify
-from ..errors import PreconditionViolated, TreeIsSeparableError
+from ..errors import PreconditionViolated
 from ..graph import Graph
 from ..outcome import Contains, NotContained, NotFound, SolveOutcome
 from ..seeds import rng_from
 from ..trees import Tree
 from .ahsc import AhscInstance, solve_ahsc
 from .lemmas import (
+    RootedView,
+    TreeIsSeparableError,
     assert_not_separable,
     canonical_code,
     is_q_escape,
@@ -52,7 +54,7 @@ class WCandidates:
 
 
 def _centroid(t: Tree) -> int:
-    view = t.rooted(0)
+    view = RootedView.build(t, 0)
     best, best_heavy = 0, t.n
     for v in range(t.n):
         heavy = t.n - view.size[v]
@@ -78,7 +80,7 @@ def build_w_candidates(t: Tree, k: int, p: int, separable_q: int | None = None) 
     threshold = k ** p if separable_q is None else separable_q
     assert_not_separable(t, threshold)
     root = _centroid(t)
-    view = t.rooted(root)
+    view = RootedView.build(t, root)
     for c in view.children[root]:
         if view.size[c] >= threshold:
             raise TreeIsSeparableError(

@@ -1,17 +1,14 @@
-"""Guest tree representation, rooted views and the tree text format.
+"""Guest tree representation and the tree text format.
 
 Subtrees are always vertex subsets of the original tree (induced edges),
 never re-indexed, so partial embeddings stay composable across pipeline
-stages.  Rooted views therefore take an optional `within` vertex set and
-orient the induced subtree.
+stages; `_active` checks such a `within` vertex set.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import ParseError, read_ascii, read_pairs
@@ -85,55 +82,8 @@ class Tree:
             return [0]
         return [v for v in range(self.n) if len(self._adj[v]) == 1]
 
-    def rooted(self, root: int) -> "RootedView":
-        return RootedView.build(self, root)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tree(n={self.n})"
-
-
-@dataclass(frozen=True)
-class RootedView:
-    """Rooted orientation of a tree or of a subtree induced by `within`.
-
-    `parent`, `children` and `size` are indexed by vertex id; vertices the
-    BFS from the root did not reach have parent -1 and no children, so a
-    view with `len(order) < len(within)` marks a disconnected subset.
-    """
-
-    root: int
-    parent: tuple[int, ...]          # -1 at the root and outside the view
-    order: tuple[int, ...]           # BFS order, children in ascending id
-    children: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def build(t: Tree, root: int, within: frozenset[int] | None = None) -> "RootedView":
-        if not (0 <= root < t.n) or (within is not None and root not in within):
-            raise ValueError(f"root {root} outside the (sub)tree")
-        parent = [-1] * t.n
-        children: list[tuple[int, ...]] = [()] * t.n
-        order = [root]
-        adj = t._adj
-        for u in order:  # grows while it is read: a BFS queue
-            if u != root and len(adj[u]) == 1:
-                continue  # a leaf: its one neighbour is its parent
-            kids = sorted(adj[u] if within is None else adj[u] & within)
-            if u != root:
-                kids.remove(parent[u])  # a tree's only visited neighbour
-            for v in kids:
-                parent[v] = u
-            order.extend(kids)
-            children[u] = tuple(kids)
-        return RootedView(root, tuple(parent), tuple(order), tuple(children))
-
-    @cached_property
-    def size(self) -> tuple[int, ...]:
-        """Subtree sizes (1 outside the view)."""
-        size = [1] * len(self.parent)
-        for u in reversed(self.order):
-            for c in self.children[u]:
-                size[u] += size[c]
-        return tuple(size)
 
 
 # -- induced-subtree helpers ---------------------------------------------------
@@ -147,19 +97,6 @@ def _active(t: Tree, within: Iterable[int] | None) -> frozenset[int]:
     if not all(0 <= v < t.n for v in active):
         raise ValueError("vertex subset out of range")
     return active
-
-
-def connected_view(
-    t: Tree, root: int, within: Iterable[int] | None = None, name: str = "subtree"
-) -> RootedView:
-    """RootedView of the subtree induced by `within`; a `within` that is not
-    connected raises ValueError("<name> is not connected") instead of
-    yielding the root's piece alone."""
-    active = None if within is None else _active(t, within)
-    view = RootedView.build(t, root, active)
-    if active is not None and len(view.order) != len(active):
-        raise ValueError(f"{name} is not connected")
-    return view
 
 
 # -- text format -------------------------------------------------------------------

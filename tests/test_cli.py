@@ -42,7 +42,6 @@ class TestSolve:
                 "solve",
                 "--graph", str(instance_dir / "a.graph"),
                 "--tree", str(instance_dir / "a.tree"),
-                "--seed", "7",
                 "--cert-out", str(cert),
             ]
         )
@@ -74,7 +73,6 @@ class TestSolve:
             "solve",
             "--graph", str(instance_dir / "a.graph"),
             "--tree", str(instance_dir / "a.tree"),
-            "--seed", "99",
             "--cert-out", str(tmp_path / "c1"),
         ]
         code1, out1 = run_cli(args)
@@ -112,14 +110,10 @@ class TestSolve:
                 "--graph", str(tmp_path / "c.graph"),
                 "--tree", str(tmp_path / "c.tree"),
                 "--budget-nodes", "10",
-                "--seed", "3",
             ]
         )
         assert code == 2
-        assert out.startswith("NOT_FOUND rounds=")
-        assert "seed=3" in out
-        assert "note=BudgetExceeded" in out
-
+        assert out == "NOT_FOUND note=BudgetExceeded\n"
 
     def test_non_ascii_input_is_a_parse_error(self, instance_dir, tmp_path, capsys):
         bad = tmp_path / "bad.graph"
@@ -137,25 +131,17 @@ class TestSolve:
         assert code == 3
         assert "line 1: non-ASCII byte 0xff" in capsys.readouterr().err
 
-    def test_seed_variable_stands_in_for_the_flag(self, tmp_path, monkeypatch):
-        write_graph(tmp_path / "c.graph", chorded_cycle())
-        write_tree(tmp_path / "c.tree", spider(3, 3))
-        args = ["solve", "--graph", str(tmp_path / "c.graph"), "--tree", str(tmp_path / "c.tree")]
-        monkeypatch.setenv("TREEFIT_SEED", "3")
-        code, out = run_cli(args + ["--budget-nodes", "10"])
-        assert code == 2 and "seed=3" in out
-        code, out = run_cli(args + ["--budget-nodes", "10", "--seed", "4"])
-        assert code == 2 and "seed=4" in out
-
-    def test_non_integer_seed_variable_is_a_usage_error(self, instance_dir, capsys, monkeypatch):
-        # an uncaught ValueError would exit 1, which reads as NOT_CONTAINED
-        monkeypatch.setenv("TREEFIT_SEED", "abc")
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["solve", "--graph", str(instance_dir / "a.graph"), "--tree", str(instance_dir / "a.tree")])
-        assert exc.value.code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "TREEFIT_SEED must be an integer, got 'abc'" in captured.err
+    @pytest.mark.parametrize("path", ["graph", "tree"])
+    def test_unreadable_path_is_a_file_error(self, instance_dir, tmp_path, capsys, path):
+        # a directory in place of a file: IsADirectoryError, not a traceback
+        # with exit 1 (NOT_CONTAINED's code)
+        paths = {"graph": instance_dir / "a.graph", "tree": instance_dir / "a.tree"}
+        paths[path] = tmp_path / f"d.{path}"
+        paths[path].mkdir()
+        code, out = run_cli(["solve", "--graph", str(paths["graph"]), "--tree", str(paths["tree"])])
+        assert code == 3 and out == ""
+        err = capsys.readouterr().err
+        assert "file error" in err and str(paths[path]) in err
 
 
 class TestCountFlags:
@@ -184,25 +170,36 @@ class TestCountFlags:
         write_tree(tmp_path / "c.tree", spider(3, 3))
         args = ["solve", "--graph", str(tmp_path / "c.graph"), "--tree", str(tmp_path / "c.tree")]
         code, out = run_cli(args + ["--budget-nodes", "0"])
-        assert code == 2 and out == "NOT_FOUND rounds=0 seed=0 note=BudgetExceeded\n"
+        assert code == 2 and out == "NOT_FOUND note=BudgetExceeded\n"
         with pytest.raises(SystemExit) as exc:
             run_cli(args + ["--budget-nodes", "ten"])
         assert exc.value.code == 3
         assert "argument --budget-nodes: invalid int value: 'ten'" in capsys.readouterr().err
 
 
+    @staticmethod
+    def solving_args(command, instance_dir) -> list[str]:
+        if command == "bench":
+            return ["bench", "--dir", str(instance_dir)]
+        return [command, "--graph", str(instance_dir / "a.graph"), "--tree", str(instance_dir / "a.tree")]
+
     @pytest.mark.parametrize("command", ["solve", "oracle", "bench"])
     def test_failure_exponent_is_a_usage_error(self, instance_dir, capsys, command):
         # `solve` runs no colour-coding trial, so it has no failure bound to set
-        if command == "bench":
-            args = ["bench", "--dir", str(instance_dir)]
-        else:
-            args = [command, "--graph", str(instance_dir / "a.graph"), "--tree", str(instance_dir / "a.tree")]
         with pytest.raises(SystemExit) as exc:
-            run_cli(args + ["--failure-exponent", "20"])
+            run_cli(self.solving_args(command, instance_dir) + ["--failure-exponent", "20"])
         assert exc.value.code == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "unrecognized arguments: --failure-exponent 20" in captured.err
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "bench"])
+    def test_seed_is_a_usage_error(self, instance_dir, capsys, command):
+        # none of the three draws random numbers, so none has a seed to take
+        with pytest.raises(SystemExit) as exc:
+            run_cli(self.solving_args(command, instance_dir) + ["--seed", "3"])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --seed 3" in captured.err
 
 
 class TestVerify:
@@ -256,7 +253,7 @@ class TestOracle:
         ]
         code, out = run_cli(args)
         assert code == 2
-        assert out.strip() == "NOT_FOUND rounds=0 seed=0 note=BudgetExceeded nodes=6"
+        assert out.strip() == "NOT_FOUND note=BudgetExceeded nodes=6"
         code, out = run_cli(args + ["--mode", "strict"])
         assert code == 0 and out.startswith("CONTAINS branch=oracle")
 
@@ -275,6 +272,37 @@ class TestGenerate:
         g = read_graph(out_dir / "instance.graph")
         t = read_tree(out_dir / "instance.tree")
         assert g.n == 54 and g.min_degree() >= 48 and t.n == 20
+
+    def test_seed_variable_stands_in_for_the_flag(self, tmp_path, monkeypatch):
+        def generate(name, *seed):
+            args = ["generate", "random", "--n", "12", "--min-degree", "3", "--tree-size", "6"]
+            code, _ = run_cli(args + [*seed, "--out-dir", str(tmp_path / name)])
+            assert code == 0
+            return [(tmp_path / name / f).read_bytes() for f in ("instance.graph", "instance.tree")]
+
+        flag3, flag4 = generate("flag3", "--seed", "3"), generate("flag4", "--seed", "4")
+        assert flag3 != flag4
+        monkeypatch.setenv("TREEFIT_SEED", "3")
+        assert generate("env3") == flag3
+        assert generate("env3_flag4", "--seed", "4") == flag4
+
+    def test_non_integer_seed_variable_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # an uncaught ValueError would exit 1, which reads as NOT_CONTAINED;
+        # the variable is rejected before any file is written
+        monkeypatch.setenv("TREEFIT_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                [
+                    "generate", "random",
+                    "--n", "12", "--min-degree", "3", "--tree-size", "6",
+                    "--out-dir", str(tmp_path / "x"),
+                ]
+            )
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "TREEFIT_SEED must be an integer, got 'abc'" in captured.err
+        assert not (tmp_path / "x").exists()
 
     def test_hardness_instance(self, tmp_path):
         numbers = tmp_path / "numbers.txt"
@@ -343,13 +371,27 @@ class TestGenerate:
         assert exc.value.code == 3
         assert message in capsys.readouterr().err
 
+    def test_nan_epsilon_exits_3(self, tmp_path, capsys):
+        # NaN passed an `epsilon <= 0` check and failed later as a ValueError, exit 1
+        numbers = tmp_path / "numbers.txt"
+        numbers.write_text("9\n3 3 3\n")
+        code, out = run_cli(
+            [
+                "generate", "hardness",
+                "--numbers", str(numbers), "--epsilon", "nan",
+                "--out-dir", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 3 and out == ""
+        assert "epsilon must be positive" in capsys.readouterr().err
+
 
 class TestBench:
     def test_rows_per_instance(self, instance_dir):
         code, out = run_cli(["bench", "--dir", str(instance_dir)])
         assert code == 0
         lines = [l for l in out.strip().splitlines() if l]
-        assert lines[0].startswith("instance,")
+        assert lines[0] == "instance,outcome,branch,ms,read_ms,note,error"
         assert len(lines) == 3
         assert any("contains" in l for l in lines[1:])
         assert any("not_contained" in l for l in lines[1:])
@@ -365,7 +407,6 @@ class TestBench:
         assert code == 0
         rows = {row["instance"]: row for row in csv.DictReader(io.StringIO(out))}
         assert rows["c"]["outcome"] == "not_found"
-        assert rows["c"]["rounds"] == "0"
         assert rows["c"]["note"] == "BudgetExceeded"
         assert rows["a"]["note"] == "" and rows["a"]["outcome"] == "contains"
 
@@ -387,20 +428,34 @@ class TestBench:
         assert rows["c"]["outcome"] == "" and rows["c"]["read_ms"] == ""
         assert rows["a"]["outcome"] == "contains" and rows["b"]["outcome"] == "not_contained"
 
+    def test_unreadable_file_fills_error_column(self, instance_dir):
+        # a directory named z.graph: one row's IsADirectoryError, not an
+        # aborted run with exit 1
+        (instance_dir / "z.graph").mkdir()
+        write_tree(instance_dir / "z.tree", path_tree(2))
+        code, out = run_cli(["bench", "--dir", str(instance_dir)])
+        assert code == 0
+        rows = {row["instance"]: row for row in csv.DictReader(io.StringIO(out))}
+        assert "Is a directory" in rows["z"]["error"] and str(instance_dir / "z.graph") in rows["z"]["error"]
+        assert rows["z"]["outcome"] == "" and rows["z"]["read_ms"] == ""
+        assert rows["a"]["outcome"] == "contains" and rows["b"]["outcome"] == "not_contained"
+
     def test_empty_dir(self, tmp_path):
         code, out = run_cli(["bench", "--dir", str(tmp_path)])
         assert code == 0
         assert len(out.strip().splitlines()) == 1
 
-    def test_non_integer_seed_variable_is_a_usage_error(self, instance_dir, capsys, monkeypatch):
-        # rejected before the first instance, not once per row
+    def test_seed_variable_is_ignored(self, instance_dir, monkeypatch):
+        # bench draws no random numbers, so it never reads TREEFIT_SEED
+        code, out = run_cli(["bench", "--dir", str(instance_dir)])
         monkeypatch.setenv("TREEFIT_SEED", "1.5")
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["bench", "--dir", str(instance_dir)])
-        assert exc.value.code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "TREEFIT_SEED must be an integer, got '1.5'" in captured.err
+        code_env, out_env = run_cli(["bench", "--dir", str(instance_dir)])
+        assert code == code_env == 0
+
+        def verdicts(text):
+            return [(row["instance"], row["outcome"], row["branch"]) for row in csv.DictReader(io.StringIO(text))]
+
+        assert verdicts(out_env) == verdicts(out) and len(verdicts(out)) == 2
 
 
 class TestModuleEntry:

@@ -10,11 +10,11 @@ from helpers import (
     star_tree,
 )
 from treefit.embedding import PartialEmbedding, chvatal_extend, format_certificate, parse_certificate, verify
-from treefit.errors import HypothesisNotMet, PreconditionViolated
+from treefit.errors import PreconditionViolated
 from treefit.generate import random_connected_graph, random_tree
 from treefit.graph import Graph
 from treefit.outcome import Contains, NotContained
-from treefit.paper.lemmas import complete_leaves, neighbor_deficiency, solve_delta_plus_two
+from treefit.paper.lemmas import HypothesisNotMet, complete_leaves, neighbor_deficiency, solve_delta_plus_two
 from treefit.pipeline import brute_force_contains
 from treefit.seeds import rng_from
 from treefit.trees import Tree

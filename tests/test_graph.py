@@ -8,17 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import complete, cycle, path_graph, petersen, to_networkx
-from treefit.errors import (
-    EmptyGraphError,
-    IsEscapeVertexError,
-    ParseError,
-    TooSmallError,
-)
+from treefit.errors import EmptyGraphError, ParseError
 from treefit import graph as graph_module
 from treefit.graph import Graph, _parse_graph_lines, format_graph, parse_graph
 from treefit.generate import random_graph
 from treefit.hardness import ThreePartitionInstance, generate_hardness_instance
 from treefit.paper.lemmas import (
+    IsEscapeVertexError,
+    TooSmallError,
     is_q_escape,
     max_bipartite_matching,
     min_vertex_cover_bipartite,

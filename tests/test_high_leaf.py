@@ -2,7 +2,7 @@ import pytest
 
 from helpers import complete, cycle, petersen, star_tree
 from treefit.embedding import verify
-from treefit.errors import HypothesisNotMet, PreconditionViolated
+from treefit.errors import PreconditionViolated
 from treefit.generate import random_graph
 from treefit.graph import Graph
 from treefit.outcome import Contains, NotContained
@@ -14,7 +14,7 @@ from treefit.paper.high_leaf import (
     expanding_vertices,
     solve_high_leaf_degree,
 )
-from treefit.paper.lemmas import leaf_degree
+from treefit.paper.lemmas import HypothesisNotMet, leaf_degree
 from treefit.pipeline import brute_force_contains
 from treefit.seeds import rng_from
 from treefit.trees import Tree

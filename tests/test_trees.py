@@ -7,6 +7,7 @@ from helpers import path_tree, rooted_isomorphic, spider, star_tree
 from treefit.errors import ParseError
 from treefit.generate import random_tree
 from treefit.paper.lemmas import (
+    RootedView,
     canonical_code,
     contains_rooted_subtree,
     find_separable_edge,
@@ -17,7 +18,7 @@ from treefit.paper.lemmas import (
 )
 from treefit.seeds import rng_from
 from treefit import trees as trees_module
-from treefit.trees import RootedView, Tree, _parse_tree_lines, format_tree, parse_tree
+from treefit.trees import Tree, _parse_tree_lines, format_tree, parse_tree
 
 
 def h_shape(bridge_edges: int) -> Tree:
@@ -83,7 +84,7 @@ class TestSeparableEdge:
         assert edge is not None
         u, v = edge
         # check by explicit component count after edge removal
-        view = t.rooted(u)
+        view = RootedView.build(t, u)
         child = v if view.parent[v] == u else u
         side = view.size[child] if view.parent[v] == u else t.n - view.size[u]
         assert min(side, t.n - side) >= 3
