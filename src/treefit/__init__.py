@@ -5,7 +5,7 @@ regime where T has up to min_degree(G)+k vertices, and always backs a YES
 with an explicit verified embedding.
 """
 
-from .embedding import PartialEmbedding, chvatal_extend, verify
+from .embedding import PartialEmbedding, verify
 from .graph import Graph, parse_graph, read_graph
 from .outcome import Contains, NotContained, NotFound, SolveOutcome
 from .pipeline import SolveConfig, brute_force_contains, solve, verify_certificate
@@ -21,7 +21,6 @@ __all__ = [
     "SolveOutcome",
     "Tree",
     "brute_force_contains",
-    "chvatal_extend",
     "parse_graph",
     "parse_tree",
     "read_graph",

@@ -101,31 +101,29 @@ def _read_numbers(path) -> tuple[int, tuple[int, ...]]:
 
 
 def cmd_generate(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "random":
         rng = rng_from(args.seed)
         g = random_graph_min_degree(args.n, args.min_degree, rng)
         t = random_tree(args.tree_size, rng)
-        write_graph(out_dir / "instance.graph", g)
-        write_tree(out_dir / "instance.tree", t)
-        print(
+        landmarks = None
+        summary = (
             f"wrote instance.graph (n={g.n}, m={g.edge_count}, "
             f"min_degree={g.min_degree()}) and instance.tree (n={t.n})"
         )
-        return 0
-    target, sizes = _read_numbers(args.numbers)
-    inst = hardness.ThreePartitionInstance(sizes, target)
-    out = hardness.generate_hardness_instance(inst, args.epsilon)
-    write_graph(out_dir / "instance.graph", out.graph)
-    write_tree(out_dir / "instance.tree", out.tree)
-    (out_dir / "landmarks.jsonl").write_text(
-        "\n".join(out.landmark_lines()) + "\n", encoding="ascii"
-    )
-    print(
-        f"wrote hardness instance: |V(G)|={out.graph.n}, |V(T)|={out.tree.n}, "
-        f"min_degree={out.delta}"
-    )
+    else:
+        target, sizes = _read_numbers(args.numbers)
+        inst = hardness.ThreePartitionInstance(sizes, target)
+        out = hardness.generate_hardness_instance(inst, args.epsilon)
+        g, t, landmarks = out.graph, out.tree, out.landmark_lines()
+        summary = f"wrote hardness instance: |V(G)|={g.n}, |V(T)|={t.n}, min_degree={out.delta}"
+    # the instance is built, and so validated, before the directory is made
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_graph(out_dir / "instance.graph", g)
+    write_tree(out_dir / "instance.tree", t)
+    if landmarks is not None:
+        (out_dir / "landmarks.jsonl").write_text("\n".join(landmarks) + "\n", encoding="ascii")
+    print(summary)
     return 0
 
 

@@ -1,16 +1,16 @@
 """Partial embeddings: the certificate currency of the whole solver.
 
 A PartialEmbedding is an injective, edge-preserving map from a connected
-subtree of the guest tree into the host graph.  This module also houses the
-greedy extension engine (attach the next vertex to a free neighbor of its
-already-mapped tree neighbor) and the certificate text format.
+subtree of the guest tree into the host graph.  This module also houses
+`verify`, the one check of every certificate, and the certificate text
+format; Chvatal's greedy extension is in `treefit.paper.lemmas`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
-from .errors import ParseError, PreconditionViolated, read_ascii, read_pairs
+from .errors import ParseError, read_ascii, read_pairs
 from .graph import Graph
 from .trees import Tree
 
@@ -77,116 +77,6 @@ def verify(
                 inner += 1
     # a forest is connected when it has one edge fewer than vertices
     return inner == 2 * (len(mapping) - 1)
-
-
-# -- greedy extension engine ---------------------------------------------------
-
-def greedy_extend_adjacency(
-    g: Graph,
-    adjacency: Mapping,
-    mapping: dict,
-    *,
-    allowed: frozenset[int] | None = None,
-) -> dict:
-    """Greedy embedding of an arbitrary tree-shaped adjacency structure.
-
-    Nodes may be any sortable hashables.  BFS order from the already-mapped
-    part; each new node goes to the lowest-index free neighbor of its mapped
-    neighbor, restricted to `allowed` when given.  Raises AssertionError
-    when stuck: callers invoke this only under guarantees that make failure
-    an implementation bug.
-    """
-    out = dict(mapping)
-    used = set(out.values())
-
-    def free_neighbors(gv: int) -> list[int]:
-        cand = g.adj(gv) - used
-        if allowed is not None:
-            cand &= allowed
-        return sorted(cand)
-
-    if not out:
-        seed = min(adjacency)
-        pool = sorted(allowed - used) if allowed is not None else range(g.n)
-        for gv in pool:
-            if gv not in used:
-                out[seed] = gv
-                used.add(gv)
-                break
-        else:
-            raise AssertionError("no vertex available to seed the embedding")
-
-    queue = sorted(out)
-    while queue:
-        node = queue.pop(0)
-        for nxt in sorted(adjacency[node]):
-            if nxt in out:
-                continue
-            options = free_neighbors(out[node])
-            if not options:
-                raise AssertionError(
-                    f"greedy extension stuck at node {nxt!r}: "
-                    f"no free neighbor of {out[node]}"
-                )
-            out[nxt] = options[0]
-            used.add(options[0])
-            queue.append(nxt)
-    if len(out) != len(adjacency):
-        raise ValueError("adjacency structure is not connected")
-    return out
-
-
-def greedy_extend(
-    g: Graph,
-    t: Tree,
-    mapping: dict[int, int],
-    target: Iterable[int],
-    *,
-    allowed: frozenset[int] | None = None,
-) -> dict[int, int]:
-    """Extend `mapping` over the connected vertex set `target` of t."""
-    targets = set(target)
-    if not set(mapping) <= targets:
-        raise ValueError("mapping domain must lie inside the target")
-    adjacency = {v: t.adj(v) & targets for v in targets}
-    return greedy_extend_adjacency(g, adjacency, mapping, allowed=allowed)
-
-
-def chvatal_extend(
-    g: Graph,
-    t: Tree,
-    partial: PartialEmbedding,
-    target: Iterable[int] | None = None,
-    hosts: Sequence[int] | None = None,
-) -> PartialEmbedding:
-    """Extend a partial embedding to all of t (or to `target`).
-
-    Guaranteed to succeed whenever the target has at most min_degree(G)+1
-    vertices; a failure past the precondition check is a bug and raises
-    AssertionError.  With `hosts`, the sorted vertices of one component
-    of G, an empty partial embedding grows inside that component from its
-    lowest vertex, and the component's minimum degree is the one that counts.
-    """
-    targets = set(range(t.n)) if target is None else set(target)
-    delta = g.min_degree(hosts)
-    if len(targets) > delta + 1:
-        raise PreconditionViolated(
-            f"guest has {len(targets)} vertices, more than min_degree+1 = {delta + 1}"
-        )
-    mapping = partial.mapping
-    if mapping:
-        if not verify(partial, g, t):
-            raise PreconditionViolated("partial embedding does not verify")
-        if not set(mapping) <= targets:
-            raise PreconditionViolated("partial domain must lie inside the target")
-    elif hosts is not None:
-        # the greedy's own seed, lowest target vertex on lowest host vertex
-        mapping = {min(targets): hosts[0]}
-    result = greedy_extend(g, t, mapping, targets)
-    out = PartialEmbedding(result)
-    if not verify(out, g, t, require_full=target is None):
-        raise AssertionError("greedy extension produced an invalid embedding")
-    return out
 
 
 # -- certificate text format ----------------------------------------------------------

@@ -95,10 +95,8 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def min_degree(self, among: Iterable[int] | None = None) -> int:
-        """Least degree over every vertex, or over the vertices `among`."""
-        if among is not None:
-            return min(map(self.degrees().__getitem__, among))
+    def min_degree(self) -> int:
+        """Least degree over every vertex."""
         if self.n == 0:
             raise EmptyGraphError("minimum degree of the empty graph")
         if self._min_degree is None:

@@ -21,6 +21,11 @@ from .graph import Graph
 from .trees import Tree
 
 
+# the most host edges `generate_hardness_instance` builds: the tests and the
+# benchmark build at most about 2M, and 10M take gigabytes to build and read
+MAX_HOST_EDGES = 10_000_000
+
+
 @dataclass(frozen=True)
 class ThreePartitionInstance:
     """3n positive numbers with target B: can they split into n triples each
@@ -103,8 +108,15 @@ def generate_hardness_instance(
     total = sum(sizes)
     target = inst.target
     # the pendant block must fit one punched set per branch, so the second
-    # term uses 3*total+6n-2 rather than the weaker total+4n-2
-    delta = max(math.ceil((total + 3) / epsilon), 3 * total + 6 * n - 2)
+    # term uses 3*total+6n-2 rather than the weaker total+4n-2; a float first,
+    # so that a tiny epsilon gives inf and not an overflow
+    delta = max((total + 3) / epsilon, 3 * total + 6 * n - 2)
+    pendant = float(total) * (delta - target - 2) * (delta + 1) * delta / 2  # edges of the pendant cliques
+    if not pendant <= MAX_HOST_EDGES:
+        raise InvalidThreePartitionError(
+            f"epsilon {epsilon}: min degree {delta:.4g}, {pendant:.3g} host edges, more than {MAX_HOST_EDGES:,}"
+        )
+    delta = math.ceil(delta)
     max_deg = delta + 2
 
     # guest -----------------------------------------------------------------

@@ -9,11 +9,11 @@ whole vertex to an outside twin) makes room.
 
 from __future__ import annotations
 
-from ..embedding import PartialEmbedding, chvatal_extend, verify
+from ..embedding import PartialEmbedding, verify
 from ..errors import PreconditionViolated
 from ..graph import Graph
 from ..trees import Tree
-from .lemmas import leaf_degree
+from .lemmas import chvatal_extend, leaf_degree
 
 
 def hitting_set_lower_bound(t: Tree) -> int:

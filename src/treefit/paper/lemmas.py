@@ -5,9 +5,10 @@ vertices and their separators, shortest paths and greedy walks that avoid a
 vertex set, and the components left when a set is removed.
 Guest side: rooted views, paths and diameters of induced subtrees, leaf degree,
 separable edges, maximal trivial paths, minimal spanning subtrees, canonical
-codes and rooted containment.  Embeddings: the min-degree+2 solver and leaf
-completion, both built on the core's greedy extension.  Also the library's
-own errors, all `TreefitError`s.
+codes and rooted containment.  Embeddings: Chvatal's greedy extension, and
+the min-degree+2 solver and leaf completion built on it (`solve` needs no
+greedy: within the lemma's bound its exact search descends the same way).
+Also the library's own errors, all `TreefitError`s.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from ..embedding import PartialEmbedding, chvatal_extend, verify
+from ..embedding import PartialEmbedding, verify
 from ..errors import PreconditionViolated, TreefitError
 from ..graph import Graph, _component_split
 from ..outcome import Contains, NotContained, SolveOutcome
@@ -488,6 +489,106 @@ def assert_not_separable(t: Tree, q: int) -> None:
     edge = find_separable_edge(t, q)
     if edge is not None:
         raise TreeIsSeparableError(f"tree splits at {edge} into parts of >= {q} vertices")
+
+
+# -- greedy extension (Chvatal's lemma) -----------------------------------------
+
+def greedy_extend_adjacency(
+    g: Graph,
+    adjacency: Mapping,
+    mapping: dict,
+    *,
+    allowed: frozenset[int] | None = None,
+) -> dict:
+    """Greedy embedding of an arbitrary tree-shaped adjacency structure.
+
+    Nodes may be any sortable hashables.  BFS order from the already-mapped
+    part; each new node goes to the lowest-index free neighbor of its mapped
+    neighbor, restricted to `allowed` when given.  Raises AssertionError
+    when stuck: callers invoke this only under guarantees that make failure
+    an implementation bug.
+    """
+    out = dict(mapping)
+    used = set(out.values())
+
+    def free_neighbors(gv: int) -> list[int]:
+        cand = g.adj(gv) - used
+        if allowed is not None:
+            cand &= allowed
+        return sorted(cand)
+
+    if not out:  # nothing is used yet: the lowest node on the lowest vertex
+        pool = sorted(allowed) if allowed is not None else range(g.n)
+        if not pool:
+            raise AssertionError("no vertex available to seed the embedding")
+        out[min(adjacency)] = pool[0]
+        used.add(pool[0])
+
+    queue = sorted(out)
+    while queue:
+        node = queue.pop(0)
+        for nxt in sorted(adjacency[node]):
+            if nxt in out:
+                continue
+            options = free_neighbors(out[node])
+            if not options:
+                raise AssertionError(
+                    f"greedy extension stuck at node {nxt!r}: "
+                    f"no free neighbor of {out[node]}"
+                )
+            out[nxt] = options[0]
+            used.add(options[0])
+            queue.append(nxt)
+    if len(out) != len(adjacency):
+        raise ValueError("adjacency structure is not connected")
+    return out
+
+
+def greedy_extend(
+    g: Graph,
+    t: Tree,
+    mapping: dict[int, int],
+    target: Iterable[int],
+    *,
+    allowed: frozenset[int] | None = None,
+) -> dict[int, int]:
+    """Extend `mapping` over the connected vertex set `target` of t."""
+    targets = set(target)
+    if not set(mapping) <= targets:
+        raise ValueError("mapping domain must lie inside the target")
+    adjacency = {v: t.adj(v) & targets for v in targets}
+    return greedy_extend_adjacency(g, adjacency, mapping, allowed=allowed)
+
+
+def chvatal_extend(
+    g: Graph,
+    t: Tree,
+    partial: PartialEmbedding,
+    target: Iterable[int] | None = None,
+) -> PartialEmbedding:
+    """Extend a partial embedding to all of t (or to `target`).
+
+    Guaranteed to succeed whenever the target has at most min_degree(G)+1
+    vertices (Chvatal's lemma); a failure past the precondition check is a
+    bug and raises AssertionError.
+    """
+    targets = set(range(t.n)) if target is None else set(target)
+    delta = g.min_degree()
+    if len(targets) > delta + 1:
+        raise PreconditionViolated(
+            f"guest has {len(targets)} vertices, more than min_degree+1 = {delta + 1}"
+        )
+    mapping = partial.mapping
+    if mapping:
+        if not verify(partial, g, t):
+            raise PreconditionViolated("partial embedding does not verify")
+        if not set(mapping) <= targets:
+            raise PreconditionViolated("partial domain must lie inside the target")
+    result = greedy_extend(g, t, mapping, targets)
+    out = PartialEmbedding(result)
+    if not verify(out, g, t, require_full=target is None):
+        raise AssertionError("greedy extension produced an invalid embedding")
+    return out
 
 
 # -- the delta+2 characterization ------------------------------------------------

@@ -10,16 +10,19 @@ from __future__ import annotations
 
 import math
 
-from ..embedding import PartialEmbedding, chvatal_extend, greedy_extend, greedy_extend_adjacency, verify
+from ..embedding import PartialEmbedding, verify
 from ..errors import PreconditionViolated
 from ..graph import Graph
 from ..trees import Tree
 from .lemmas import (
     RootedView,
+    chvatal_extend,
     complete_leaves,
     components_avoiding,
     diametral_path,
     find_separable_edge,
+    greedy_extend,
+    greedy_extend_adjacency,
     is_q_escape,
     leaf_degree,
     maximal_trivial_paths,

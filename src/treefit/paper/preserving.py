@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from ..embedding import PartialEmbedding, greedy_extend, verify
+from ..embedding import PartialEmbedding, verify
 from ..errors import PreconditionViolated
 from ..graph import Graph
 from ..trees import Tree
@@ -26,6 +26,7 @@ from .lemmas import (
     RootedView,
     components_avoiding,
     diametral_path,
+    greedy_extend,
     greedy_walk,
     neighbor_deficiency,
     shortest_path_between,

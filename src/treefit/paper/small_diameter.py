@@ -15,7 +15,7 @@ from itertools import combinations, permutations, product
 from random import Random
 from typing import Iterator
 
-from ..embedding import PartialEmbedding, chvatal_extend, verify
+from ..embedding import PartialEmbedding, verify
 from ..errors import PreconditionViolated
 from ..graph import Graph
 from ..outcome import Contains, NotContained, NotFound, SolveOutcome
@@ -27,6 +27,7 @@ from .lemmas import (
     TreeIsSeparableError,
     assert_not_separable,
     canonical_code,
+    chvatal_extend,
     is_q_escape,
     leaf_degree,
     max_bipartite_matching,

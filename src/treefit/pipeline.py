@@ -1,5 +1,5 @@
-"""The master solver: size check, component split, greedy guarantee, then
-exact containment search under a node budget.
+"""The master solver: size check, component split, then exact containment
+search under a node budget; within Chvatal's bound its first descent is the lemma's greedy.
 
 Also houses the brute-force oracle (an independent backtracking search used
 by the verification suites; deliberately sharing no code with the solver's
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .color_coding import DEFAULT_NODE_BUDGET, exact_constrained_embed
-from .embedding import PartialEmbedding, chvatal_extend, verify
+from .embedding import PartialEmbedding, verify
 from .errors import BudgetExceededError, EmptyGraphError
 from .graph import Graph
 from .outcome import Contains, NotContained, NotFound, SolveOutcome
@@ -88,14 +88,12 @@ def solve(g: Graph, t: Tree, config: SolveConfig | None = None) -> SolveOutcome:
     One-sided: Contains always carries a verified certificate; NotContained
     only comes from exact steps; NotFound says the node budget ran out and
     claims no bound (`rounds` and `failure_exponent` stay 0).
-    The engine that builds a certificate checks it once, over the whole
-    guest: `chvatal_extend` or `exact_constrained_embed` calls
-    `verify(..., require_full=True)` before returning it, and `solve` adds
-    no second check.
-    Each host component at least as large as the guest runs the same
-    steps in place, with component-local slack: the greedy guarantee, then
-    the exact search under `config.node_budget`.  The first certificate
-    wins; the budget misses of all components merge into one NotFound.
+    The search checks its certificate once, over the whole guest
+    (`verify(..., require_full=True)`), and `solve` adds no second check.
+    Each host component at least as large as the guest runs the search in
+    place under `config.node_budget`; a guest within Chvatal's bound for
+    the component takes exactly |T| nodes.  The first certificate wins; the
+    budget misses of all components merge into one NotFound.
     """
     config = config or SolveConfig()
     if g.n == 0:
@@ -110,9 +108,6 @@ def solve(g: Graph, t: Tree, config: SolveConfig | None = None) -> SolveOutcome:
         if len(comp) < t.n:
             continue
         hosts = comp if split else None  # a connected host is searched whole
-        if t.n - g.min_degree(hosts) <= 1:
-            emb = chvatal_extend(g, t, PartialEmbedding({}), hosts=hosts)
-            return Contains(emb, branch="greedy-guarantee")
         try:
             emb = exact_constrained_embed(g, t, node_cap=config.node_budget, hosts=hosts)
         except BudgetExceededError:

@@ -13,7 +13,7 @@ from helpers import (
     random_connected_subtree,
     random_embedding,
 )
-from treefit.embedding import PartialEmbedding, chvatal_extend, verify
+from treefit.embedding import PartialEmbedding, verify
 from treefit.generate import (
     circulant,
     random_connected_graph,
@@ -31,7 +31,7 @@ from treefit.hardness import (
 from treefit.outcome import Contains, NotContained
 from treefit.paper.ahsc import colorful_full_tree_dp, sample_coloring
 from treefit.paper.dense import embed_dense, hitting_set_lower_bound
-from treefit.paper.lemmas import leaf_degree, solve_delta_plus_two, tree_diameter
+from treefit.paper.lemmas import chvatal_extend, leaf_degree, solve_delta_plus_two, tree_diameter
 from treefit.paper.preserving import (
     anti_dominating_set,
     build_preserving_set,

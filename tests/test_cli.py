@@ -342,15 +342,18 @@ class TestGenerate:
         assert code == 3
         assert message in capsys.readouterr().err
 
-    def test_infeasible_parameters(self, tmp_path):
-        code, _ = run_cli(
+    def test_infeasible_parameters(self, tmp_path, capsys):
+        code, out = run_cli(
             [
                 "generate", "random",
                 "--n", "5", "--min-degree", "10", "--tree-size", "3",
                 "--out-dir", str(tmp_path / "x"),
             ]
         )
-        assert code == 3
+        assert code == 3 and out == ""
+        assert "cannot reach min degree 10 on 5 vertices" in capsys.readouterr().err
+        # the instance is checked before the output directory is made
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -371,19 +374,31 @@ class TestGenerate:
         assert exc.value.code == 3
         assert message in capsys.readouterr().err
 
-    def test_nan_epsilon_exits_3(self, tmp_path, capsys):
-        # NaN passed an `epsilon <= 0` check and failed later as a ValueError, exit 1
+    @pytest.mark.parametrize(
+        "epsilon, message",
+        [
+            # NaN passed an `epsilon <= 0` check and failed later as a ValueError, exit 1
+            ("nan", "epsilon must be positive"),
+            # min degree ceil(12 / epsilon) is an int too large for any host
+            ("1e-300", "epsilon 1e-300: min degree 1.2e+301, inf host edges, more than 10,000,000"),
+            # min degree 120,000: host blocks of 120,001 vertices each
+            ("1e-4", "epsilon 0.0001: min degree 1.2e+05, 7.78e+15 host edges, more than 10,000,000"),
+        ],
+        ids=["nan", "1e-300", "1e-4"],
+    )
+    def test_nan_epsilon_exits_3(self, tmp_path, capsys, epsilon, message):
         numbers = tmp_path / "numbers.txt"
         numbers.write_text("9\n3 3 3\n")
         code, out = run_cli(
             [
                 "generate", "hardness",
-                "--numbers", str(numbers), "--epsilon", "nan",
+                "--numbers", str(numbers), "--epsilon", epsilon,
                 "--out-dir", str(tmp_path / "x"),
             ]
         )
         assert code == 3 and out == ""
-        assert "epsilon must be positive" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()  # checked before the directory is made
 
 
 class TestBench:

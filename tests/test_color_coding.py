@@ -218,6 +218,38 @@ class TestExactConstrained:
         t = Tree(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
         assert self.assert_nodes(g, t, 16) is None
 
+    @pytest.mark.parametrize("kind", ["random", "dense", "disconnected"])
+    def test_node_cap_within_chvatal_bound(self, kind):
+        # Chvatal's lemma through the search: a guest on at most min degree
+        # + 1 vertices (of the component, with `hosts`) is placed by the
+        # first descent, one node per guest vertex, so |T| nodes find it and
+        # |T| - 1 overrun.  Random min-degree hosts, dense ones (4m >=
+        # n(n-1), where the search walks its list of unused vertices), and
+        # each large enough component of a disconnected host.
+        rng = rng_from({"random": 43, "dense": 44, "disconnected": 45}[kind])
+        shapes = (random_tree, lambda size, _: path_tree(size), lambda size, _: star_tree(size - 1))
+        for trial in range(150):
+            n = rng.randint(2, 40)
+            if kind == "random":
+                g = random_graph_min_degree(n, rng.randint(0, n - 1), rng, p=rng.uniform(0.05, 0.5))
+                spots = [None]
+            elif kind == "dense":
+                g = random_graph_min_degree(n, rng.randint(0, n - 1), rng, p=rng.uniform(0.6, 1.0))
+                assert 4 * g.edge_count >= n * (n - 1)
+                spots = [None]
+            else:
+                parts = [random_graph_min_degree(rng.randint(1, 14), 0, rng, p=rng.uniform(0.2, 1.0))
+                         for _ in range(rng.randint(2, 4))]
+                g, _ = interleaved_union(parts, rng)
+                spots = g.components()
+            for comp in spots:
+                delta = min(map(g.degree, range(g.n) if comp is None else comp))
+                size = rng.randint(1, delta + 1)
+                t = shapes[trial % 3](size, rng)
+                emb = self.assert_nodes(g, t, t.n, hosts=comp)
+                assert verify(emb, g, t, require_full=True)
+                assert comp is None or emb.image <= set(comp)
+
     def test_spanning_leaf_phase_checks_hall_first(self):
         # the same S(2,2) spans K_4 minus the edge 2-3 with a pendant vertex
         # on 2 (vertex 4) and on 3 (vertex 5): the centres go on the four

@@ -20,7 +20,7 @@ from helpers import (
 )
 from treefit import color_coding, embedding, pipeline
 from treefit.color_coding import exact_constrained_embed
-from treefit.embedding import PartialEmbedding, chvatal_extend, format_certificate
+from treefit.embedding import PartialEmbedding, format_certificate
 from treefit.errors import BudgetExceededError, EmptyGraphError
 from treefit.generate import (
     circulant,
@@ -56,9 +56,13 @@ class TestBruteForce:
 
 class TestSolveBasics:
     def test_chvatal_branch(self):
-        out = solve(cycle(6), path_tree(3))
+        # within Chvatal's bound the exact search decides in exactly |T|
+        # nodes: the budget is all the guarantee needs, and one node less
+        # is a miss
+        out = solve(cycle(6), path_tree(3), SolveConfig(node_budget=3))
         assert isinstance(out, Contains)
-        assert out.branch == "greedy-guarantee"
+        assert out.branch == "exact-search"
+        assert solve(cycle(6), path_tree(3), SolveConfig(node_budget=2)) == NotFound(0, 0, 0, "BudgetExceeded")
 
     def test_petersen_star_exact_no(self):
         out = solve(petersen(), star_tree(4))
@@ -115,27 +119,30 @@ class TestSolveBasics:
         assert out == NotFound(rounds=0, seed=0, failure_exponent=0, note="BudgetExceeded")
 
 
+def _within_chvatal_bound(g: Graph, t: Tree) -> bool:
+    """Whether some component with room for the guest has minimum degree at
+    least |T| - 1, so that Chvatal's lemma puts the guest in it."""
+    return any(len(comp) >= t.n and min(map(g.degree, comp)) >= t.n - 1 for comp in g.components())
+
+
 def _solve_on_copies(g: Graph, t: Tree, config: SolveConfig):
     """Reference for solve on a disconnected host: each component at least
-    as large as the guest solved on its own induced copy by the greedy
-    guarantee, then the exact search, a certificate mapped back to the
-    host's ids, the budget misses merged into one NotFound."""
+    as large as the guest solved on its own induced copy by the exact
+    search, a certificate mapped back to the host's ids, the budget misses
+    merged into one NotFound."""
     misses = 0
     for comp in g.components():
         if len(comp) < t.n:
             continue
         sub, old = reference_induced(g, comp)
-        if t.n - sub.min_degree() <= 1:
-            emb, branch = chvatal_extend(sub, t, PartialEmbedding({})), "greedy-guarantee"
-        else:
-            try:
-                emb, branch = exact_constrained_embed(sub, t, node_cap=config.node_budget), "exact-search"
-            except BudgetExceededError:
-                misses += 1
-                continue
+        try:
+            emb = exact_constrained_embed(sub, t, node_cap=config.node_budget)
+        except BudgetExceededError:
+            misses += 1
+            continue
         if emb is not None:
             mapping = {tv: old[gv] for tv, gv in emb.mapping.items()}
-            return Contains(PartialEmbedding(mapping), branch=branch)
+            return Contains(PartialEmbedding(mapping), branch="exact-search")
     if misses:
         return NotFound(0, config.seed, 0, "; ".join(["BudgetExceeded"] * misses))
     return NotContained(reason="no component can host the guest")
@@ -168,7 +175,11 @@ class TestComponentsInPlace:
             out = solve(g, t, config)
             assert out == _solve_on_copies(g, t, config), trial
             seen[type(out).__name__, getattr(out, "branch", "")] += 1
-        assert seen["Contains", "greedy-guarantee"] > 30
+            if _within_chvatal_bound(g, t) and (budget is None or budget >= t.n):
+                # the lemma's guarantee, from the search alone: |T| nodes suffice
+                assert isinstance(out, Contains), trial
+                seen["within bound", out.branch] += 1
+        assert seen["within bound", "exact-search"] > 30
         assert seen["Contains", "exact-search"] > 200
         assert seen["NotContained", ""] > 20
         assert seen["NotFound", ""] > 10
@@ -217,9 +228,11 @@ class TestGeneratorOnlyForTrials:
             g = random_graph_min_degree(n, rng.randint(2, n - 3), rng)
             t = random_tree(min(g.min_degree() + rng.randint(2, 4), n), rng)
             seen[type(no_generator(solve, g, t)).__name__] += 1
-            # the greedy guarantee: at most min degree + 1 guest vertices
-            out = no_generator(solve, g, random_tree(g.min_degree() + 1, rng))
-            assert out.branch == "greedy-guarantee"
+            # Chvatal's bound: at most min degree + 1 guest vertices, found
+            # by the exact search in exactly |T| nodes
+            t = random_tree(g.min_degree() + 1, rng)
+            out = no_generator(solve, g, t, SolveConfig(node_budget=t.n))
+            assert out.branch == "exact-search"
             # a disconnected host, on interleaved ids
             parts = [random_connected_graph(rng.randint(1, 12), 0.4, rng) for _ in range(3)]
             g, _ = interleaved_union(parts, rng)
@@ -366,12 +379,16 @@ class TestOneCertificateCheck:
         assert [(e is out.embedding, full, ok) for e, full, ok in calls] == [(True, True, True)]
 
     def test_greedy_guarantee(self, verify_calls):
-        self._solve_once_checked(verify_calls, cycle(6), path_tree(3), "greedy-guarantee")
+        # within Chvatal's bound the exact search builds the certificate, in
+        # exactly |T| nodes
+        self._solve_once_checked(verify_calls, cycle(6), path_tree(3), "exact-search", SolveConfig(node_budget=3))
 
     def test_greedy_guarantee_in_a_component(self, verify_calls):
-        # a triangle beside a K_5: the guest fits the K_5 alone
-        edges = [(0, 1), (1, 2), (0, 2)] + [(a, b) for a in range(3, 8) for b in range(a + 1, 8)]
-        self._solve_once_checked(verify_calls, Graph(8, edges), star_tree(3), "greedy-guarantee")
+        # a triangle beside a K_5: the guest fits the K_5 alone, where it is
+        # within Chvatal's bound and found in exactly |T| nodes
+        g = Graph(8, [(0, 1), (1, 2), (0, 2)] + [(a, b) for a in range(3, 8) for b in range(a + 1, 8)])
+        self._solve_once_checked(verify_calls, g, star_tree(3), "exact-search", SolveConfig(node_budget=4))
+        assert solve(g, star_tree(3), SolveConfig(node_budget=3)) == NotFound(0, 0, 0, "BudgetExceeded")
 
     def test_exact_search(self, verify_calls):
         self._solve_once_checked(verify_calls, circulant(40, [1, 2, 3, 4]), multi_star(5, 2), "exact-search")
@@ -399,7 +416,7 @@ def _golden_instances():
     for trial in range(200):
         kind = trial % 5
         budget = 2_000_000
-        if kind == 0:  # at most min degree + 1 guest vertices: the greedy guarantee
+        if kind == 0:  # at most min degree + 1 guest vertices: Chvatal's bound
             n = rng.randint(8, 30)
             g = random_graph_min_degree(n, rng.randint(2, n - 3), rng)
             size = g.min_degree() + rng.randint(-2, 1)
@@ -427,7 +444,7 @@ class TestGoldenDigest:
     """Outcomes and certificates stay byte-identical across refactors (the
     seed guarantee); a change to the digest needs a stated reason."""
 
-    DIGEST = "16cb1e0df43771d3ddc69d4d2919a8421fb5d1c5390083edb7def2c5dba7ec6c"
+    DIGEST = "03ca2914c1894aab04356777e90a0d03945f7da783242ca1424bdf11eb4615ea"
 
     def _solve_and_check(self, instances) -> None:
         digest = hashlib.sha256()
@@ -438,8 +455,10 @@ class TestGoldenDigest:
             cert = sorted(out.embedding.mapping.items()) if isinstance(out, Contains) else None
             digest.update(f"{out!r} {cert}\n".encode())
             seen[type(out).__name__, getattr(out, "branch", "")] += 1
-        assert seen["Contains", "greedy-guarantee"] >= 40
-        assert seen["Contains", "exact-search"] >= 100
+            if _within_chvatal_bound(g, t):
+                seen["within bound", getattr(out, "branch", "")] += 1
+        assert seen["within bound", "exact-search"] >= 40
+        assert seen["Contains", "exact-search"] >= 140
         assert seen["NotContained", ""] >= 25 and seen["NotFound", ""] >= 20
         assert digest.hexdigest() == self.DIGEST
 
