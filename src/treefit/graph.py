@@ -1,11 +1,12 @@
-"""Host graph representation and the graph-side primitives of the solver.
+"""Graph representation and the graph-side primitives of the solver.
 
-Vertices are dense integers 0..n-1.  The graph is immutable after
-construction.  Its degree table and component split are computed lazily,
-once per `Graph`, and kept in slots; filling a slot is idempotent (two
-readers that race both store equal values), so concurrent reads stay safe.
-Every other query is pure.  Vertex sets are plain Python sets/frozensets
-throughout.
+Hosts are `Graph`s; guests are `trees.Tree`, a subclass that checks at
+construction that it is connected with n - 1 edges.  Vertices are dense
+integers 0..n-1.  The graph is immutable after construction.  Its degree
+table and component split are computed lazily, once per `Graph`, and kept
+in slots; filling a slot is idempotent (two readers that race both store
+equal values), so concurrent reads stay safe.  Every other query is pure.
+Vertex sets are plain Python sets/frozensets throughout.
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ class Graph:
     @classmethod
     def _from_adjacency(cls, adj: Iterable[Iterable[int]]) -> "Graph":
         """Graph from per-vertex neighbour collections that are already
-        symmetric, loop-free and in range; duplicates within one collection
-        collapse, so callers compare `edge_count` with the edges they meant."""
+        symmetric and in range.  Duplicates within one collection collapse
+        and a loop counts half an edge, so `edge_count` falls short of the
+        edges meant when either is there: callers check the result (a host
+        compares `edge_count`, a tree walks from vertex 0) before any query."""
         g = cls.__new__(cls)
         # a frozenset copied from a set is sized to fit, one grown from a
         # list is up to twice as large: keep hosts as small as Graph(n, edges)

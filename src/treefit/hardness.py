@@ -107,10 +107,17 @@ def generate_hardness_instance(
     n = inst.n_triples
     total = sum(sizes)
     target = inst.target
-    # the pendant block must fit one punched set per branch, so the second
-    # term uses 3*total+6n-2 rather than the weaker total+4n-2; a float first,
-    # so that a tiny epsilon gives inf and not an overflow
-    delta = max((total + 3) / epsilon, 3 * total + 6 * n - 2)
+    # the pendant block must fit one punched set per branch, so the min
+    # degree is at least 3*total+6n-2 rather than the weaker total+4n-2.  A
+    # host of min degree d has at least d(d+1)/2 edges: checked in ints
+    # first, since a sum beyond a float's range overflows the float below
+    floor = 3 * total + 6 * n - 2
+    if floor * (floor + 1) // 2 > MAX_HOST_EDGES:
+        raise InvalidThreePartitionError(
+            f"sizes too large: min degree at least 3*sum+6n-2, more than {MAX_HOST_EDGES:,} host edges"
+        )
+    # a float first, so that a tiny epsilon gives inf and not an overflow
+    delta = max((total + 3) / epsilon, floor)
     pendant = float(total) * (delta - target - 2) * (delta + 1) * delta / 2  # edges of the pendant cliques
     if not pendant <= MAX_HOST_EDGES:
         raise InvalidThreePartitionError(

@@ -1,81 +1,49 @@
-"""Guest tree representation and the tree text format.
+"""Guest tree type and the tree text format.
 
-Subtrees are always vertex subsets of the original tree (induced edges),
-never re-indexed, so partial embeddings stay composable across pipeline
-stages; `_active` checks such a `within` vertex set.
+A `Tree` is a `Graph` (its adjacency, queries and edge checks) that is
+connected and has n - 1 edges, checked at construction.  Subtrees are
+always vertex subsets of the original tree (induced edges), never
+re-indexed, so partial embeddings stay composable across pipeline stages;
+`_active` checks such a `within` vertex set.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ParseError, read_ascii, read_pairs
+from .graph import Graph
 
 
-class Tree:
-    """Connected acyclic graph on vertices 0..n-1 (checked at construction)."""
+class Tree(Graph):
+    """Connected graph on vertices 0..n-1, n >= 1, with n - 1 edges
+    (checked at construction)."""
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ()
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise ValueError("a tree has at least one vertex")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ValueError(f"bad tree edge ({u},{v})")
-            if v in adj[u]:
-                raise ValueError(f"duplicate tree edge ({u},{v})")
-            adj[u].add(v)
-            adj[v].add(u)
-            m += 1
-        if m != n - 1:
-            raise ValueError(f"tree on {n} vertices needs {n - 1} edges, got {m}")
-        self.n = n
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        if n > 1 and not self._connected():
+        super().__init__(n, edges)
+        if self.edge_count != n - 1:
+            raise ValueError(f"tree on {n} vertices needs {n - 1} edges, got {self.edge_count}")
+        if not self._spans():
             raise ValueError("tree edges do not form a connected graph")
 
-    @classmethod
-    def _from_adjacency(cls, adj: Iterable[Iterable[int]]) -> "Tree":
-        """Tree from per-vertex neighbour collections that are already
-        symmetric, loop-free and in range; the caller checks that they form
-        a tree."""
-        t = cls.__new__(cls)
-        t._adj = tuple(map(frozenset, map(set, adj)))  # compact, as in Graph._from_adjacency
-        t.n = len(t._adj)
-        return t
-
-    def _connected(self) -> bool:
+    def _spans(self) -> bool:
+        """Whether the walk from vertex 0 reaches every vertex.  Its own walk,
+        not `components()`: that builds host tables a guest never reads, and
+        its min-degree shortcut assumes no loops, which the bulk reader's
+        adjacency can hold."""
+        adj = self._adj
         seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self._adj[u]:
+        for u in (order := [0]):  # grows while it is read: a BFS queue
+            for v in adj[u]:
                 if v not in seen:
                     seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.n
-
-    # -- basic queries -----------------------------------------------------
-
-    def adj(self, v: int) -> frozenset[int]:
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if u < v:
-                    yield (u, v)
+                    order.append(v)
+        return len(order) == self.n
 
     def leaves(self) -> list[int]:
         if self.n == 1:
@@ -127,7 +95,7 @@ def parse_tree(text: str) -> Tree:
             t = Tree._from_adjacency(adj)
             # n - 1 lines connect n vertices only if none is a loop or a
             # repeated edge, so connectivity alone proves a tree
-            if t._connected():
+            if t._spans():
                 return t
     return _parse_tree_lines(text)
 
@@ -141,8 +109,17 @@ def _parse_tree_lines(text: str) -> Tree:
         n = int(lines[0].strip())
     except ValueError:
         raise ParseError("expected vertex count", 1) from None
-    edges = [(u, v) for _, u, v in read_pairs(lines[1:], 2, "expected `u v`", "non-integer endpoint")]
-    try:
+    if n < 1:
+        raise ParseError("a tree has at least one vertex", 1)
+    edges: dict[tuple[int, int], None] = {}  # in line order, each as (low, high)
+    for lineno, u, v in read_pairs(lines[1:], 2, "expected `u v`", "non-integer endpoint"):
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ParseError(f"bad tree edge ({u},{v})", lineno)
+        key = (u, v) if u < v else (v, u)
+        if key in edges:
+            raise ParseError(f"duplicate tree edge ({u},{v})", lineno)
+        edges[key] = None
+    try:  # the edge count or connectivity, which only the last line settles
         return Tree(n, edges)
     except ValueError as exc:
         raise ParseError(str(exc), len(lines)) from None

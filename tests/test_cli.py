@@ -400,6 +400,22 @@ class TestGenerate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()  # checked before the directory is made
 
+    def test_huge_sizes_exit_3(self, tmp_path, capsys):
+        # sizes beyond a float's range were an OverflowError traceback
+        x = 10**310
+        numbers = tmp_path / "numbers.txt"
+        numbers.write_text(f"{3 * x}\n{x} {x} {x}\n")
+        code, out = run_cli(
+            [
+                "generate", "hardness",
+                "--numbers", str(numbers), "--epsilon", "1.0",
+                "--out-dir", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 3 and out == ""
+        assert "sizes too large" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestBench:
     def test_rows_per_instance(self, instance_dir):

@@ -103,6 +103,10 @@ class TestGenerator:
     def test_invalid_sizes_rejected(self):
         with pytest.raises(InvalidThreePartitionError):
             generate_hardness_instance(ThreePartitionInstance((1, 3, 5), 9), 1.0)
+        # a valid instance whose sum no float holds: rejected before it is converted
+        x = 10**310
+        with pytest.raises(InvalidThreePartitionError, match="sizes too large"):
+            generate_hardness_instance(ThreePartitionInstance((x, x, x), 3 * x), 1.0)
 
 
 class TestForwardCertificate:

@@ -1,4 +1,5 @@
 import itertools
+import re
 from random import Random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from helpers import path_tree, rooted_isomorphic, spider, star_tree
 from treefit.errors import ParseError
 from treefit.generate import random_tree
+from treefit.graph import Graph
 from treefit.paper.lemmas import (
     RootedView,
     canonical_code,
@@ -40,12 +42,30 @@ class TestConstruction:
             Tree(3, [(0, 1), (1, 2), (2, 0)])
 
     def test_rejects_disconnected(self):
-        with pytest.raises(ValueError):
-            Tree(4, [(0, 1), (2, 3), (0, 1)])
+        # n - 1 distinct edges that miss a vertex close a cycle
+        with pytest.raises(ValueError, match="tree edges do not form a connected graph"):
+            Tree(4, [(0, 1), (1, 2), (2, 0)])
 
     def test_rejects_wrong_edge_count(self):
         with pytest.raises(ValueError):
             Tree(3, [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (1, 1)], "self-loop at vertex 1"),
+            ([(0, 1), (1, 3)], "edge (1,3) out of range for n=3"),
+            ([(0, 1), (1, 0)], "duplicate edge (1,0)"),
+        ],
+        ids=["loop", "out-of-range", "repeated"],
+    )
+    def test_rejects_bad_edge_as_a_graph_does(self, edges, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Tree(3, edges)
+
+    def test_parsed_tree_is_a_graph(self):
+        t = parse_tree("4\n0 1\n1 2\n1 3\n")
+        assert isinstance(t, Graph) and t.edge_count == t.n - 1 == 3
 
 
 class TestLeafDegree:
@@ -298,6 +318,7 @@ MALFORMED_TREES = [
     ("", "empty input", 1),
     ("x\n", "expected vertex count", 1),
     ("0\n", "a tree has at least one vertex", 1),
+    ("0\n0 1\n", "a tree has at least one vertex", 1),
     ("3\n0 1\n1 2\n2 0\n", "tree on 3 vertices needs 2 edges, got 3", 4),
     ("5\n0 1\n1 2\n2 0\n3 4\n", "tree edges do not form a connected graph", 5),
     ("2\n1 1\n", "bad tree edge (1,1)", 2),
@@ -309,7 +330,9 @@ MALFORMED_TREES = [
     ("3\n0 1\n\n\n", "tree on 3 vertices needs 2 edges, got 1", 4),
     ("3\n0 1\n1 2\n2 0", "tree on 3 vertices needs 2 edges, got 3", 4),
     ("3\r\n0 1\r\n1 0\r\n", "duplicate tree edge (1,0)", 3),
-    ("3\n0 -1\n1 2\n", "bad tree edge (0,-1)", 3),
+    ("3\n0 -1\n1 2\n", "bad tree edge (0,-1)", 2),
+    ("4\n0 1\n0 1\n2 3\n", "duplicate tree edge (0,1)", 3),
+    ("3\n0 0\n1 2\n", "bad tree edge (0,0)", 2),
 ]
 
 # texts outside the bulk reader's shape that still parse: (text, n, edges)
