@@ -36,11 +36,6 @@ class PartialEmbedding:
     def __eq__(self, other) -> bool:
         return isinstance(other, PartialEmbedding) and self.mapping == other.mapping
 
-    def extended(self, pairs: Mapping[int, int]) -> "PartialEmbedding":
-        merged = dict(self.mapping)
-        merged.update(pairs)
-        return PartialEmbedding(merged)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"PartialEmbedding({self.mapping!r})"
 

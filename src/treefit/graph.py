@@ -7,15 +7,38 @@ table and component split are computed lazily, once per `Graph`, and kept
 in slots; filling a slot is idempotent (two readers that race both store
 equal values), so concurrent reads stay safe.  Every other query is pure.
 Vertex sets are plain Python sets/frozensets throughout.
+
+Bulk builds (`Graph(n, edges)`, the written-form reader here and the tree
+reader's bulk path) run with the cyclic garbage collector paused: they make
+only lists, sets and tuples of ints, which hold no cycles, so a collection
+during one frees nothing and re-scans whatever else is alive, such as hosts
+loaded before.  The pause is process-wide (`gc.disable()`), and the
+collector is turned back on afterwards only if it was on before; a thread
+that turns it off while another thread builds may find it back on.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from operator import lt
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import EmptyGraphError, ParseError, read_ascii, read_pairs
+
+_T = TypeVar("_T")
+
+
+def _gc_paused(build: Callable[..., _T], *args) -> _T:
+    """`build(*args)` with the cyclic collector paused, turned back on
+    afterwards, also when `build` raises, only if it was on before."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        return build(*args)
+    finally:
+        if was_on:
+            gc.enable()
 
 
 class Graph:
@@ -27,21 +50,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if v in adj[u]:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            adj[u].add(v)
-            adj[v].add(u)
-            m += 1
         self.n = n
-        self.edge_count = m
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self.edge_count, self._adj = _gc_paused(_edge_sets, n, edges)
         self._clear_tables()
 
     @classmethod
@@ -159,6 +169,24 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def _edge_sets(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, tuple[frozenset[int], ...]]:
+    """The edge count and neighbour sets of `Graph(n, edges)`, which raises
+    `ValueError` for an edge out of range, a loop or a repeated edge."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    m = 0
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if v in adj[u]:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        adj[u].add(v)
+        adj[v].add(u)
+        m += 1
+    return m, tuple(frozenset(s) for s in adj)
+
+
 def _component_split(adj: Sequence[frozenset[int]], unseen: set[int]) -> Iterator[list[int]]:
     """Vertex lists of the components that the vertices `unseen` induce,
     each sorted, by least vertex; the walk empties `unseen`."""
@@ -221,7 +249,7 @@ def parse_graph(text: str) -> Graph:
         data = text.encode("ascii")
     except UnicodeEncodeError:
         return _parse_graph_lines(text)
-    g = _parse_written_form(data)
+    g = _gc_paused(_parse_written_form, data)
     return _parse_graph_lines(text) if g is None else g
 
 

@@ -5,8 +5,9 @@ vertices and their separators, shortest paths and greedy walks that avoid a
 vertex set, and the components left when a set is removed.
 Guest side: rooted views, paths and diameters of induced subtrees, leaf degree,
 separable edges, maximal trivial paths, minimal spanning subtrees, canonical
-codes and rooted containment.  Embeddings: Chvatal's greedy extension, and
-the min-degree+2 solver and leaf completion built on it (`solve` needs no
+codes and rooted containment.  Embeddings: `extended`, which adds pairs to
+a partial embedding, Chvatal's greedy extension, and the min-degree+2
+solver and leaf completion built on it (`solve` needs no
 greedy: within the lemma's bound its exact search descends the same way).
 Also the library's own errors, all `TreefitError`s.
 """
@@ -591,6 +592,12 @@ def chvatal_extend(
     return out
 
 
+def extended(partial: PartialEmbedding, pairs: Mapping[int, int]) -> PartialEmbedding:
+    """`partial` with the pairs `pairs` added (a new embedding; `partial`
+    is left as it was)."""
+    return PartialEmbedding({**partial.mapping, **pairs})
+
+
 # -- the delta+2 characterization ------------------------------------------------
 
 def _is_star(t: Tree) -> int | None:
@@ -633,7 +640,7 @@ def solve_delta_plus_two(g: Graph, t: Tree) -> SolveOutcome:
         free = sorted(g.closed_adj(u) - partial.image)
         if not free:
             raise AssertionError("high-degree vertex ran out of neighbors")
-        full = partial.extended({leaf: free[0]})
+        full = extended(partial, {leaf: free[0]})
     else:
         # Regular host, non-star guest: route a 3-vertex tree path onto a
         # host path that exits the anchor image's closed neighborhood.
@@ -655,7 +662,7 @@ def solve_delta_plus_two(g: Graph, t: Tree) -> SolveOutcome:
         free = sorted(g.closed_adj(u) - partial.image)
         if not free:
             raise AssertionError("saved neighbor was lost")
-        full = partial.extended({leaf: free[0]})
+        full = extended(partial, {leaf: free[0]})
 
     if not verify(full, g, t, require_full=True):
         raise AssertionError("delta+2 construction produced an invalid embedding")

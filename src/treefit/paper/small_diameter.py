@@ -28,6 +28,7 @@ from .lemmas import (
     assert_not_separable,
     canonical_code,
     chvatal_extend,
+    extended,
     is_q_escape,
     leaf_degree,
     max_bipartite_matching,
@@ -226,7 +227,7 @@ def solve_with_leaf_anchor(
         extension = {
             leaf: matched[kappa[s]] for leaf, s in zip(chosen_leaves, anchors)
         }
-        full = trunk.extended(extension)
+        full = extended(trunk, extension)
         if not verify(full, g, t, require_full=True):
             raise AssertionError("anchored completion produced a bad embedding")
         return Contains(full, branch="multi-leaf-anchor")

@@ -74,7 +74,13 @@ def brute_force_contains(
             del assignment[tv]
         return False
 
-    if attempt(0):
+    try:
+        found = attempt(0)
+    finally:
+        # attempt reaches itself through its closure: a reference cycle that
+        # would keep g and t alive until the cyclic collector next runs
+        del attempt
+    if found:
         emb = PartialEmbedding(assignment)
         if not verify_certificate(g, t, emb):
             raise AssertionError("oracle produced an invalid embedding")

@@ -13,7 +13,7 @@ import re
 from typing import Iterable
 
 from .errors import ParseError, read_ascii, read_pairs
-from .graph import Graph
+from .graph import Graph, _gc_paused
 
 
 class Tree(Graph):
@@ -82,22 +82,30 @@ def parse_tree(text: str) -> Tree:
     bulk; this bulk path reads the whole text at once and also takes ids
     with leading zeros, which `int` reads as the line reader does.  Any
     other text, and any edge set that is not a tree, goes through the
-    line-by-line reader, which reports the error and its line.
+    line-by-line reader, which reports the error and its line.  The bulk
+    path runs with the cyclic collector paused, as `graph` explains.
     """
-    if _TREE_TEXT.fullmatch(text):
-        n, *ends = map(int, text.split())
-        us, vs = ends[0::2], ends[1::2]
-        if 1 <= n and len(us) == n - 1 and max(ends, default=0) < n:
-            adj: list[list[int]] = [[] for _ in range(n)]
-            for u, v in zip(us, vs):
-                adj[u].append(v)
-                adj[v].append(u)
-            t = Tree._from_adjacency(adj)
-            # n - 1 lines connect n vertices only if none is a loop or a
-            # repeated edge, so connectivity alone proves a tree
-            if t._spans():
-                return t
-    return _parse_tree_lines(text)
+    t = _gc_paused(_parse_tree_bulk, text)
+    return _parse_tree_lines(text) if t is None else t
+
+
+def _parse_tree_bulk(text: str) -> Tree | None:
+    """The tree of `text` when it is well formed and its edges form a tree,
+    else None."""
+    if not _TREE_TEXT.fullmatch(text):
+        return None
+    n, *ends = map(int, text.split())
+    us, vs = ends[0::2], ends[1::2]
+    if not (1 <= n and len(us) == n - 1 and max(ends, default=0) < n):
+        return None
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(us, vs):
+        adj[u].append(v)
+        adj[v].append(u)
+    t = Tree._from_adjacency(adj)
+    # n - 1 lines connect n vertices only if none is a loop or a
+    # repeated edge, so connectivity alone proves a tree
+    return t if t._spans() else None
 
 
 def _parse_tree_lines(text: str) -> Tree:

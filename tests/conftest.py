@@ -1,3 +1,4 @@
+import gc
 import sys
 from pathlib import Path
 
@@ -22,3 +23,12 @@ def connected_graph_atlas():
     for n, count in expected.items():
         assert len(levels[n]) == count, f"connected graph count off at n={n}"
     return levels
+
+
+@pytest.fixture
+def gc_state():
+    """Lets a test turn the cyclic collector on or off, and restores the
+    state it found afterwards."""
+    was_on = gc.isenabled()
+    yield
+    (gc.enable if was_on else gc.disable)()

@@ -7,6 +7,7 @@ the production code is always checked against an independent route.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from random import Random
 
@@ -14,6 +15,28 @@ import networkx as nx
 
 from treefit.graph import Graph
 from treefit.trees import Tree
+
+
+# -- the cyclic garbage collector ---------------------------------------------------
+
+def collections_during(fn, *args) -> int:
+    """How many cyclic-GC collections start while `fn(*args)` runs.  A full
+    collection first empties the young generation, so that a collection
+    already due does not land in the call."""
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        before = len(starts)
+        fn(*args)
+        return len(starts) - before
+    finally:
+        gc.callbacks.remove(count)
 
 
 # -- conversions -----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from collections import deque
 from random import Random
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete, cycle, path_graph, petersen, to_networkx
+from helpers import collections_during, complete, cycle, path_graph, petersen, to_networkx
 from treefit.errors import EmptyGraphError, ParseError
 from treefit import graph as graph_module
 from treefit.graph import Graph, _parse_graph_lines, format_graph, parse_graph
@@ -368,6 +369,20 @@ def _graph_text(n: int, edges, rng: Random) -> str:
     return f"{n} {len(edges)}\n" + "".join(lines)
 
 
+def _text_over_chunks() -> str:
+    """The shuffled written form of a 2,500-vertex host with 15,000 edges,
+    which spans several default-size chunks."""
+    rng = Random(12)
+    n = 2500
+    edges = set()
+    while len(edges) < 15000:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    text = _graph_text(n, sorted(edges), rng)
+    assert len(text) > 2 << 16
+    return text
+
+
 def _late_defects():
     """(text, message, line) with the defect past the first default-size
     chunk: a header, about 88 KB of valid edges, then the bad line(s)."""
@@ -455,6 +470,7 @@ class TestBulkParse:
         # equal sets may still iterate in different orders, and the search
         # walks neighbour sets in their iteration order
         texts = [text for _, _, text in self._large_graphs(7, 6)]
+        texts.append(_text_over_chunks())
         rng = Random(8)
         for _ in range(200):
             n = rng.randint(0, 40)
@@ -522,6 +538,37 @@ class TestBulkParseInSmallChunks(TestBulkParse):
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(graph_module, "_CHUNK", 6)
+
+
+class TestCollectorPause:
+    """Bulk builds run with the cyclic collector paused, and leave it on or
+    off as they found it, also when they raise."""
+
+    def test_bulk_read_runs_no_collection(self, gc_state):
+        gc.enable()
+        text = _text_over_chunks()
+        assert collections_during(parse_graph, text) == 0
+        # the line reader's own passes run unpaused: the counter counts
+        assert collections_during(_parse_graph_lines, text) > 0
+
+    @pytest.mark.parametrize("on", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "build,error",
+        [
+            pytest.param(lambda: parse_graph("3 2\n0 1\n1 2\n"), None, id="bulk-read"),
+            pytest.param(lambda: parse_graph("2 1\n0 0\n"), ParseError, id="line-reader-raises"),
+            pytest.param(lambda: Graph(3, [(0, 1)]), None, id="constructor"),
+            pytest.param(lambda: Graph(3, [(0, 0)]), ValueError, id="constructor-raises"),
+        ],
+    )
+    def test_collector_left_as_found(self, gc_state, build, error, on):
+        (gc.enable if on else gc.disable)()
+        if error is None:
+            build()
+        else:
+            with pytest.raises(error):
+                build()
+        assert gc.isenabled() is on
 
 
 def _reference_components(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -52,6 +54,22 @@ class TestBruteForce:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             brute_force_contains(complete(12), path_tree(12), node_cap=5)
+
+    @pytest.mark.parametrize(
+        "host,guest,cap",
+        [(cycle(6), path_tree(6), None), (petersen(), star_tree(4), None), (complete(12), path_tree(12), 5)],
+        ids=["contains", "not-contained", "budget"],
+    )
+    def test_leaves_no_reference_cycle(self, gc_state, host, guest, cap):
+        # with the collector off, only reference counts free the search's
+        # state: a cycle through it would keep the host alive
+        gc.disable()
+        before = sys.getrefcount(host), sys.getrefcount(guest)
+        try:
+            brute_force_contains(host, guest, node_cap=cap)
+        except BudgetExceededError:
+            pass
+        assert (sys.getrefcount(host), sys.getrefcount(guest)) == before
 
 
 class TestSolveBasics:

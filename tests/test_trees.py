@@ -1,10 +1,11 @@
+import gc
 import itertools
 import re
 from random import Random
 
 import pytest
 
-from helpers import path_tree, rooted_isomorphic, spider, star_tree
+from helpers import collections_during, path_tree, rooted_isomorphic, spider, star_tree
 from treefit.errors import ParseError
 from treefit.generate import random_tree
 from treefit.graph import Graph
@@ -402,3 +403,34 @@ class TestBulkParse:
                 assert (str(bulk.value), bulk.value.line) == (str(exc), exc.line)
             else:
                 assert _same_tree(parse_tree(text), expected)
+
+
+class TestCollectorPause:
+    """The bulk path runs with the cyclic collector paused, and the reader
+    leaves it on or off as it found it, also when it raises."""
+
+    def test_bulk_read_runs_no_collection(self, gc_state):
+        gc.enable()
+        text = "2000\n" + "".join(f"{v} {v + 1}\n" for v in range(1999))
+        assert collections_during(parse_tree, text) == 0
+        # the line reader's own passes run unpaused: the counter counts
+        assert collections_during(_parse_tree_lines, text) > 0
+
+    @pytest.mark.parametrize("on", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "build,error",
+        [
+            pytest.param(lambda: parse_tree("3\n0 1\n1 2\n"), None, id="bulk-read"),
+            pytest.param(lambda: parse_tree("3\n0 0\n1 2\n"), ParseError, id="line-reader-raises"),
+            pytest.param(lambda: Tree(3, [(0, 1), (1, 2)]), None, id="constructor"),
+            pytest.param(lambda: Tree(3, [(0, 1), (1, 1)]), ValueError, id="constructor-raises"),
+        ],
+    )
+    def test_collector_left_as_found(self, gc_state, build, error, on):
+        (gc.enable if on else gc.disable)()
+        if error is None:
+            build()
+        else:
+            with pytest.raises(error):
+                build()
+        assert gc.isenabled() is on
