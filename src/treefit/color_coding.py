@@ -17,8 +17,8 @@ decides nothing.
 from __future__ import annotations
 
 import math
-from itertools import compress
-from operator import countOf
+from itertools import compress, repeat
+from operator import countOf, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .embedding import PartialEmbedding, verify
@@ -41,50 +41,51 @@ def _guest_plan(
     colorful DP read it.
 
     Checks `within` (through `_active`), then the pins, then that the
-    subtree is connected, raising ValueError.  The BFS starts at the lowest
-    pinned vertex, else (with `split`) the lowest non-leaf, else the lowest
-    vertex, and takes children in ascending id.  With `split` and more than
-    two vertices, the free leaves (childless, unpinned) follow the rest, the
-    skeleton; without it, a position's children are the consecutive
-    positions from `accumulate(kids_at, initial=1)`.  Returns per position
-    the vertex, its parent's position (-1 at the root) and its pin or None;
-    per skeleton position its number of children, and a spare 0; and the
-    number of skeleton positions.
+    subtree is connected, raising ValueError.  The whole tree is read
+    through its adjacency tuple, a `within` subtree through neighbour sets
+    built once for it.  The BFS starts at the lowest pinned vertex, else
+    (with `split`) the lowest non-leaf, else the lowest vertex, and takes
+    children in ascending id.  With `split` and more than two vertices, the
+    free leaves (childless, unpinned) follow the rest, the skeleton;
+    without it, a position's children are the consecutive positions from
+    `accumulate(kids_at, initial=1)`.  Returns per position the vertex, its
+    parent's position (-1 at the root) and its pin or None; per skeleton
+    position its number of children, and a spare 0; and the number of
+    skeleton positions.
     """
     kappa = kappa or {}
-    within = None if within is None else _active(t, within)
-    active = range(t.n) if within is None else within
+    active = range(t.n) if within is None else _active(t, within)
     if not all(map(active.__contains__, kappa)):
         raise ValueError("pinned vertices must lie inside the guest subtree")
-    near = t.adj if within is None else lambda v: t.adj(v) & within  # neighbours in the subtree
+    adj = t.adjacency()
+    near = adj if within is None else {v: adj[v] & active for v in active}  # neighbours in the subtree
     split = split and len(active) > 2
     if kappa:
         root = min(kappa)
     else:  # the lowest non-leaf when splitting, else (or if none) the lowest
         lowest = sorted(active)
-        root = next((v for v in lowest if not split or len(near(v)) != 1), lowest[0])
-    order, parent_at, pin_at, kids_at = [root], [-1], [kappa.get(root)], []
+        root = next((v for v in lowest if not split or len(near[v]) != 1), lowest[0])
+    order, parent_at, kids_at = [root], [-1], []
     leaves: list[int] = []
     leaf_parent_at: list[int] = []
     for pos, u in enumerate(order):  # grows while it is read: a BFS queue
-        kids = sorted(near(u))
+        kids = sorted(near[u])
         if pos:
             kids.remove(order[parent_at[pos]])  # a tree's only visited neighbour
         kids_at.append(len(kids))
         for v in kids:
-            if split and v not in kappa and len(near(v)) == 1:
+            if split and len(near[v]) == 1 and v not in kappa:
                 leaves.append(v)
                 leaf_parent_at.append(pos)
             else:
                 order.append(v)
                 parent_at.append(pos)
-                pin_at.append(kappa.get(v))
     skeleton = len(order)
     order += leaves
     if len(order) != len(active):
         raise ValueError("guest subtree is not connected")
     parent_at += leaf_parent_at
-    pin_at += [None] * len(leaves)
+    pin_at = list(map(kappa.get, order)) if kappa else [None] * len(order)
     kids_at.append(0)
     return order, parent_at, pin_at, kids_at, skeleton
 
@@ -131,10 +132,12 @@ def exact_constrained_embed(
     none.  More than `node_cap` nodes raise BudgetExceededError.
 
     On a dense host (4m >= n(n-1)) the unused host vertices are also kept in
-    a linked list.  A parent's image with fewer non-neighbours than placed
-    vertices walks that list instead of its sorted neighbours (both give
-    the free neighbours in ascending order), and free neighbours are
-    counted along it when it is shorter than the neighbour set.
+    a linked list, ascending.  There, every skeleton vertex but the root and
+    every greedily placed leaf takes the free neighbours of its parent's
+    image from that list, lazily, never from a sorted neighbour list: the
+    same vertices in the same order, so the node count is the same.  Free
+    neighbours are counted along the list when it is shorter than the
+    neighbour set; augmenting paths read sorted neighbour lists.
 
     `hosts`, the sorted vertices of one component of the host, keeps the
     search inside that component: the root goes only on its vertices, and
@@ -163,7 +166,7 @@ def exact_constrained_embed(
         return None
     adj = g.adjacency()
     degree = g.degrees()
-    sorted_adj: list[list[int] | None] = [None] * n
+    sorted_adj: dict[int, list[int]] = {}  # host vertex -> its neighbours, ascending
     images = [-1] * size
     used = [0] * n  # host vertex -> 1 + the position on it, 0 while free
     # per skeleton position: the children not yet placed (the root's parent
@@ -188,7 +191,7 @@ def exact_constrained_embed(
                 nxt[a], prv[b] = b, a
 
     def neighbours_of(gv: int) -> list[int]:
-        neighbours = sorted_adj[gv]
+        neighbours = sorted_adj.get(gv)
         if neighbours is None:
             neighbours = sorted_adj[gv] = sorted(adj[gv])
         return neighbours
@@ -281,7 +284,7 @@ def exact_constrained_embed(
         for pos in range(skeleton, size):
             anchor = images[parent_at[pos]]
             gv = -1
-            if dense and count - 1 - degree[anchor] < pos:
+            if dense:
                 gv = next(filter(adj[anchor].__contains__, unused()), -1)
             else:
                 for v in neighbours_of(anchor):
@@ -314,9 +317,9 @@ def exact_constrained_embed(
     if pin_at[0] is not None:
         frames[0] = pinned_frame(0, pin_at[0])
     elif hosts is None:  # the root goes on every host vertex of large enough degree
-        frames[0] = compress(range(n), map(kids_at[0].__le__, degree))
+        frames[0] = compress(range(n), map(le, repeat(kids_at[0]), degree))
     else:
-        frames[0] = compress(hosts, map(kids_at[0].__le__, map(degree.__getitem__, hosts)))
+        frames[0] = compress(hosts, map(le, repeat(kids_at[0]), map(degree.__getitem__, hosts)))
     depth = 0
     while True:
         kids = kids_at[depth]
@@ -348,7 +351,8 @@ def exact_constrained_embed(
             images[depth] = gv
             used[gv] = depth + 1
             pending[parent - 1] -= 1
-            floor[depth + 1] = min(floor[depth], d - kids)
+            low = floor[depth]
+            floor[depth + 1] = low if low < d - kids else d - kids
             if dense:
                 a, b = prv[gv], nxt[gv]
                 nxt[a], prv[b] = b, a
@@ -375,10 +379,10 @@ def exact_constrained_embed(
             frames[depth] = pinned_frame(depth, pinned)
             continue
         anchor = images[parent_at[depth]]
-        if dense and count - 1 - degree[anchor] < depth:
+        if dense:
             frames[depth] = filter(adj[anchor].__contains__, unused())
         else:
-            neighbours = sorted_adj[anchor]
+            neighbours = sorted_adj.get(anchor)
             if neighbours is None:
                 neighbours = sorted_adj[anchor] = sorted(adj[anchor])
             frames[depth] = iter(neighbours)

@@ -127,7 +127,9 @@ def _parse_tree_lines(text: str) -> Tree:
         if key in edges:
             raise ParseError(f"duplicate tree edge ({u},{v})", lineno)
         edges[key] = None
-    try:  # the edge count or connectivity, which only the last line settles
+    if len(edges) != n - 1:  # before the tree is built: a header alone can claim 10**9 vertices
+        raise ParseError(f"tree on {n} vertices needs {n - 1} edges, got {len(edges)}", len(lines))
+    try:  # connectivity, which only the last line settles
         return Tree(n, edges)
     except ValueError as exc:
         raise ParseError(str(exc), len(lines)) from None

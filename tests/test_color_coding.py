@@ -13,10 +13,11 @@ from helpers import (
     path_graph,
     path_tree,
     random_connected_subtree,
+    random_spider,
     reference_induced,
     star_tree,
 )
-from treefit.color_coding import exact_constrained_embed
+from treefit.color_coding import _guest_plan, exact_constrained_embed
 from treefit.embedding import verify
 from treefit.errors import BudgetExceededError
 from treefit.generate import random_graph, random_graph_min_degree, random_tree
@@ -661,3 +662,124 @@ class TestEngineDigest:
         assert min(seen[name, kind] for name in ("dp", "exact") for kind in ("found", "miss")) >= 400
         assert min(seen["dp", "rejected"], seen["exact", "rejected"], seen["exact", "budget"]) >= 50
         assert digest.hexdigest() == self.DIGEST
+
+
+def _dense_search_calls():
+    """A fixed seeded list of exact searches on dense hosts: one random
+    graph with at least half its vertex pairs adjacent, or two such blocks
+    on interleaved ids searched through `hosts=` (the first block, or the
+    second in every other such call).  Guests are paths, spiders and
+    random trees of 2 to 30 vertices; the calls mix pins (inside the
+    component), connected `within` sets and node caps, from a few nodes to
+    none on guests of at most two thirds of the host."""
+    rng = rng_from(97)
+    shapes = (path_tree, partial(random_spider, rng=rng), partial(random_tree, rng=rng))
+    for i in range(480):
+        g = random_graph(rng.randint(6, 40), rng.uniform(0.55, 0.97), rng)
+        hosts = None
+        if i % 3 == 1:
+            other = random_graph(rng.randint(4, 30), rng.uniform(0.55, 0.97), rng)
+            g, blocks = interleaved_union([g, other], rng)
+            hosts = blocks[i % 2]
+        pool = range(g.n) if hosts is None else hosts
+        t = shapes[i % 3](rng.randint(2, min(30, len(pool) + 2)))
+        within = None
+        if rng.random() < 0.3:
+            within = sorted(random_connected_subtree(t, rng.randint(1, t.n), rng))
+        domain = list(range(t.n)) if within is None else within
+        pins = rng.randint(0, min(2, len(domain), len(pool))) if rng.random() < 0.4 else 0
+        kappa = dict(zip(rng.sample(domain, pins), rng.sample(list(pool), pins)))
+        caps = (rng.randint(1, 40), rng.randint(100, 3000), 20_000)
+        if 3 * t.n <= 2 * len(pool):  # a near-spanning guest can take far more nodes
+            caps += (None,)
+        cap = rng.choice(caps)
+        yield g, hosts, partial(exact_constrained_embed, g, t, kappa, (), within, cap, hosts)
+
+
+class TestDenseSearchDigest:
+    """The exact search on dense hosts (and dense components) tries the same
+    candidates in the same order across refactors: every embedding in
+    insertion order, every exact miss, and the node count of every budget
+    overrun."""
+
+    DIGEST = "4aec5c31a3e6863c84236b0f8f2272c9a738eed6827c874a4bd13df7fd822328"
+
+    def test_outputs_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        seen = Counter()
+        for g, hosts, call in _dense_search_calls():
+            try:
+                emb = call()
+            except BudgetExceededError as exc:
+                kind, out = "budget", f"budget {exc.nodes}"
+            else:
+                kind = "miss" if emb is None else "found"
+                out = "None" if emb is None else repr(list(emb.mapping.items()))
+            pool = range(g.n) if hosts is None else hosts
+            ends = sum(map(g.degree, pool))
+            seen[kind, "dense" if 2 * ends >= len(pool) * (len(pool) - 1) else "sparse"] += 1
+            seen[kind, "component" if hosts is not None else "whole"] += 1
+            digest.update(f"{out}\n".encode())
+        assert seen["found", "dense"] >= 350 and seen["budget", "dense"] >= 50
+        assert seen["miss", "dense"] >= 10
+        assert seen["found", "component"] >= 100 and seen["budget", "component"] >= 20
+        assert digest.hexdigest() == self.DIGEST
+
+
+def _guest_plans():
+    """A fixed seeded list of `_guest_plan` calls on random trees, paths and
+    spiders, with every combination of pins or none, `within` or none, and
+    the leaf split on or off: (tree, pins, within, split) per call."""
+    rng = rng_from(98)
+    shapes = (partial(random_tree, rng=rng), path_tree, partial(random_spider, rng=rng))
+    for i in range(240):
+        pinned, restricted, split = i % 2, i // 2 % 2, i // 4 % 2
+        size = rng.randint(1, 16)
+        t = shapes[i // 8 % 3](size) if size > 1 else Tree(1, [])
+        within = None
+        if restricted:
+            within = sorted(random_connected_subtree(t, rng.randint(1, t.n), rng))
+        domain = range(t.n) if within is None else within
+        kappa = None
+        if pinned:
+            picked = rng.sample(list(domain), rng.randint(1, min(3, len(domain))))
+            kappa = {v: rng.randrange(50) for v in picked}
+        yield t, kappa, within, bool(split)
+
+
+class TestGuestPlanDigest:
+    """`_guest_plan` lays every guest out the same way across refactors, and
+    rejects bad `within` sets and pins with the same messages."""
+
+    DIGEST = "d0cd2272dcafe3d77640df2a6dfb538ba39b7b7d48726238aeadc9b637f214d0"
+
+    def test_plans_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        seen = Counter()
+        for t, kappa, within, split in _guest_plans():
+            plan = _guest_plan(t, kappa, within, split)
+            seen[kappa is not None, within is not None, split] += 1
+            digest.update(f"{t.n} {sorted(t.edges())} {kappa} {within} {split} {plan}\n".encode())
+        assert len(seen) == 8 and min(seen.values()) == 30
+        assert digest.hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize(
+        "kappa, within, message",
+        [
+            ({5: 0}, {0, 1, 2}, "pinned vertices must lie inside the guest subtree"),
+            ({9: 0}, None, "pinned vertices must lie inside the guest subtree"),
+            (None, {0, 2, 3}, "guest subtree is not connected"),
+            ({0: 4}, {0, 1, 5}, "guest subtree is not connected"),
+            (None, set(), "empty vertex subset"),
+            ({0: 1}, [], "empty vertex subset"),
+            (None, {0, 1, 6}, "vertex subset out of range"),
+            (None, {-1, 0}, "vertex subset out of range"),
+            ({7: 0}, {0, 7}, "vertex subset out of range"),  # `within` is checked before the pins
+        ],
+    )
+    def test_rejections_keep_their_messages(self, kappa, within, message, split):
+        t = Tree(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)])
+        with pytest.raises(ValueError) as exc:
+            _guest_plan(t, kappa, within, split)
+        assert str(exc.value) == message

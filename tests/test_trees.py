@@ -20,6 +20,7 @@ from treefit.paper.lemmas import (
     tree_diameter,
 )
 from treefit.seeds import rng_from
+from treefit import graph as graph_module
 from treefit import trees as trees_module
 from treefit.trees import Tree, _parse_tree_lines, format_tree, parse_tree
 
@@ -381,6 +382,27 @@ class TestBulkParse:
             _parse_tree_lines(text)
         assert (str(bulk.value), bulk.value.line) == (str(lines.value), lines.value.line)
         assert (str(bulk.value), bulk.value.line) == (f"line {line}: {message}", line)
+
+    @pytest.mark.parametrize(
+        "text,message,line",
+        [
+            ("3000000\n", "tree on 3000000 vertices needs 2999999 edges, got 0", 1),
+            ("1000000000\n", "tree on 1000000000 vertices needs 999999999 edges, got 0", 1),
+            (" 1000000000\n0 1\n", "tree on 1000000000 vertices needs 999999999 edges, got 1", 2),
+            ("3\n0 1\n1 2\n2 0\n", "tree on 3 vertices needs 2 edges, got 3", 4),
+            ("3\n0 1\n\n\n", "tree on 3 vertices needs 2 edges, got 1", 4),
+        ],
+    )
+    def test_edge_count_checked_before_the_tree_is_built(self, monkeypatch, text, message, line):
+        # a header of a billion vertices and no edges is refused at once,
+        # without neighbour sets for every vertex
+        def built(n, edges):
+            raise AssertionError(f"neighbour sets built for n={n}")
+
+        monkeypatch.setattr(graph_module, "_edge_sets", built)
+        with pytest.raises(ParseError) as exc:
+            parse_tree(text)
+        assert (str(exc.value), exc.value.line) == (f"line {line}: {message}", line)
 
     def test_random_corruptions_match_the_line_reader(self):
         rng = Random(5)
