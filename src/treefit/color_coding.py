@@ -17,7 +17,7 @@ decides nothing.
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
+from itertools import compress, filterfalse, repeat
 from operator import countOf, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -114,7 +114,8 @@ def exact_constrained_embed(
     fewer free neighbours than its vertex has children, or when taking it
     leaves a placed image fewer free neighbours than that vertex has
     children still to place; free neighbours are counted only where degrees
-    do not settle it.  With the skeleton placed, each leaf takes the lowest
+    do not settle it, and an untaken pinned image counts as free, which
+    only prunes less.  With the skeleton placed, each leaf takes the lowest
     free neighbour of its parent's image, and a leaf that finds none looks
     for an augmenting path (Kuhn) that moves placed leaves aside.  Without
     one, no placement of the leaves exists, and the search goes straight
@@ -127,9 +128,11 @@ def exact_constrained_embed(
     before its first node.
 
     Search nodes: every skeleton candidate tried (a used neighbour is
-    skipped without counting), every leaf placed greedily, and every host
-    vertex an augmenting-path search reaches; the spanning check counts
-    none.  More than `node_cap` nodes raise BudgetExceededError.
+    skipped without counting, and so is a pinned image, reserved for its
+    pin before the first node; a pin not beside its parent's image is no
+    candidate and counts no node), every leaf placed greedily, and every
+    host vertex an augmenting-path search reaches; the spanning check
+    counts none.  More than `node_cap` nodes raise BudgetExceededError.
 
     On a dense host (4m >= n(n-1)) the unused host vertices are also kept in
     a linked list, ascending.  There, every skeleton vertex but the root and
@@ -143,7 +146,7 @@ def exact_constrained_embed(
     search inside that component: the root goes only on its vertices, and
     the degree check, the density test and every count of unused vertices
     read the component alone, so the search runs as it would on a copy of
-    the component.  Pins must then lie inside it.
+    the component.  A pin outside it raises ValueError.
 
     The embedding it returns has passed `verify`, over the whole guest
     (`require_full`) when `within` is None; this is the one check of an
@@ -151,6 +154,9 @@ def exact_constrained_embed(
     """
     fams = [(frozenset(F), int(q)) for F, q in families]
     order, parent_at, pin_at, kids_at, skeleton = _guest_plan(t, kappa, within, split=not fams)
+    reserved = frozenset(kappa.values()) if kappa else ()  # no unpinned vertex takes these
+    if reserved and hosts is not None and not reserved.issubset(hosts):
+        raise ValueError("pinned images must lie inside `hosts`")
     size = len(order)
     cap = math.inf if node_cap is None else node_cap
 
@@ -225,15 +231,6 @@ def exact_constrained_embed(
                 if r and r >= degree[u] - depth and free_count(u, depth) <= r:
                     return True
         return False
-
-    def pinned_frame(depth: int, pinned: int) -> Iterator[int]:
-        nonlocal nodes
-        if used[pinned] or (depth > 0 and pinned not in adj[images[parent_at[depth]]]):
-            nodes += 1  # the pin is a node that fails at once
-            if nodes > cap:
-                raise BudgetExceededError(nodes)
-            return iter(())
-        return iter((pinned,))
 
     def augment(start: int, taken: list[int]) -> bool:
         """Kuhn's step for leaf position `start`: a path through neighbours
@@ -314,8 +311,8 @@ def exact_constrained_embed(
     # it; frames[skeleton] stays empty, so leaves that cannot be placed send
     # the loop straight back to the last skeleton position
     frames: list[Iterator[int]] = [iter(())] * (skeleton + 1)
-    if pin_at[0] is not None:
-        frames[0] = pinned_frame(0, pin_at[0])
+    if pin_at[0] is not None:  # the root is pinned whenever anything is
+        frames[0] = iter((pin_at[0],))
     elif hosts is None:  # the root goes on every host vertex of large enough degree
         frames[0] = compress(range(n), map(le, repeat(kids_at[0]), degree))
     else:
@@ -375,10 +372,10 @@ def exact_constrained_embed(
                 break
             continue
         pinned = pin_at[depth]
-        if pinned is not None:
-            frames[depth] = pinned_frame(depth, pinned)
-            continue
         anchor = images[parent_at[depth]]
+        if pinned is not None:  # the pin alone, if it lies beside the parent's image
+            frames[depth] = iter((pinned,) if pinned in adj[anchor] else ())
+            continue
         if dense:
             frames[depth] = filter(adj[anchor].__contains__, unused())
         else:
@@ -386,6 +383,8 @@ def exact_constrained_embed(
             if neighbours is None:
                 neighbours = sorted_adj[anchor] = sorted(adj[anchor])
             frames[depth] = iter(neighbours)
+        if reserved:
+            frames[depth] = filterfalse(reserved.__contains__, frames[depth])
 
     emb = PartialEmbedding(dict(zip(order, images)))
     if not verify(emb, g, t, require_full=within is None):
