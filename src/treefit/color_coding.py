@@ -103,7 +103,8 @@ def exact_constrained_embed(
 ) -> PartialEmbedding | None:
     """Deterministic backtracking: embed the whole guest, or its connected
     subset `within`, respecting the pins `kappa` and hitting at least the
-    quota of every (set, quota) family, or return None.
+    quota of every (set, quota) family, or return None.  Two pins on one
+    host vertex raise ValueError before the first node.
 
     The guest is read in the order of `_guest_plan`, split into skeleton
     and free leaves unless there are quota families (then every vertex is a
@@ -154,9 +155,13 @@ def exact_constrained_embed(
     """
     fams = [(frozenset(F), int(q)) for F, q in families]
     order, parent_at, pin_at, kids_at, skeleton = _guest_plan(t, kappa, within, split=not fams)
-    reserved = frozenset(kappa.values()) if kappa else ()  # no unpinned vertex takes these
-    if reserved and hosts is not None and not reserved.issubset(hosts):
-        raise ValueError("pinned images must lie inside `hosts`")
+    reserved = ()  # no unpinned vertex takes these
+    if kappa:
+        reserved = frozenset(kappa.values())
+        if len(reserved) < len(kappa):
+            raise ValueError("kappa must be injective")
+        if hosts is not None and not reserved.issubset(hosts):
+            raise ValueError("pinned images must lie inside `hosts`")
     size = len(order)
     cap = math.inf if node_cap is None else node_cap
 

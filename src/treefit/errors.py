@@ -1,4 +1,9 @@
-"""The core's exceptions and text readers (the paper library's are in its `lemmas`)."""
+"""The core's exceptions and file readers (the paper library's are in its `lemmas`).
+
+Files are read as bytes: `read_ascii_bytes` hands them to the graph and
+tree bulk parsers as they are, and `read_ascii` decodes them for the
+certificate and numbers readers.
+"""
 
 import re
 from typing import Iterable, Iterator
@@ -18,18 +23,25 @@ class ParseError(TreefitError):
         super().__init__(message)
 
 
+def read_ascii_bytes(path) -> bytes:
+    """Bytes of an ASCII file, read unbuffered in binary, with CRLF and a
+    lone CR each turned into LF, as text mode turns them; a non-ASCII byte
+    raises ParseError on the line that holds it.  Nothing is decoded, and a
+    file without CR is not copied."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    if not data.isascii():
+        bad = re.search(rb"[\x80-\xff]", data).start()
+        line = len((data[:bad].decode("ascii") + "x").splitlines())
+        raise ParseError(f"non-ASCII byte 0x{data[bad]:02x}", line)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
 def read_ascii(path) -> str:
-    """Text of an ASCII file (universal newlines); a non-ASCII byte raises
-    ParseError on the line that holds it."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    bad = re.search(rb"[\x80-\xff]", data).start()
-    line = len((data[:bad].decode("ascii") + "x").splitlines())
-    raise ParseError(f"non-ASCII byte 0x{data[bad]:02x}", line)
+    """Text of an ASCII file: `read_ascii_bytes`, decoded."""
+    return read_ascii_bytes(path).decode("ascii")
 
 
 def read_pairs(

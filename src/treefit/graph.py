@@ -24,7 +24,7 @@ from collections import deque
 from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import EmptyGraphError, ParseError, read_ascii, read_pairs
+from .errors import EmptyGraphError, ParseError, read_ascii_bytes, read_pairs
 
 _T = TypeVar("_T")
 
@@ -232,25 +232,35 @@ def _pair_tokens(chunk: bytes) -> list[bytes] | None:
 def parse_graph(text: str) -> Graph:
     """Parse the graph text format: `n m` then m lines `u v` with u < v.
 
-    Text in the written form, where every edge end is an id `0..n-1` as
-    `str` writes it, is read as ASCII bytes in chunks of whole lines.  The
-    header is checked and the line count compared with its `m` before
-    anything of size n is built.  Then each chunk gets a shape check (its
-    digits deleted, what is left must be one `" \n"` per line), one table
-    lookup per edge end (which also checks its range), an order check over
-    its edges, and its edges appended to both ends' neighbour lists in file
-    order; duplicates are found at the end by the degree sum.  The table
-    holds one int object per vertex, so the neighbour sets share it.  Any
-    other text (non-ASCII, a rejected edge, an id with a leading zero, CRLF,
-    blank lines, tabs, signs) goes through the line-by-line reader, which
-    accepts what it accepts and reports the first bad line.
+    The text is encoded once, as ASCII, and parsed as `read_graph` parses a
+    file's bytes, but with no CR translation: text with a CR goes to the
+    line reader, as does text that does not encode.
     """
     try:
         data = text.encode("ascii")
     except UnicodeEncodeError:
         return _parse_graph_lines(text)
+    return _parse_graph_bytes(data)
+
+
+def _parse_graph_bytes(data: bytes) -> Graph:
+    """The graph of ASCII `data`.
+
+    Data in the written form, where every edge end is an id `0..n-1` as
+    `str` writes it, is read in chunks of whole lines.  The header is
+    checked and the line count compared with its `m` before anything of
+    size n is built.  Then each chunk gets a shape check (its digits
+    deleted, what is left must be one `" \n"` per line), one table lookup
+    per edge end (which also checks its range), an order check over its
+    edges, and its edges appended to both ends' neighbour lists in file
+    order; duplicates are found at the end by the degree sum.  The table
+    holds one int object per vertex, so the neighbour sets share it.  Any
+    other data (a rejected edge, an id with a leading zero, CR, blank
+    lines, tabs, signs) is decoded and goes through the line-by-line
+    reader, which accepts what it accepts and reports the first bad line.
+    """
     g = _gc_paused(_parse_written_form, data)
-    return _parse_graph_lines(text) if g is None else g
+    return _parse_graph_lines(data.decode("ascii")) if g is None else g
 
 
 def _parse_written_form(data: bytes) -> Graph | None:
@@ -320,7 +330,8 @@ def format_graph(g: Graph) -> str:
 
 
 def read_graph(path) -> Graph:
-    return parse_graph(read_ascii(path))
+    """The graph of a file, read as bytes (`errors.read_ascii_bytes`)."""
+    return _parse_graph_bytes(read_ascii_bytes(path))
 
 
 def write_graph(path, g: Graph) -> None:

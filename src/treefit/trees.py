@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from .errors import ParseError, read_ascii, read_pairs
+from .errors import ParseError, read_ascii_bytes, read_pairs
 from .graph import Graph, _gc_paused
 
 
@@ -70,31 +70,45 @@ def _active(t: Tree, within: Iterable[int] | None) -> frozenset[int]:
 # -- text format -------------------------------------------------------------------
 
 # a well-formed tree text: `<digits>\n`, then edge lines `<digits> <digits>\n`
-_TREE_TEXT = re.compile(r"[0-9]+\n(?:[0-9]+ [0-9]+\n)*")
+_TREE_TEXT = re.compile(rb"[0-9]+\n(?:[0-9]+ [0-9]+\n)*")
 
 
 def parse_tree(text: str) -> Tree:
     """Parse the tree text format: `n` then n-1 lines `u v`.
 
-    Well-formed text is read in bulk passes: one shape check, one integer
-    conversion, one range check, and connectivity.  `graph.parse_graph`
-    reads ASCII bytes in chunks and takes only ids in the written form in
-    bulk; this bulk path reads the whole text at once and also takes ids
-    with leading zeros, which `int` reads as the line reader does.  Any
-    other text, and any edge set that is not a tree, goes through the
-    line-by-line reader, which reports the error and its line.  The bulk
-    path runs with the cyclic collector paused, as `graph` explains.
+    The text is encoded once, as ASCII, and parsed as `read_tree` parses a
+    file's bytes, but with no CR translation: text with a CR goes to the
+    line reader, as does text that does not encode.
     """
-    t = _gc_paused(_parse_tree_bulk, text)
-    return _parse_tree_lines(text) if t is None else t
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        return _parse_tree_lines(text)
+    return _parse_tree_bytes(data)
 
 
-def _parse_tree_bulk(text: str) -> Tree | None:
-    """The tree of `text` when it is well formed and its edges form a tree,
+def _parse_tree_bytes(data: bytes) -> Tree:
+    """The tree of ASCII `data`.
+
+    Well-formed data is read in bulk passes: one shape check, one integer
+    conversion, one range check, and connectivity.  `graph`'s reader takes
+    only ids in the written form in bulk; this bulk path also takes ids
+    with leading zeros, which `int` reads as the line reader does.  Any
+    other data (CR, blank lines, tabs, signs), and any edge set that is not
+    a tree, is decoded and goes through the line-by-line reader, which
+    reports the error and its line.  The bulk path runs with the cyclic
+    collector paused, as `graph` explains.
+    """
+    t = _gc_paused(_parse_tree_bulk, data)
+    return _parse_tree_lines(data.decode("ascii")) if t is None else t
+
+
+def _parse_tree_bulk(data: bytes) -> Tree | None:
+    """The tree of `data` when it is well formed and its edges form a tree,
     else None."""
-    if not _TREE_TEXT.fullmatch(text):
+    if not _TREE_TEXT.fullmatch(data):
         return None
-    n, *ends = map(int, text.split())
+    n, *ends = map(int, data.split())
     us, vs = ends[0::2], ends[1::2]
     if not (1 <= n and len(us) == n - 1 and max(ends, default=0) < n):
         return None
@@ -142,7 +156,8 @@ def format_tree(t: Tree) -> str:
 
 
 def read_tree(path) -> Tree:
-    return parse_tree(read_ascii(path))
+    """The tree of a file, read as bytes (`errors.read_ascii_bytes`)."""
+    return _parse_tree_bytes(read_ascii_bytes(path))
 
 
 def write_tree(path, t: Tree) -> None:

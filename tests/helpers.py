@@ -13,6 +13,7 @@ from random import Random
 
 import networkx as nx
 
+from treefit.errors import ParseError
 from treefit.graph import Graph
 from treefit.trees import Tree
 
@@ -37,6 +38,25 @@ def collections_during(fn, *args) -> int:
         return len(starts) - before
     finally:
         gc.callbacks.remove(count)
+
+
+# -- file readers ------------------------------------------------------------------
+
+def read_result(read, path):
+    """What `read(path)` gives, in a form two readers can be compared by:
+    the vertex count and each neighbour set as a list in iteration order,
+    or the ParseError's text and line."""
+    try:
+        g = read(path)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return g.n, [list(s) for s in g.adjacency()]
+
+
+def text_mode_read(parse):
+    """A file reader that opens the file in text mode (ASCII, universal
+    newlines) and hands the text to `parse`, as the readers once did."""
+    return lambda path: parse(path.read_text(encoding="ascii"))
 
 
 # -- conversions -----------------------------------------------------------------

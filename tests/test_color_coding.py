@@ -537,6 +537,14 @@ class TestPinnedImagesAreReserved:
             seen[emb is None] += 1
         assert seen[False] >= 50
 
+    @pytest.mark.parametrize("hosts", [None, range(11)], ids=["whole", "hosts"])
+    def test_two_pins_on_one_image_are_rejected(self, hosts):
+        # P_9 in K_11 with both ends pinned to 0: no embedding, and a search
+        # that took the map walked every placement between the two pins
+        # (over 100,000 nodes); it is refused before the first node
+        with pytest.raises(ValueError, match="kappa must be injective"):
+            exact_constrained_embed(complete(11), path_tree(9), {0: 0, 8: 0}, node_cap=0, hosts=hosts)
+
 
 class TestTrialSchedule:
     def test_counts(self):

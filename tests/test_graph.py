@@ -8,10 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import collections_during, complete, cycle, path_graph, petersen, to_networkx
+from helpers import (
+    collections_during,
+    complete,
+    cycle,
+    path_graph,
+    petersen,
+    read_result,
+    text_mode_read,
+    to_networkx,
+)
 from treefit.errors import EmptyGraphError, ParseError
 from treefit import graph as graph_module
-from treefit.graph import Graph, _parse_graph_lines, format_graph, parse_graph
+from treefit.graph import Graph, _parse_graph_lines, format_graph, parse_graph, read_graph
 from treefit.generate import random_graph
 from treefit.hardness import ThreePartitionInstance, generate_hardness_instance
 from treefit.paper.lemmas import (
@@ -538,6 +547,61 @@ class TestBulkParseInSmallChunks(TestBulkParse):
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(graph_module, "_CHUNK", 6)
+
+
+# (file bytes, what read_graph gives: (n, edges) or (ParseError text, line))
+GRAPH_FILES = {
+    "written-form": (b"4 3\n0 1\n1 2\n2 3\n", (4, [(0, 1), (1, 2), (2, 3)])),
+    "crlf": (b"4 3\r\n0 1\r\n1 2\r\n2 3\r\n", (4, [(0, 1), (1, 2), (2, 3)])),
+    "lone-cr": (b"4 3\r0 1\r1 2\r2 3\r", (4, [(0, 1), (1, 2), (2, 3)])),
+    "mixed-endings": (b"4 3\r\n0 1\n1 2\r2 3\r\n", (4, [(0, 1), (1, 2), (2, 3)])),
+    "blank-tab-sign": (b"+4 3\n\n0\t1\n 1 +2 \n\n2 3", (4, [(0, 1), (1, 2), (2, 3)])),
+    "id-007": (b"8 2\n0 007\n1 2\n", (8, [(0, 7), (1, 2)])),
+    "no-edges": (b"3 0\n", (3, [])),
+    "empty": (b"", ("line 1: empty input", 1)),
+    "crlf-duplicate": (b"3 2\r\n0 1\r\n0 1\r\n", ("line 3: duplicate edge (0,1)", 3)),
+    "lone-cr-reversed": (b"3 1\r1 0\r", ("line 2: edge (1,0) violates 0 <= u < v < n", 2)),
+    "non-ascii-line-3": (b"4 3\n0 1\n1 \xc3\xa92\n2 3\n", ("line 3: non-ASCII byte 0xc3", 3)),
+    "non-ascii-after-crlf": (b"4 3\r\n0 1\r\n\xff 2\r\n", ("line 3: non-ASCII byte 0xff", 3)),
+    "non-ascii-after-cr": (b"4 3\r0 1\r1 2\xff\r", ("line 3: non-ASCII byte 0xff", 3)),
+}
+
+
+class TestReadGraphFile:
+    """read_graph reads bytes and gives what a text-mode read did: the same
+    adjacency in the same iteration order, or the same error and line."""
+
+    @pytest.mark.parametrize("data,expected", GRAPH_FILES.values(), ids=GRAPH_FILES.keys())
+    def test_same_result_as_a_text_mode_read(self, tmp_path, data, expected):
+        path = tmp_path / "g.graph"
+        path.write_bytes(data)
+        got = read_result(read_graph, path)
+        if isinstance(expected[0], str):
+            assert got == expected
+        else:
+            n, edges = expected
+            assert _same_graph(read_graph(path), Graph(n, edges))
+        if data.isascii():
+            assert got == read_result(text_mode_read(parse_graph), path)
+
+    def test_crlf_written_form_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        def line_reader_called(text):
+            raise AssertionError(f"line reader used for {text!r}")
+
+        monkeypatch.setattr(graph_module, "_parse_graph_lines", line_reader_called)
+        text = _text_over_chunks()
+        path = tmp_path / "g.graph"
+        path.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+        assert [list(s) for s in read_graph(path).adjacency()] == [
+            list(s) for s in parse_graph(text).adjacency()
+        ]
+
+    def test_a_directory_is_an_os_error_naming_it(self, tmp_path):
+        path = tmp_path / "d.graph"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as exc:
+            read_graph(path)
+        assert str(path) in str(exc.value)
 
 
 class TestCollectorPause:

@@ -5,7 +5,15 @@ from random import Random
 
 import pytest
 
-from helpers import collections_during, path_tree, rooted_isomorphic, spider, star_tree
+from helpers import (
+    collections_during,
+    path_tree,
+    read_result,
+    rooted_isomorphic,
+    spider,
+    star_tree,
+    text_mode_read,
+)
 from treefit.errors import ParseError
 from treefit.generate import random_tree
 from treefit.graph import Graph
@@ -22,7 +30,7 @@ from treefit.paper.lemmas import (
 from treefit.seeds import rng_from
 from treefit import graph as graph_module
 from treefit import trees as trees_module
-from treefit.trees import Tree, _parse_tree_lines, format_tree, parse_tree
+from treefit.trees import Tree, _parse_tree_lines, format_tree, parse_tree, read_tree
 
 
 def h_shape(bridge_edges: int) -> Tree:
@@ -425,6 +433,59 @@ class TestBulkParse:
                 assert (str(bulk.value), bulk.value.line) == (str(exc), exc.line)
             else:
                 assert _same_tree(parse_tree(text), expected)
+
+
+# (file bytes, what read_tree gives: (n, edges) or (ParseError text, line))
+TREE_FILES = {
+    "written-form": (b"4\n0 1\n1 2\n1 3\n", (4, [(0, 1), (1, 2), (1, 3)])),
+    "crlf": (b"4\r\n0 1\r\n1 2\r\n1 3\r\n", (4, [(0, 1), (1, 2), (1, 3)])),
+    "lone-cr": (b"4\r0 1\r1 2\r1 3\r", (4, [(0, 1), (1, 2), (1, 3)])),
+    "mixed-endings": (b"4\r\n0 1\n1 2\r1 3\r\n", (4, [(0, 1), (1, 2), (1, 3)])),
+    "blank-tab-sign": (b"+4\n\n0\t1\n 1 +2 \n\n1 3", (4, [(0, 1), (1, 2), (1, 3)])),
+    "leading-zeros": (b"004\n00 01\n1 002\n01 3\n", (4, [(0, 1), (1, 2), (1, 3)])),
+    "one-vertex": (b"1\n", (1, [])),
+    "empty": (b"", ("line 1: empty input", 1)),
+    "crlf-duplicate": (b"3\r\n0 1\r\n1 0\r\n", ("line 3: duplicate tree edge (1,0)", 3)),
+    "lone-cr-cycle": (b"3\r0 1\r1 2\r2 0\r", ("line 4: tree on 3 vertices needs 2 edges, got 3", 4)),
+    "non-ascii-line-3": (b"4\n0 1\n1 \xe9\n1 3\n", ("line 3: non-ASCII byte 0xe9", 3)),
+    "non-ascii-after-crlf": (b"4\r\n0 1\r\n\xff 2\r\n", ("line 3: non-ASCII byte 0xff", 3)),
+}
+
+
+class TestReadTreeFile:
+    """read_tree reads bytes and gives what a text-mode read did: the same
+    adjacency in the same iteration order, or the same error and line."""
+
+    @pytest.mark.parametrize("data,expected", TREE_FILES.values(), ids=TREE_FILES.keys())
+    def test_same_result_as_a_text_mode_read(self, tmp_path, data, expected):
+        path = tmp_path / "t.tree"
+        path.write_bytes(data)
+        got = read_result(read_tree, path)
+        if isinstance(expected[0], str):
+            assert got == expected
+        else:
+            n, edges = expected
+            assert _same_tree(read_tree(path), Tree(n, edges))
+        if data.isascii():
+            assert got == read_result(text_mode_read(parse_tree), path)
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_well_formed_files_take_the_bulk_path(self, tmp_path, monkeypatch, ending):
+        def line_reader_called(text):
+            raise AssertionError(f"line reader used for {text!r}")
+
+        monkeypatch.setattr(trees_module, "_parse_tree_lines", line_reader_called)
+        path = tmp_path / "t.tree"
+        for data, _ in (TREE_FILES["written-form"], TREE_FILES["leading-zeros"], TREE_FILES["one-vertex"]):
+            path.write_bytes(data.replace(b"\n", ending))
+            assert _same_tree(read_tree(path), parse_tree(data.decode("ascii")))
+
+    def test_a_directory_is_an_os_error_naming_it(self, tmp_path):
+        path = tmp_path / "d.tree"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as exc:
+            read_tree(path)
+        assert str(path) in str(exc.value)
 
 
 class TestCollectorPause:
