@@ -136,12 +136,19 @@ def exact_constrained_embed(
     counts none.  More than `node_cap` nodes raise BudgetExceededError.
 
     On a dense host (4m >= n(n-1)) the unused host vertices are also kept in
-    a linked list, ascending.  There, every skeleton vertex but the root and
-    every greedily placed leaf takes the free neighbours of its parent's
-    image from that list, lazily, never from a sorted neighbour list: the
-    same vertices in the same order, so the node count is the same.  Free
-    neighbours are counted along the list when it is shorter than the
-    neighbour set; augmenting paths read sorted neighbour lists.
+    a doubly linked list, ascending, threaded through `nxt` and `prv`
+    (dancing links): taking a vertex unlinks it, and its own two links stay
+    as they were, so putting it back relinks it in place.  There, the
+    candidates of every unpinned skeleton vertex but the root come from one
+    walk of `nxt` that yields the vertices beside its parent's image, and a
+    greedily placed leaf walks `nxt` to the first of them: the same
+    vertices in the same order as a sorted neighbour list with the used ones
+    skipped, so the node count is the same.  A suspended walk stays valid:
+    vertices leave and return in LIFO order, so everything taken after the
+    walk yielded v, v itself included, is back in the list before the walk
+    reads `nxt[v]` again.  Free neighbours are counted along the list when
+    it is shorter than the neighbour set; augmenting paths read sorted
+    neighbour lists.
 
     `hosts`, the sorted vertices of one component of the host, keeps the
     search inside that component: the root goes only on its vertices, and
@@ -207,19 +214,20 @@ def exact_constrained_embed(
             neighbours = sorted_adj[gv] = sorted(adj[gv])
         return neighbours
 
-    def unused() -> Iterator[int]:
-        """The unused host vertices of a dense host, ascending; a vertex
-        taken after it is yielded is back before the walk resumes."""
+    def free_neighbours(near: frozenset[int]) -> Iterator[int]:
+        """The unused vertices of `near` on a dense host, ascending, read
+        off the linked list as the walk goes."""
         v = nxt[n]
         while v != n:
-            yield v
+            if v in near:
+                yield v
             v = nxt[v]
 
     def free_count(v: int, placed: int) -> int:
         """Unused neighbours of v, along the list when it is shorter."""
         near = adj[v]
         if dense and count - placed <= len(near):
-            return sum(map(near.__contains__, unused()))
+            return len([*free_neighbours(near)])
         return countOf(map(used.__getitem__, near), 0)
 
     def starves(gv: int, depth: int, parent: int) -> bool:
@@ -286,8 +294,13 @@ def exact_constrained_embed(
         for pos in range(skeleton, size):
             anchor = images[parent_at[pos]]
             gv = -1
-            if dense:
-                gv = next(filter(adj[anchor].__contains__, unused()), -1)
+            if dense:  # the lowest unused neighbour, along the list
+                near = adj[anchor]
+                v = nxt[n]
+                while v != n and v not in near:
+                    v = nxt[v]
+                if v != n:
+                    gv = v
             else:
                 for v in neighbours_of(anchor):
                     if not used[v]:
@@ -382,7 +395,7 @@ def exact_constrained_embed(
             frames[depth] = iter((pinned,) if pinned in adj[anchor] else ())
             continue
         if dense:
-            frames[depth] = filter(adj[anchor].__contains__, unused())
+            frames[depth] = free_neighbours(adj[anchor])
         else:
             neighbours = sorted_adj.get(anchor)
             if neighbours is None:
@@ -391,7 +404,7 @@ def exact_constrained_embed(
         if reserved:
             frames[depth] = filterfalse(reserved.__contains__, frames[depth])
 
-    emb = PartialEmbedding(dict(zip(order, images)))
+    emb = PartialEmbedding(zip(order, images))
     if not verify(emb, g, t, require_full=within is None):
         raise AssertionError("constrained search produced an invalid embedding")
     return emb

@@ -8,7 +8,7 @@ format; Chvatal's greedy extension is in `treefit.paper.lemmas`.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import ParseError, read_ascii, read_pairs
 from .graph import Graph
@@ -20,7 +20,7 @@ class PartialEmbedding:
 
     __slots__ = ("mapping", "image")
 
-    def __init__(self, mapping: Mapping[int, int]):
+    def __init__(self, mapping: Mapping[int, int] | Iterable[tuple[int, int]]):
         self.mapping: dict[int, int] = dict(mapping)
         self.image: frozenset[int] = frozenset(self.mapping.values())
 
@@ -61,10 +61,11 @@ def verify(
         if not (0 <= tv < t.n and 0 <= gv < g.n):
             return False
     adj = g.adjacency()
+    tadj = t.adjacency()
     inner = 0  # guest edges inside the domain, each counted from both ends
     for tv, gv in mapping.items():
         near = adj[gv]
-        for tu in t.adj(tv):
+        for tu in tadj[tv]:
             gu = mapping.get(tu)
             if gu is not None:
                 if gu not in near:

@@ -43,6 +43,40 @@ class TestVerify:
         e = PartialEmbedding({0: 0, 2: 2})
         assert not verify(e, cycle(6), path_tree(3))
 
+    # guest vertices 0..2, host vertices 0..5; the one-vertex maps have no
+    # edge to check, so only the range check rejects them (an index of -1
+    # would read the last vertex's neighbours and pass)
+    @pytest.mark.parametrize("mapping", [
+        {3: 0},  # guest key == t.n
+        {0: 0, 1: 1, 5: 2},  # guest key > t.n
+        {-1: 0},  # guest key -1
+        {0: -1},  # host image -1
+        {0: 6},  # host image == g.n
+        {0: 9, 1: 1, 2: 2},  # host image > g.n
+    ])
+    def test_out_of_range(self, mapping):
+        e = PartialEmbedding(mapping)
+        assert not verify(e, cycle(6), path_tree(3))
+        assert not verify(e, cycle(6), path_tree(3), require_full=True)
+
+    def test_partial_map_under_require_full(self):
+        g, t = cycle(6), path_tree(3)
+        assert verify(PartialEmbedding({0: 0, 1: 1}), g, t)
+        assert not verify(PartialEmbedding({0: 0, 1: 1}), g, t, require_full=True)
+        assert verify(PartialEmbedding({0: 0, 1: 1, 2: 2}), g, t, require_full=True)
+
+    def test_empty_map(self):
+        e = PartialEmbedding({})
+        assert verify(e, cycle(6), path_tree(3))
+        assert not verify(e, cycle(6), path_tree(3), require_full=True)
+
+    def test_built_from_pairs(self):
+        pairs = [(0, 3), (1, 4), (2, 5)]
+        e = PartialEmbedding(iter(pairs))
+        assert e == PartialEmbedding(dict(pairs))
+        assert e.image == {3, 4, 5}
+        assert verify(e, cycle(6), path_tree(3), require_full=True)
+
 
 class TestChvatalExtend:
     def test_path_into_cycle(self):
