@@ -146,9 +146,9 @@ def exact_constrained_embed(
     skipped, so the node count is the same.  A suspended walk stays valid:
     vertices leave and return in LIFO order, so everything taken after the
     walk yielded v, v itself included, is back in the list before the walk
-    reads `nxt[v]` again.  Free neighbours are counted along the list when
-    it is shorter than the neighbour set; augmenting paths read sorted
-    neighbour lists.
+    reads `nxt[v]` again.  Free neighbours are counted over the neighbour
+    set, and augmenting paths read sorted neighbour lists, as on a sparse
+    host.
 
     `hosts`, the sorted vertices of one component of the host, keeps the
     search inside that component: the root goes only on its vertices, and
@@ -223,25 +223,20 @@ def exact_constrained_embed(
                 yield v
             v = nxt[v]
 
-    def free_count(v: int, placed: int) -> int:
-        """Unused neighbours of v, along the list when it is shorter."""
-        near = adj[v]
-        if dense and count - placed <= len(near):
-            return len([*free_neighbours(near)])
-        return countOf(map(used.__getitem__, near), 0)
+    def free_count(v: int) -> int:
+        """Unused neighbours of v."""
+        return countOf(map(used.__getitem__, adj[v]), 0)
 
     def starves(gv: int, depth: int, parent: int) -> bool:
         """Whether taking gv leaves a placed image other than the parent's
         fewer free neighbours than its vertex has children to place."""
-        near = adj[gv]
-        # walk the placed images instead when there are fewer of them
-        for u in near if len(near) <= depth else [u for u in images[:depth] if u in near]:
+        for u in adj[gv]:
             q = used[u]
             if q and q != parent:
                 # an image with no child left to place cannot starve: gv
                 # itself is one of its free neighbours
                 r = pending[q - 1]
-                if r and r >= degree[u] - depth and free_count(u, depth) <= r:
+                if r and r >= degree[u] - depth and free_count(u) <= r:
                     return True
         return False
 
@@ -350,7 +345,7 @@ def exact_constrained_embed(
             # the placed vertices does not prove it, and one per child still
             # to place for each placed image
             d = degree[gv]
-            if d < need or d - depth < kids and free_count(gv, depth) < kids:
+            if d < need or d - depth < kids and free_count(gv) < kids:
                 continue
             if depth >= floor[depth] and starves(gv, depth, parent):
                 continue
@@ -397,10 +392,7 @@ def exact_constrained_embed(
         if dense:
             frames[depth] = free_neighbours(adj[anchor])
         else:
-            neighbours = sorted_adj.get(anchor)
-            if neighbours is None:
-                neighbours = sorted_adj[anchor] = sorted(adj[anchor])
-            frames[depth] = iter(neighbours)
+            frames[depth] = iter(neighbours_of(anchor))
         if reserved:
             frames[depth] = filterfalse(reserved.__contains__, frames[depth])
 

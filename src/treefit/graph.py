@@ -20,7 +20,6 @@ that turns it off while another thread builds may find it back on.
 from __future__ import annotations
 
 import gc
-from collections import deque
 from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -86,9 +85,6 @@ class Graph:
         """Every vertex's neighbour set, indexed by vertex."""
         return self._adj
 
-    def closed_adj(self, v: int) -> frozenset[int]:
-        return self._adj[v] | {v}
-
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
@@ -98,9 +94,6 @@ class Graph:
         if degrees is None:
             degrees = self._degrees = tuple(map(len, self._adj))
         return degrees
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -128,42 +121,16 @@ class Graph:
 
     # -- traversal --------------------------------------------------------
 
-    def bfs_distances(self, source: int, forbidden: frozenset[int] | set[int] = frozenset()) -> list[int]:
-        """Unweighted distances from source; unreachable vertices get n."""
-        inf = self.n
-        dist = [inf] * self.n
-        if source in forbidden:
-            return dist
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for v in self._adj[u]:
-                if dist[v] == inf and v not in forbidden:
-                    dist[v] = du + 1
-                    queue.append(v)
-        return dist
-
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Vertex tuples of the components, each sorted, ordered by least
         vertex; computed on the first call, the same object after that.
 
-        A tuple of tuples, so that no caller can change the kept split;
-        earlier versions returned a list of lists, and a result compared
-        with lists (`== [[0, 1], [2]]`) is now False."""
+        A tuple of tuples, so that no caller can change the kept split.  A
+        connected graph costs one BFS: its walk ends as soon as every vertex
+        has been reached."""
         if self._components is None:
-            if self.n and 2 * self.min_degree() >= self.n - 1:
-                # two non-adjacent vertices have n - 1 or more neighbours among
-                # the n - 2 others, so they share one: the graph is connected
-                self._components = (tuple(range(self.n)),)
-            else:
-                self._components = tuple(map(tuple, _component_split(self._adj, set(range(self.n)))))
+            self._components = tuple(map(tuple, _component_split(self._adj, set(range(self.n)))))
         return self._components
-
-    def is_connected(self) -> bool:
-        """One component, or none: the empty graph counts as connected."""
-        return len(self.components()) <= 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.edge_count})"

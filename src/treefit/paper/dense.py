@@ -153,11 +153,11 @@ def _swap_leaf_through(
         candidates = [
             lx
             for lx in t.adj(x) & alive
-            if len(t.adj(lx) & alive) == 1 and lx != u and g.has_edge(mapping[lx], image_v)
+            if len(t.adj(lx) & alive) == 1 and lx != u and image_v in g.adj(mapping[lx])
         ]
         for lx in sorted(candidates):
             for w in outside:
-                if g.has_edge(mapping[x], w):
+                if w in g.adj(mapping[x]):
                     # u takes the old leaf image next to v; the leaf moves to w
                     mapping[u] = mapping[lx]
                     mapping[lx] = w
@@ -181,7 +181,7 @@ def _relocate_vertex(
     for w in outside:
         w_adj = g.adj(w)
         for x in sorted(alive - {v, u}):
-            if not g.has_edge(mapping[x], image_v):
+            if image_v not in g.adj(mapping[x]):
                 continue
             nbr_images = {mapping[y] for y in t.adj(x) & alive if y != u}
             if nbr_images <= w_adj:

@@ -22,6 +22,7 @@ from ..trees import Tree
 from .ahsc import AhscInstance, contains_tree_by_size, solve_ahsc
 from .lemmas import (
     HypothesisNotMet,
+    bfs_distances,
     complete_leaves,
     farthest_from,
     greedy_walk,
@@ -33,7 +34,7 @@ from .lemmas import (
 
 def expanding_vertices(g: Graph, v: int, k: int) -> set[int]:
     """Neighbors of v with at least k-1 neighbors of their own outside N[v]."""
-    closed = g.closed_adj(v)
+    closed = g.adj(v) | {v}
     return {w for w in g.adj(v) if len(g.adj(w) - closed) >= k - 1}
 
 
@@ -49,7 +50,7 @@ def build_expanding_walk(g: Graph, v: int, length: int, k: int) -> list[int]:
     if len(expanding) < 3 * k:
         raise HypothesisNotMet(f"vertex {v} has {len(expanding)} expanding neighbors, needs {3 * k}")
     open_nbrs = g.adj(v)
-    closed = g.closed_adj(v)
+    closed = g.adj(v) | {v}
     walk = [v]
     used = {v}
     while len(walk) - 1 < length:
@@ -141,10 +142,10 @@ def _embed_dense_far_pair(g: Graph, t: Tree, k: int, prefix: list[int]) -> Parti
     """Distance-3 pair: route the prefix out through a shortest path and keep
     going among the far endpoint's non-expanding neighbors."""
     for u0 in range(g.n):
-        dist = g.bfs_distances(u0)
+        dist = bfs_distances(g, u0)
         far = sorted(v for v in range(g.n) if dist[v] == 3)
         for v0 in far:
-            pool = (g.adj(v0) - expanding_vertices(g, v0, k)) - g.closed_adj(u0)
+            pool = (g.adj(v0) - expanding_vertices(g, v0, k)) - (g.adj(u0) | {u0})
             bs = sorted(b for b in g.adj(v0) if dist[b] == 2)
             bs.sort(key=lambda b: (b not in pool, b))
             for b in bs:
@@ -166,7 +167,7 @@ def _embed_dense_close_pair(g: Graph, t: Tree, k: int, prefix: list[int]) -> Par
     for u0 in range(g.n):
         nonexp = g.adj(u0) - expanding_vertices(g, u0, k)
         for v0 in range(g.n):
-            if v0 == u0 or g.has_edge(u0, v0):
+            if v0 == u0 or v0 in g.adj(u0):
                 continue
             common = g.adj(u0) & g.adj(v0)
             if len(common) >= 6 * k:
@@ -217,7 +218,7 @@ def solve_high_leaf_degree(
         rounds = 0
         for v in range(g.n):
             need = neighbor_deficiency(g, v, k)
-            family = (frozenset(range(g.n)) - g.closed_adj(v), need)
+            family = (frozenset(range(g.n)) - (g.adj(v) | {v}), need)
             inst = AhscInstance.make(g, t, {witness: v}, [family])
             res = solve_ahsc(inst, failure_exponent, rng_from(rng.getrandbits(63), v))
             rounds += res.trials

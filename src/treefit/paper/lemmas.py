@@ -1,8 +1,9 @@
 """Graph, tree and embedding lemmas that only the paper's constructions use.
 
 Host side: degree deficiency, bipartite matchings and covers, escape
-vertices and their separators, shortest paths and greedy walks that avoid a
-vertex set, and the components left when a set is removed.
+vertices and their separators, BFS distances, shortest paths and greedy
+walks that avoid a vertex set, and the components left when a set is
+removed (the core's component split, run on the rest).
 Guest side: rooted views, paths and diameters of induced subtrees, leaf degree,
 separable edges, maximal trivial paths, minimal spanning subtrees, canonical
 codes and rooted containment.  Embeddings: `extended`, which adds pairs to
@@ -127,7 +128,7 @@ def is_q_escape(g: Graph, v: int, q: int) -> bool:
         raise ValueError("q must be non-negative")
     if q == 0 or g.degree(v) >= g.min_degree() + q:
         return True
-    closed = g.closed_adj(v)
+    closed = g.adj(v) | {v}
     rest = [u for u in range(g.n) if u not in closed]
     if not rest:
         return False
@@ -141,7 +142,7 @@ def nonescape_separator(g: Graph, v: int, q: int) -> set[int]:
     the rest; v never appears in it.  Raises if v is a q-escape vertex or if
     either separated side would be empty.
     """
-    closed = g.closed_adj(v)
+    closed = g.adj(v) | {v}
     rest = sorted(u for u in range(g.n) if u not in closed)
     if not rest:
         raise TooSmallError("no vertices outside the closed neighborhood")
@@ -156,11 +157,8 @@ def nonescape_separator(g: Graph, v: int, q: int) -> set[int]:
         raise TooSmallError("far side of the separator is empty")
     near = closed - cover
     far = set(rest) - cover
-    forbidden = frozenset(cover)
-    reach = set(
-        u for u, d in enumerate(g.bfs_distances(v, forbidden)) if d < g.n
-    )
-    if reach & far or not near <= reach | cover:
+    reach = next(set(c) for c in components_avoiding(g, cover) if v in c)
+    if reach & far or not near <= reach:
         raise AssertionError("separator fails the components check")
     return set(cover)
 
@@ -194,6 +192,23 @@ def shortest_path_between(
                 prev[v] = u
                 queue.append(v)
     return None
+
+
+def bfs_distances(g: Graph, source: int, forbidden: Iterable[int] = ()) -> list[int]:
+    """Unweighted distances from `source` in the graph minus `forbidden`;
+    vertices it does not reach, and every vertex when `source` is
+    forbidden, get n."""
+    banned = frozenset(forbidden)
+    dist = [g.n] * g.n
+    if source in banned:
+        return dist
+    dist[source] = 0
+    for u in (queue := [source]):  # grows while it is read: a BFS queue
+        for v in g.adj(u):
+            if dist[v] == g.n and v not in banned:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 def greedy_walk(g: Graph, start: int, pool: set[int], used: Iterable[int], length: int) -> list[int] | None:
@@ -615,7 +630,7 @@ def solve_delta_plus_two(g: Graph, t: Tree) -> SolveOutcome:
     vertices.  Every other instance gets an explicit certificate.
     """
     delta = g.min_degree()
-    if not g.is_connected():
+    if len(g.components()) > 1:
         raise PreconditionViolated("host must be connected")
     if t.n > min(g.n, delta + 2):
         raise PreconditionViolated(
@@ -637,7 +652,7 @@ def solve_delta_plus_two(g: Graph, t: Tree) -> SolveOutcome:
     if not regular:
         u = min(v for v in range(g.n) if g.degree(v) > delta)
         partial = chvatal_extend(g, t, PartialEmbedding({anchor: u}), rest)
-        free = sorted(g.closed_adj(u) - partial.image)
+        free = sorted((g.adj(u) | {u}) - partial.image)
         if not free:
             raise AssertionError("high-degree vertex ran out of neighbors")
         full = extended(partial, {leaf: free[0]})
@@ -648,8 +663,9 @@ def solve_delta_plus_two(g: Graph, t: Tree) -> SolveOutcome:
         y = min(v for v in t.adj(x) if v != anchor)
         u = 0
         vw = None
-        for v in sorted(g.closed_adj(u)):
-            outside = sorted(g.adj(v) - g.closed_adj(u))
+        closed = g.adj(u) | {u}
+        for v in sorted(closed):
+            outside = sorted(g.adj(v) - closed)
             if outside:
                 vw = (v, outside[0])
                 break
@@ -659,7 +675,7 @@ def solve_delta_plus_two(g: Graph, t: Tree) -> SolveOutcome:
         if v == u:
             raise AssertionError("crossing edge cannot start at u itself")
         partial = chvatal_extend(g, t, PartialEmbedding({anchor: u, x: v, y: w}), rest)
-        free = sorted(g.closed_adj(u) - partial.image)
+        free = sorted((g.adj(u) | {u}) - partial.image)
         if not free:
             raise AssertionError("saved neighbor was lost")
         full = extended(partial, {leaf: free[0]})
@@ -706,7 +722,7 @@ def complete_leaves(
         raise PreconditionViolated("partial embedding does not verify")
     for w in sorted(set(anchors.values())):
         image_w = partial.mapping[w]
-        saved = len(partial.image - g.closed_adj(image_w))
+        saved = len(partial.image - (g.adj(image_w) | {image_w}))
         need = neighbor_deficiency(g, image_w, k)
         if saved < need:
             raise HypothesisNotMet(

@@ -112,7 +112,7 @@ def embed_via_trivial_paths(
     for w in anchors:
         w_img = terminal_image[w]
         need = neighbor_deficiency(g, w_img, k)
-        pool = sorted(set(range(g.n)) - g.closed_adj(w_img))
+        pool = sorted(set(range(g.n)) - (g.adj(w_img) | {w_img}))
         if len(pool) < need:
             raise AssertionError("host lacks non-neighbors for an anchor")
         targets |= set(pool[:need])
@@ -213,7 +213,7 @@ def _splice_and_inflate(
                 (
                     j
                     for j in range(len(img) - 1)
-                    if g.has_edge(v, img[j]) and g.has_edge(v, img[j + 1])
+                    if img[j] in g.adj(v) and img[j + 1] in g.adj(v)
                 ),
                 None,
             )
@@ -309,7 +309,7 @@ def embed_via_escape(
         image = set(mapping.values())
         lacking = None
         for w in anchors:
-            saved = len(image - g.closed_adj(mapping[w]))
+            saved = len(image - (g.adj(mapping[w]) | {mapping[w]}))
             if saved < neighbor_deficiency(g, mapping[w], k):
                 lacking = w
                 break
@@ -403,7 +403,7 @@ def embed_or_separator(
         lacking = [
             w
             for w in anchors
-            if len(image - g.closed_adj(mapping[w]))
+            if len(image - (g.adj(mapping[w]) | {mapping[w]}))
             < neighbor_deficiency(g, mapping[w], k)
         ]
         if not lacking:
@@ -543,8 +543,6 @@ def solve_medium(
     diam_branch: int | None = None,
     escape_q: int | None = None,
     separable_q: int | None = None,
-    min_delta: int | None = None,
-    min_n: int | None = None,
     enforce: bool = True,
 ) -> PartialEmbedding:
     """Dispatcher: long diameter -> contraction; small max degree -> feelers
@@ -555,21 +553,19 @@ def solve_medium(
     d_branch = 2 * k ** 11 if diam_branch is None else diam_branch
     q_escape = 4 * k ** 13 if escape_q is None else escape_q
     q_sep = 2 * k ** 14 if separable_q is None else separable_q
-    need_delta = k ** 17 if min_delta is None else min_delta
-    need_n = delta + 2 * k ** 14 if min_n is None else min_n
     if enforce:
         if k < 3:
             raise PreconditionViolated("needs k >= 3")
-        if not g.is_connected():
+        if len(g.components()) > 1:
             raise PreconditionViolated("host must be connected")
         if t.n != delta + k:
             raise PreconditionViolated(f"guest must have min_degree+{k} vertices")
         if leaf_degree(t)[0] >= k:
             raise PreconditionViolated(f"leaf degree must stay below {k}")
-        if delta < need_delta:
-            raise PreconditionViolated(f"min degree {delta} below {need_delta}")
-        if g.n < need_n:
-            raise PreconditionViolated(f"host on {g.n} vertices below {need_n}")
+        if delta < k ** 17:
+            raise PreconditionViolated(f"min degree {delta} below {k ** 17}")
+        if g.n < delta + 2 * k ** 14:
+            raise PreconditionViolated(f"host on {g.n} vertices below {delta + 2 * k ** 14}")
         if diam_t > 8 * (k ** 6) * math.log2(max(delta, 2)):
             raise PreconditionViolated("guest diameter too large for this engine")
 

@@ -24,6 +24,7 @@ from ..graph import Graph
 from ..trees import Tree
 from .lemmas import (
     RootedView,
+    bfs_distances,
     components_avoiding,
     diametral_path,
     greedy_extend,
@@ -48,7 +49,7 @@ class PreservingPath:
 def _is_path(g: Graph, vertices: tuple[int, ...]) -> bool:
     if len(set(vertices)) != len(vertices):
         return False
-    return all(g.has_edge(a, b) for a, b in zip(vertices, vertices[1:]))
+    return all(b in g.adj(a) for a, b in zip(vertices, vertices[1:]))
 
 
 def preserving_violator(g: Graph, s: Iterable[int], k: int) -> int | None:
@@ -150,7 +151,7 @@ def _insert_modulator(g: Graph, path: list[int], pool: Iterable[int], k: int) ->
                 (
                     i
                     for i, (a, b) in enumerate(zip(path, path[1:]))
-                    if g.has_edge(u, a) and g.has_edge(u, b)
+                    if a in g.adj(u) and b in g.adj(u)
                 ),
                 None,
             )
@@ -174,7 +175,7 @@ def modulator_to_preserving_path(g: Graph, s: Iterable[int], k: int) -> Preservi
     """
     s_set = set(s)
     delta = g.min_degree()
-    if not g.is_connected():
+    if len(g.components()) > 1:
         raise PreconditionViolated("host must be connected")
     if k < 1:
         raise PreconditionViolated("k must be at least 1")
@@ -219,7 +220,7 @@ def _distance_2k_path(
 ) -> list[int] | None:
     """A shortest path realizing distance exactly 2k in G minus forbidden."""
     for u in sorted(rest):
-        dist = g.bfs_distances(u, forbidden)
+        dist = bfs_distances(g, u, forbidden)
         targets = [v for v in rest if 2 * k <= dist[v] < g.n]
         if not targets:
             continue
@@ -240,7 +241,7 @@ def set_to_preserving_path(g: Graph, s: Iterable[int], k: int) -> PreservingPath
     """
     s_list = sorted(set(s))
     delta = g.min_degree()
-    if not g.is_connected():
+    if len(g.components()) > 1:
         raise PreconditionViolated("host must be connected")
     if not is_k_preserving(g, s_list, k):
         raise PreconditionViolated("input set is not k-preserving")
@@ -380,7 +381,7 @@ def solve_large_diameter(
     if enforce:
         if k < 3:
             raise PreconditionViolated("k must be at least 3")
-        if not g.is_connected():
+        if len(g.components()) > 1:
             raise PreconditionViolated("host must be connected")
         if g.n < (1 + 4 / k ** 4) * delta:
             raise PreconditionViolated("host has too few vertices")

@@ -152,7 +152,7 @@ def params_of_witness(
     confirm the enumeration covers every witness)."""
     deficiency = [neighbor_deficiency(g, u, k) for u in images]
     saved = tuple(
-        min(len(witness_image - g.closed_adj(u)), d)
+        min(len(witness_image - (g.adj(u) | {u})), d)
         for u, d in zip(images, deficiency)
     )
     block = [images[i] for i in range(len(images)) if saved[i] < deficiency[i]]
@@ -160,7 +160,7 @@ def params_of_witness(
         return MultiLeafParams(saved, frozenset(), frozenset(), 0)
     ground = set(_block_ground(g, block))
     boundary = frozenset(witness_image & ground)
-    closed_block = frozenset().union(*(g.closed_adj(u) for u in block))
+    closed_block = frozenset().union(*((g.adj(u) | {u}) for u in block))
     a_b = len(witness_image - closed_block)
     block_min = min(saved[i] for i in range(len(images)) if saved[i] < deficiency[i])
     return MultiLeafParams(saved, frozenset(block), boundary, min(a_b, block_min))
@@ -207,7 +207,7 @@ def solve_with_leaf_anchor(
         families = [(frozenset(g.adj(u)), a) for u, a in zip(images, params.saved)]
         if params.problematic:
             closed_block = frozenset().union(
-                *(g.closed_adj(u) for u in params.problematic)
+                *((g.adj(u) | {u}) for u in params.problematic)
             )
             families.append((params.boundary, len(params.boundary)))
             families.append((everything - closed_block, params.saved_from_block))

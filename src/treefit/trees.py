@@ -33,9 +33,8 @@ class Tree(Graph):
 
     def _spans(self) -> bool:
         """Whether the walk from vertex 0 reaches every vertex.  Its own walk,
-        not `components()`: that builds host tables a guest never reads, and
-        its min-degree shortcut assumes no loops, which the bulk reader's
-        adjacency can hold."""
+        not `components()`: that sorts the vertices into a host table that a
+        guest never reads, and keeps it for the tree's lifetime."""
         adj = self._adj
         seen = {0}
         for u in (order := [0]):  # grows while it is read: a BFS queue

@@ -295,7 +295,7 @@ def constrained_embedding_exists(
         mapping = dict(kappa)
         mapping.update(zip(free, images))
         image = set(mapping.values())
-        if all(g.has_edge(mapping[u], mapping[v]) for u, v in edges) and all(
+        if all(mapping[v] in g.adj(mapping[u]) for u, v in edges) and all(
             len(image & fam) >= quota for fam, quota in families
         ):
             return True

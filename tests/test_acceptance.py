@@ -31,7 +31,13 @@ from treefit.hardness import (
 from treefit.outcome import Contains, NotContained
 from treefit.paper.ahsc import colorful_full_tree_dp, sample_coloring
 from treefit.paper.dense import embed_dense, hitting_set_lower_bound
-from treefit.paper.lemmas import chvatal_extend, leaf_degree, solve_delta_plus_two, tree_diameter
+from treefit.paper.lemmas import (
+    bfs_distances,
+    chvatal_extend,
+    leaf_degree,
+    solve_delta_plus_two,
+    tree_diameter,
+)
 from treefit.paper.preserving import (
     anti_dominating_set,
     build_preserving_set,
@@ -179,7 +185,7 @@ def test_criterion_05_preserving_constructions():
         remainder = [v for v in range(n) if v not in s]
         ok = False
         for u in remainder:
-            dd = g.bfs_distances(u, forb)
+            dd = bfs_distances(g, u, forb)
             if any(dd[v] >= 2 * k for v in remainder):
                 ok = True
                 break

@@ -207,7 +207,7 @@ class TestCompleteLeaves:
                 continue
             partial = PartialEmbedding(partial_map)
             ok = all(
-                len(partial.image - g.closed_adj(partial.mapping[w]))
+                len(partial.image - (g.adj(partial.mapping[w]) | {partial.mapping[w]}))
                 >= neighbor_deficiency(g, partial.mapping[w], k)
                 for w in anchors
             )

@@ -26,6 +26,7 @@ from treefit.hardness import ThreePartitionInstance, generate_hardness_instance
 from treefit.paper.lemmas import (
     IsEscapeVertexError,
     TooSmallError,
+    bfs_distances,
     is_q_escape,
     max_bipartite_matching,
     min_vertex_cover_bipartite,
@@ -99,7 +100,7 @@ class TestMatching:
             matching = max_bipartite_matching(g, left, right)
             seen = set()
             for u, v in matching:
-                assert u in left and v in right and g.has_edge(u, v)
+                assert u in left and v in right and v in g.adj(u)
                 assert u not in seen and v not in seen
                 seen |= {u, v}
 
@@ -184,7 +185,7 @@ class TestNonescapeSeparator:
         found = 0
         for trial in range(300):
             g = random_graph(9, 0.25, rng)
-            if not g.is_connected():
+            if len(g.components()) > 1:
                 continue
             for v in range(g.n):
                 for q in (1, 2, 3):
@@ -209,21 +210,21 @@ class TestNonescapeSeparator:
 
 class TestBfsAndDiameter:
     def test_path_distances(self):
-        assert path_graph(4).bfs_distances(0) == [0, 1, 2, 3]
+        assert bfs_distances(path_graph(4), 0) == [0, 1, 2, 3]
 
     def test_cycle_distances(self):
-        assert cycle(6).bfs_distances(0) == [0, 1, 2, 3, 2, 1]
+        assert bfs_distances(cycle(6), 0) == [0, 1, 2, 3, 2, 1]
 
     def test_unreachable_sentinel(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        assert g.bfs_distances(0) == [0, 1, 4, 4]
+        assert bfs_distances(g, 0) == [0, 1, 4, 4]
 
     def test_triangle_inequality_over_edges(self):
         rng = rng_from(15)
         for trial in range(30):
             g = random_graph(10, 0.3, rng)
             for src in range(g.n):
-                dist = g.bfs_distances(src)
+                dist = bfs_distances(g, src)
                 for u, v in g.edges():
                     if dist[u] < g.n and dist[v] < g.n:
                         assert abs(dist[u] - dist[v]) <= 1
@@ -258,7 +259,7 @@ class TestShortestPathAvoiding:
             assert len(path) == nx.shortest_path_length(nxg, "s", "t") - 1
             assert path[0] in sources and path[-1] in targets
             assert not forbidden & set(path) and len(set(path)) == len(path)
-            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+            assert all(b in g.adj(a) for a, b in zip(path, path[1:]))
 
     def test_ties_go_to_the_lowest_ids(self):
         # C_8 from {0, 4} to {2, 6}: four shortest paths of two edges, and
@@ -281,7 +282,7 @@ class TestShortestPathAvoiding:
         for perm_len in range(2, 7):
             for perm in itertools.permutations(sorted(vertices - {0, 3}), perm_len - 2):
                 cand = [0, *perm, 3]
-                if all(g.has_edge(a, b) for a, b in zip(cand, cand[1:])):
+                if all(b in g.adj(a) for a, b in zip(cand, cand[1:])):
                     found.append(cand)
         assert not found
 
@@ -701,9 +702,10 @@ class TestComponents:
         self._check(g)
 
     def test_minimum_degree_threshold(self):
-        # 2 * min_degree >= n - 1 settles connectivity without a search;
-        # random graphs on one or two dense blocks, some with an isolated
-        # vertex, put the minimum degree on both sides of that threshold
+        # 2 * min_degree >= n - 1 proves a graph connected; random graphs
+        # on one or two dense blocks, some with an isolated vertex, put the
+        # minimum degree on both sides of that threshold, where the split
+        # must find one component above it and may find several below
         for g in (Graph(1, []), Graph(2, []), Graph(2, [(0, 1)]), Graph(3, [(0, 1)])):
             self._check(g)
         rng = Random(9)
@@ -729,18 +731,18 @@ class TestComponents:
 
     def test_matches_networkx(self):
         # seeded random hosts: split blocks, sparse and dense G(n, p) with
-        # isolated vertices, hosts that meet the minimum-degree shortcut,
-        # and n = 0 and n = 1
+        # isolated vertices, hosts whose minimum degree alone proves them
+        # connected (2 * min_degree >= n - 1), and n = 0 and n = 1
         rng = Random(10)
         graphs = [Graph(0, []), Graph(1, []), Graph(5, []), complete(6), cycle(7)]
         graphs += [_random_split_graph(rng) for _ in range(300)]
         graphs += [random_graph(rng.randint(0, 30), rng.choice((0.02, 0.1, 0.3, 0.9)), rng) for _ in range(300)]
-        shortcut = 0
+        above = 0
         for g in graphs:
             expected = tuple(sorted(tuple(sorted(c)) for c in nx.connected_components(to_networkx(g))))
             assert g.components() == expected
-            shortcut += g.n > 0 and 2 * g.min_degree() >= g.n - 1
-        assert shortcut >= 20 and any(0 in g.degrees() for g in graphs if g.n > 1)
+            above += g.n > 0 and 2 * g.min_degree() >= g.n - 1
+        assert above >= 20 and any(0 in g.degrees() for g in graphs if g.n > 1)
 
 
 class TestHostTables:
@@ -752,7 +754,6 @@ class TestHostTables:
             first = g.components()
             assert type(first) is tuple and all(type(c) is tuple for c in first)
             assert g.components() is first
-            assert g.is_connected() == (len(first) <= 1) and g.components() is first
             degrees = g.degrees()
             assert type(degrees) is tuple and degrees == tuple(g.degree(v) for v in range(g.n))
             assert g.degrees() is degrees
@@ -795,13 +796,14 @@ def _reference_is_connected(g: Graph) -> bool:
 
 class TestIsConnected:
     def test_small_cases(self):
-        assert Graph(0, []).is_connected()
-        assert Graph(1, []).is_connected()
-        assert not Graph(2, []).is_connected()
-        assert Graph(2, [(0, 1)]).is_connected()
-        assert not Graph(4, [(0, 1), (1, 2)]).is_connected()  # 3 is isolated
-        assert not Graph(4, [(1, 2), (2, 3)]).is_connected()  # 0 is isolated
-        assert cycle(5).is_connected() and petersen().is_connected()
+        assert Graph(0, []).components() == ()
+        assert Graph(1, []).components() == ((0,),)
+        assert Graph(2, []).components() == ((0,), (1,))
+        assert Graph(2, [(0, 1)]).components() == ((0, 1),)
+        assert Graph(4, [(0, 1), (1, 2)]).components() == ((0, 1, 2), (3,))  # 3 is isolated
+        assert Graph(4, [(1, 2), (2, 3)]).components() == ((0,), (1, 2, 3))  # 0 is isolated
+        assert cycle(5).components() == (tuple(range(5)),)
+        assert petersen().components() == (tuple(range(10)),)
 
     def test_random_graphs_match_plain_bfs(self):
         rng = Random(8)
@@ -810,6 +812,6 @@ class TestIsConnected:
         connected = 0
         for g in graphs:
             expected = _reference_is_connected(g)
-            assert g.is_connected() == expected
+            assert (len(g.components()) <= 1) == expected
             connected += expected
         assert 0 < connected < len(graphs)

@@ -223,8 +223,7 @@ class TestSolveMediumDispatch:
         t = path_tree(43)
         out = solve_medium(
             g, t, 3,
-            diam_branch=20, escape_q=50, separable_q=99, min_delta=40,
-            min_n=40, enforce=False,
+            diam_branch=20, escape_q=50, separable_q=99, enforce=False,
         )
         assert verify(out, g, t, require_full=True)
 
@@ -233,8 +232,7 @@ class TestSolveMediumDispatch:
         t = TestEmbedOrSeparator.feeler_tree(33)
         out = solve_medium(
             g, t, 3,
-            diam_branch=99, escape_q=40, separable_q=4, min_delta=30,
-            min_n=33, enforce=False,
+            diam_branch=99, escape_q=40, separable_q=4, enforce=False,
         )
         assert verify(out, g, t, require_full=True)
 
@@ -243,8 +241,7 @@ class TestSolveMediumDispatch:
         t = spider_with_tail(5, 2, 0, 11)
         out = solve_medium(
             g, t, 2,
-            diam_branch=99, escape_q=5, separable_q=99, min_delta=9,
-            min_n=11, enforce=False,
+            diam_branch=99, escape_q=5, separable_q=99, enforce=False,
         )
         assert verify(out, g, t, require_full=True)
 
@@ -258,8 +255,7 @@ class TestSolveMediumDispatch:
         assert max(t.degree(v) for v in range(t.n)) >= 9
         out = solve_medium(
             g, t, 3,
-            diam_branch=99, escape_q=31, separable_q=12, min_delta=30,
-            min_n=33, enforce=False,
+            diam_branch=99, escape_q=31, separable_q=12, enforce=False,
         )
         assert verify(out, g, t, require_full=True)
 
@@ -272,6 +268,5 @@ class TestSolveMediumDispatch:
         with pytest.raises(PreconditionViolated):
             solve_medium(
                 g, t, 3,
-                diam_branch=99, escape_q=50, separable_q=99, min_delta=40,
-                min_n=40, enforce=False,
+                diam_branch=99, escape_q=50, separable_q=99, enforce=False,
             )

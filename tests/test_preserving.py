@@ -8,6 +8,7 @@ from treefit.embedding import verify
 from treefit.errors import PreconditionViolated
 from treefit.generate import circulant, random_graph_min_degree
 from treefit.graph import Graph
+from treefit.paper.lemmas import bfs_distances
 from treefit.paper.preserving import (
     PreservingPath,
     anti_dominating_set,
@@ -145,7 +146,7 @@ class TestModulator:
             dist_ok = False
             forb = frozenset(s)
             for u in remainder:
-                dd = g.bfs_distances(u, forb)
+                dd = bfs_distances(g, u, forb)
                 if any(2 * k <= dd[v] < g.n for v in remainder) or any(
                     dd[v] >= g.n for v in remainder
                 ):

@@ -306,7 +306,7 @@ class TestRootedContainment:
         assert found is not None
         assert found[0] == 0
         for u, v in guest.edges():
-            assert host.has_edge(found[u], found[v])
+            assert found[v] in host.adj(found[u])
 
 
 class TestTextFormat:
