@@ -137,16 +137,20 @@ def exact_constrained_embed(
 
     On a dense host (4m >= n(n-1)) the unused host vertices are also kept in
     a doubly linked list, ascending, threaded through `nxt` and `prv`
-    (dancing links): taking a vertex unlinks it, and its own two links stay
-    as they were, so putting it back relinks it in place.  There, the
-    candidates of every unpinned skeleton vertex but the root come from one
-    walk of `nxt` that yields the vertices beside its parent's image, and a
-    greedily placed leaf walks `nxt` to the first of them: the same
-    vertices in the same order as a sorted neighbour list with the used ones
-    skipped, so the node count is the same.  A suspended walk stays valid:
-    vertices leave and return in LIFO order, so everything taken after the
-    walk yielded v, v itself included, is back in the list before the walk
-    reads `nxt[v]` again.  Free neighbours are counted over the neighbour
+    (dancing links) from the head n: taking a vertex unlinks it, and its own
+    two links stay as they were, so putting it back relinks it in place.  A
+    pinned image is never on the list; it links to itself, so taking it and
+    putting it back change no link.  There, every unpinned skeleton vertex
+    but the root takes its candidates by walking `nxt` to the next vertex
+    beside its parent's image, and a greedily placed leaf walks to the first
+    of them: the same vertices in the same order as a sorted neighbour list
+    with the used and reserved ones skipped, so the node count is the same.
+    Such a frame keeps no object of its own: its place on the list is
+    `images[depth]`, the head when the frame is entered and then its last
+    candidate, and it resumes at `nxt[images[depth]]`.  That link is valid
+    when it is read: vertices leave and return in LIFO order, so everything
+    taken after the frame's last candidate v, v itself included, is back
+    in the list by then.  Free neighbours are counted over the neighbour
     set, and augmenting paths read sorted neighbour lists, as on a sparse
     host.
 
@@ -154,7 +158,8 @@ def exact_constrained_embed(
     search inside that component: the root goes only on its vertices, and
     the degree check, the density test and every count of unused vertices
     read the component alone, so the search runs as it would on a copy of
-    the component.  A pin outside it raises ValueError.
+    the component.  A pin outside it, or on no host vertex, raises
+    ValueError.
 
     The embedding it returns has passed `verify`, over the whole guest
     (`require_full`) when `within` is None; this is the one check of an
@@ -167,8 +172,8 @@ def exact_constrained_embed(
         reserved = frozenset(kappa.values())
         if len(reserved) < len(kappa):
             raise ValueError("kappa must be injective")
-        if hosts is not None and not reserved.issubset(hosts):
-            raise ValueError("pinned images must lie inside `hosts`")
+        if not reserved.issubset(range(g.n) if hosts is None else hosts):
+            raise ValueError("pinned images must lie inside `hosts` (the whole host when None)")
     size = len(order)
     cap = math.inf if node_cap is None else node_cap
 
@@ -186,7 +191,7 @@ def exact_constrained_embed(
     degree = g.degrees()
     sorted_adj: dict[int, list[int]] = {}  # host vertex -> its neighbours, ascending
     images = [-1] * size
-    used = [0] * n  # host vertex -> 1 + the position on it, 0 while free
+    used = [0] * (n + 1)  # host vertex -> 1 + the position on it, 0 while free
     # per skeleton position: the children not yet placed (the root's parent
     # position, -1, points at the spare last entry)
     pending = kids_at[:]
@@ -207,21 +212,17 @@ def exact_constrained_embed(
             nxt, prv = [n] * (n + 1), [n] * (n + 1)
             for a, b in zip([n, *hosts], [*hosts, n]):
                 nxt[a], prv[b] = b, a
+        for r in reserved:  # linked to itself, off the list: its pin's frame moves no link
+            nxt[prv[r]], prv[nxt[r]] = nxt[r], prv[r]
+            nxt[r] = prv[r] = r
+        walk = repeat(n)  # every dense frame's iterator: n, again and again
+        used[n] = 1  # n is no vertex: as a candidate it sends a dense frame along the list
 
     def neighbours_of(gv: int) -> list[int]:
         neighbours = sorted_adj.get(gv)
         if neighbours is None:
             neighbours = sorted_adj[gv] = sorted(adj[gv])
         return neighbours
-
-    def free_neighbours(near: frozenset[int]) -> Iterator[int]:
-        """The unused vertices of `near` on a dense host, ascending, read
-        off the linked list as the walk goes."""
-        v = nxt[n]
-        while v != n:
-            if v in near:
-                yield v
-            v = nxt[v]
 
     def free_count(v: int) -> int:
         """Unused neighbours of v."""
@@ -337,7 +338,17 @@ def exact_constrained_embed(
         parent = parent_at[depth] + 1  # as `used` marks its image
         for gv in frames[depth]:
             if used[gv]:
-                continue
+                if gv != n:
+                    continue
+                # a dense frame: the next unused neighbour of the parent's
+                # image after its last image, which starts at the head
+                near = adj[images[parent - 1]]
+                gv = nxt[images[depth]]
+                while gv != n and gv not in near:
+                    gv = nxt[gv]
+                if gv == n:
+                    break
+                images[depth] = gv
             nodes += 1
             if nodes > cap:
                 raise BudgetExceededError(nodes)
@@ -367,7 +378,9 @@ def exact_constrained_embed(
                 a, b = prv[gv], nxt[gv]
                 nxt[a], prv[b] = b, a
             break
-        else:  # every candidate failed: undo the previous placement
+        else:
+            gv = n
+        if gv == n:  # every candidate failed: undo the previous placement
             depth -= 1
             if depth < 0:
                 return None
@@ -385,16 +398,15 @@ def exact_constrained_embed(
                 break
             continue
         pinned = pin_at[depth]
-        anchor = images[parent_at[depth]]
         if pinned is not None:  # the pin alone, if it lies beside the parent's image
-            frames[depth] = iter((pinned,) if pinned in adj[anchor] else ())
-            continue
-        if dense:
-            frames[depth] = free_neighbours(adj[anchor])
+            frames[depth] = iter((pinned,) if pinned in adj[images[parent_at[depth]]] else ())
+        elif dense:  # its place on the list: the head
+            frames[depth] = walk
+            images[depth] = n
         else:
-            frames[depth] = iter(neighbours_of(anchor))
-        if reserved:
-            frames[depth] = filterfalse(reserved.__contains__, frames[depth])
+            frames[depth] = iter(neighbours_of(images[parent_at[depth]]))
+            if reserved:
+                frames[depth] = filterfalse(reserved.__contains__, frames[depth])
 
     emb = PartialEmbedding(zip(order, images))
     if not verify(emb, g, t, require_full=within is None):

@@ -537,6 +537,13 @@ class TestPinnedImagesAreReserved:
             seen[emb is None] += 1
         assert seen[False] >= 50
 
+    @pytest.mark.parametrize("image", [4, -1])
+    def test_pin_on_no_host_vertex_is_rejected(self, image):
+        # K_4 is dense, and 4 is the head of its list of unused vertices;
+        # -1 would index the last vertex
+        with pytest.raises(ValueError, match="pinned images must lie inside"):
+            exact_constrained_embed(complete(4), path_tree(3), {0: image}, node_cap=0)
+
     @pytest.mark.parametrize("hosts", [None, range(11)], ids=["whole", "hosts"])
     def test_two_pins_on_one_image_are_rejected(self, hosts):
         # P_9 in K_11 with both ends pinned to 0: no embedding, and a search
@@ -544,6 +551,62 @@ class TestPinnedImagesAreReserved:
         # (over 100,000 nodes); it is refused before the first node
         with pytest.raises(ValueError, match="kappa must be injective"):
             exact_constrained_embed(complete(11), path_tree(9), {0: 0, 8: 0}, node_cap=0, hosts=hosts)
+
+
+class TestDenseFrames:
+    """On a dense host an unpinned skeleton vertex but the root walks the
+    list of unused host vertices from its last image: the candidates and
+    node counts of a sorted neighbour list, whose order the same host with
+    isolated vertices added (too sparse for the list) shows."""
+
+    # 0-1, 0-2, 1-2, 2-5, 1-3, 3-4, 3-5, 4-5: 8 edges on 6 vertices
+    FREE_COUNT = [(0, 1), (0, 2), (1, 2), (2, 5), (1, 3), (3, 4), (3, 5), (4, 5)]
+    # 0-1, 0-2, 0-3, 1-2, 2-4, 3-4, 3-5, 4-5: 8 edges on 6 vertices
+    BACKTRACK = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 4), (3, 4), (3, 5), (4, 5)]
+    # a root with a skeleton child (1) and two leaves (2, 3); 1 has leaf 4
+    BROOM = Tree(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
+
+    @pytest.mark.parametrize("isolated", [0, 4])
+    def test_failing_candidate_passes_to_the_next(self, isolated):
+        # the spider 0-1-2 with leaf 5 on 0 and leaves 3, 4 on 2, spanning
+        # the dense host: 0 goes on host 0 (one node) and 1 on host 1 (one
+        # node); 2, with two children, tries host 2 (one node), whose one
+        # free neighbour (5) is too few, then host 3 (one node), with free
+        # 4 and 5.  The leaves take 2, 4 and 5 (three nodes).
+        g = Graph(6 + isolated, self.FREE_COUNT)
+        t = Tree(6, [(0, 1), (1, 2), (2, 3), (2, 4), (0, 5)])
+        emb = TestExactConstrained.assert_nodes(g, t, 7)
+        assert emb.mapping == {0: 0, 1: 1, 2: 3, 5: 2, 3: 4, 4: 5}
+
+    @pytest.mark.parametrize("isolated", [0, 4])
+    def test_leaf_failure_resumes_after_the_last_image(self, isolated):
+        # the broom: its root goes on host 0 (one node) and 1 on host 1 (one
+        # node); leaves 2 and 3 take hosts 2 and 3 (two nodes), and leaf 4
+        # finds host 1's other neighbour (2) held: its augmenting path
+        # reaches 2 and 3 (two nodes) and fails.  Back at 1, the walk goes on
+        # from host 1 to host 2 (one node); leaves take 1, 3 and 4 (three
+        # nodes).  From the head it would try host 1 again; skipping host 2
+        # it would put 1 on host 3.
+        g = Graph(6 + isolated, self.BACKTRACK)
+        emb = TestExactConstrained.assert_nodes(g, self.BROOM, 10)
+        assert emb.mapping == {0: 0, 1: 2, 2: 1, 3: 3, 4: 4}
+
+    @pytest.mark.parametrize("isolated", [0, 4])
+    def test_reserved_image_is_skipped_without_a_node(self, isolated):
+        # P_3 with its ends pinned to 0 and 2, on K_4 minus 1-2 and 1-3: the
+        # root takes its pin (one node); the middle tries host 1, of degree
+        # 1 (one node), passes host 2, kept for its pin, with no node, and
+        # takes host 3 (one node), beside which the pin follows (one node)
+        g = Graph(4 + isolated, [(0, 1), (0, 2), (0, 3), (2, 3)])
+        emb = TestExactConstrained.assert_nodes(g, path_tree(3), 4, kappa={0: 0, 2: 2})
+        assert emb.mapping == {0: 0, 1: 3, 2: 2}
+
+    def test_component_walk_stays_inside(self):
+        # the broom in the BACKTRACK host, interleaved with a K_5: in place
+        # (`hosts`), the search takes the copy's ten nodes and its images
+        g, (comp, _) = interleaved_union([Graph(6, self.BACKTRACK), complete(5)], rng_from(12))
+        emb = TestExactConstrained.assert_nodes(g, self.BROOM, 10, hosts=comp)
+        assert emb.mapping == {0: comp[0], 1: comp[2], 2: comp[1], 3: comp[3], 4: comp[4]}
 
 
 class TestTrialSchedule:
