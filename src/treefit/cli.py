@@ -3,8 +3,10 @@
 Subcommands: solve, verify, generate, oracle, bench.  Exit codes for solve
 and oracle: 0 = contains, 1 = not contained, 2 = not found (the node budget
 ran out: a BudgetExceeded note, and no bound claimed), anything above 2 is
-a usage, parse or file error.  Only `generate random` draws random numbers,
-so it alone takes `--seed` (or TREEFIT_SEED).
+a usage, parse or file error, or any other exception (`error: <Type>:
+<message>` on stderr), so that a crash never reads as a verdict.  Only
+`generate random` draws random numbers, so it alone takes `--seed` (or
+TREEFIT_SEED).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 from . import hardness
 from .color_coding import DEFAULT_NODE_BUDGET
 from .embedding import read_certificate, write_certificate
-from .errors import BudgetExceededError, ParseError, TreefitError, read_ascii
+from .errors import BudgetExceededError, ParseError, TreefitError, integer, read_ascii
 from .generate import random_graph_min_degree, random_tree
 from .graph import read_graph, write_graph
 from .outcome import Contains, NotContained, NotFound
@@ -92,7 +94,7 @@ def _read_numbers(path) -> tuple[int, tuple[int, ...]]:
     for lineno, line in enumerate(read_ascii(path).splitlines(), 1):
         for token in line.split():
             try:
-                values.append(int(token))
+                values.append(integer(token))
             except ValueError:
                 raise ParseError(f"non-integer number {token!r}", lineno) from None
     if not values:
@@ -130,7 +132,8 @@ def cmd_generate(args) -> int:
 def cmd_bench(args) -> int:
     instance_dir = Path(args.dir)
     rows = []
-    for graph_path in sorted(instance_dir.glob("*.graph")):
+    # listed, not globbed: a missing path or a file raises OSError here
+    for graph_path in sorted(p for p in instance_dir.iterdir() if p.name.endswith(".graph")):
         tree_path = graph_path.with_suffix(".tree")
         if not tree_path.exists():
             continue
@@ -255,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except TreefitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # a crash: exit 3, not Python's 1, the NOT_CONTAINED code
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

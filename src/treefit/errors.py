@@ -1,8 +1,9 @@
 """The core's exceptions and file readers (the paper library's are in its `lemmas`).
 
-Files are read as bytes: `read_ascii_bytes` hands them to the graph and
-tree bulk parsers as they are, and `read_ascii` decodes them for the
-certificate and numbers readers.
+Files are read as bytes: `read_ascii_bytes` hands them to the graph bulk
+parser as they are, and `read_ascii` decodes them for the tree, certificate
+and numbers readers.  No line reader takes the `_` digit separators that
+`int` takes (`integer`), so an ASCII file's integer is `[+-]?[0-9]+`.
 """
 
 import re
@@ -44,6 +45,15 @@ def read_ascii(path) -> str:
     return read_ascii_bytes(path).decode("ascii")
 
 
+def integer(token: str) -> int:
+    """The value of a token without whitespace, as `int` reads it but with
+    no `_` digit separators, which `int` takes: an ASCII token must be
+    `[+-]?[0-9]+`.  Anything else raises ValueError."""
+    if "_" in token:
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def read_pairs(
     lines: Iterable[str], start: int, shape: str, non_integer: str
 ) -> Iterator[tuple[int, int, int]]:
@@ -56,6 +66,8 @@ def read_pairs(
             continue
         if len(parts) != 2:
             raise ParseError(shape, lineno)
+        if "_" in raw:  # as `integer` refuses it, tested once per line
+            raise ParseError(non_integer, lineno)
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:

@@ -8,13 +8,13 @@ in slots; filling a slot is idempotent (two readers that race both store
 equal values), so concurrent reads stay safe.  Every other query is pure.
 Vertex sets are plain Python sets/frozensets throughout.
 
-Bulk builds (`Graph(n, edges)`, the written-form reader here and the tree
-reader's bulk path) run with the cyclic garbage collector paused: they make
-only lists, sets and tuples of ints, which hold no cycles, so a collection
-during one frees nothing and re-scans whatever else is alive, such as hosts
-loaded before.  The pause is process-wide (`gc.disable()`), and the
-collector is turned back on afterwards only if it was on before; a thread
-that turns it off while another thread builds may find it back on.
+Bulk builds (`Graph(n, edges)` and the written-form reader here) and the
+tree reader run with the cyclic garbage collector paused: they make only
+strings, lists, dicts, sets and tuples of ints, which hold no cycles, so a
+collection during one frees nothing and re-scans whatever else is alive,
+such as hosts loaded before.  The pause is process-wide (`gc.disable()`),
+and the collector is turned back on afterwards only if it was on before; a
+thread that turns it off while another thread builds may find it back on.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import gc
 from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import EmptyGraphError, ParseError, read_ascii_bytes, read_pairs
+from .errors import EmptyGraphError, ParseError, integer, read_ascii_bytes, read_pairs
 
 _T = TypeVar("_T")
 
@@ -271,7 +271,7 @@ def _parse_graph_lines(text: str) -> Graph:
     if len(head) != 2:
         raise ParseError("expected header `n m`", 1)
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = integer(head[0]), integer(head[1])
     except ValueError:
         raise ParseError("non-integer header", 1) from None
     if n < 0 or m < 0:

@@ -50,17 +50,14 @@ def brute_force_contains(
     assignment: dict[int, int] = {}
     taken: set[int] = set()
     nodes = 0
-
-    def attempt(depth: int) -> bool:
-        nonlocal nodes
-        if depth == t.n:
-            return True
+    # pools[d]: the host candidates left for guest vertex order[d], in the
+    # order a recursive search would try them; a loop, not recursion, so
+    # that a guest of thousands of vertices does not reach Python's limit
+    pools = [iter(range(g.n))]
+    while pools:
+        depth = len(pools) - 1
         tv = order[depth]
-        if depth == 0:
-            pool = range(g.n)
-        else:
-            pool = sorted(g.adj(assignment[parent[tv]]))
-        for gv in pool:
+        for gv in pools[-1]:
             nodes += 1
             if node_cap is not None and nodes > node_cap:
                 raise BudgetExceededError(nodes)
@@ -68,23 +65,18 @@ def brute_force_contains(
                 continue
             assignment[tv] = gv
             taken.add(gv)
-            if attempt(depth + 1):
-                return True
-            taken.discard(gv)
-            del assignment[tv]
-        return False
-
-    try:
-        found = attempt(0)
-    finally:
-        # attempt reaches itself through its closure: a reference cycle that
-        # would keep g and t alive until the cyclic collector next runs
-        del attempt
-    if found:
-        emb = PartialEmbedding(assignment)
-        if not verify_certificate(g, t, emb):
-            raise AssertionError("oracle produced an invalid embedding")
-        return Contains(emb, branch="oracle")
+            break
+        else:  # every candidate failed: back up to the previous guest vertex
+            pools.pop()
+            if pools:
+                taken.discard(assignment.pop(order[depth - 1]))
+            continue
+        if depth + 1 == t.n:
+            emb = PartialEmbedding(assignment)
+            if not verify_certificate(g, t, emb):
+                raise AssertionError("oracle produced an invalid embedding")
+            return Contains(emb, branch="oracle")
+        pools.append(iter(sorted(g.adj(assignment[parent[order[depth + 1]]]))))
     return NotContained(reason="exhaustive oracle")
 
 

@@ -5,14 +5,17 @@ connected and has n - 1 edges, checked at construction.  Subtrees are
 always vertex subsets of the original tree (induced edges), never
 re-indexed, so partial embeddings stay composable across pipeline stages;
 `_active` checks such a `within` vertex set.
+
+A tree's text has one reader, line by line, run with the cyclic collector
+paused: a guest has at most min degree + k vertices, so its file is small
+next to its host's, which `graph` reads in bulk.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable
 
-from .errors import ParseError, read_ascii_bytes, read_pairs
+from .errors import ParseError, integer, read_ascii, read_pairs
 from .graph import Graph, _gc_paused
 
 
@@ -68,66 +71,24 @@ def _active(t: Tree, within: Iterable[int] | None) -> frozenset[int]:
 
 # -- text format -------------------------------------------------------------------
 
-# a well-formed tree text: `<digits>\n`, then edge lines `<digits> <digits>\n`
-_TREE_TEXT = re.compile(rb"[0-9]+\n(?:[0-9]+ [0-9]+\n)*")
-
-
 def parse_tree(text: str) -> Tree:
     """Parse the tree text format: `n` then n-1 lines `u v`.
 
-    The text is encoded once, as ASCII, and parsed as `read_tree` parses a
-    file's bytes, but with no CR translation: text with a CR goes to the
-    line reader, as does text that does not encode.
+    The collector is paused, as `graph` explains: a guest is small, but
+    its reader's allocations would otherwise start collections that re-scan
+    the hosts already loaded.
     """
-    try:
-        data = text.encode("ascii")
-    except UnicodeEncodeError:
-        return _parse_tree_lines(text)
-    return _parse_tree_bytes(data)
-
-
-def _parse_tree_bytes(data: bytes) -> Tree:
-    """The tree of ASCII `data`.
-
-    Well-formed data is read in bulk passes: one shape check, one integer
-    conversion, one range check, and connectivity.  `graph`'s reader takes
-    only ids in the written form in bulk; this bulk path also takes ids
-    with leading zeros, which `int` reads as the line reader does.  Any
-    other data (CR, blank lines, tabs, signs), and any edge set that is not
-    a tree, is decoded and goes through the line-by-line reader, which
-    reports the error and its line.  The bulk path runs with the cyclic
-    collector paused, as `graph` explains.
-    """
-    t = _gc_paused(_parse_tree_bulk, data)
-    return _parse_tree_lines(data.decode("ascii")) if t is None else t
-
-
-def _parse_tree_bulk(data: bytes) -> Tree | None:
-    """The tree of `data` when it is well formed and its edges form a tree,
-    else None."""
-    if not _TREE_TEXT.fullmatch(data):
-        return None
-    n, *ends = map(int, data.split())
-    us, vs = ends[0::2], ends[1::2]
-    if not (1 <= n and len(us) == n - 1 and max(ends, default=0) < n):
-        return None
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(us, vs):
-        adj[u].append(v)
-        adj[v].append(u)
-    t = Tree._from_adjacency(adj)
-    # n - 1 lines connect n vertices only if none is a loop or a
-    # repeated edge, so connectivity alone proves a tree
-    return t if t._spans() else None
+    return _gc_paused(_parse_tree_lines, text)
 
 
 def _parse_tree_lines(text: str) -> Tree:
-    """Line-by-line reader: takes the loose forms and names the first bad line."""
+    """Line-by-line reader: takes the written and loose forms alike and
+    names the first bad line."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty input", 1)
     try:
-        n = int(lines[0].strip())
+        n = integer(lines[0].strip())
     except ValueError:
         raise ParseError("expected vertex count", 1) from None
     if n < 1:
@@ -142,10 +103,17 @@ def _parse_tree_lines(text: str) -> Tree:
         edges[key] = None
     if len(edges) != n - 1:  # before the tree is built: a header alone can claim 10**9 vertices
         raise ParseError(f"tree on {n} vertices needs {n - 1} edges, got {len(edges)}", len(lines))
-    try:  # connectivity, which only the last line settles
-        return Tree(n, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc), len(lines)) from None
+    # built from the edges as checked above, not by `Tree(n, edges)`, which
+    # would check each again: n - 1 distinct edges, none a loop, form a tree
+    # exactly when they connect
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    t = Tree._from_adjacency(adj)
+    if not t._spans():  # connectivity, which only the last line settles
+        raise ParseError("tree edges do not form a connected graph", len(lines))
+    return t
 
 
 def format_tree(t: Tree) -> str:
@@ -155,8 +123,8 @@ def format_tree(t: Tree) -> str:
 
 
 def read_tree(path) -> Tree:
-    """The tree of a file, read as bytes (`errors.read_ascii_bytes`)."""
-    return _parse_tree_bytes(read_ascii_bytes(path))
+    """The tree of a file, read as ASCII text (`errors.read_ascii`)."""
+    return parse_tree(read_ascii(path))
 
 
 def write_tree(path, t: Tree) -> None:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import cycle, path_tree, petersen, spider, star_tree
+from treefit import cli
 from treefit.cli import main
 from treefit.graph import Graph, read_graph, write_graph
 from treefit.trees import read_tree, write_tree
@@ -142,6 +143,20 @@ class TestSolve:
         assert code == 3 and out == ""
         err = capsys.readouterr().err
         assert "file error" in err and str(paths[path]) in err
+
+
+class TestCrash:
+    def test_uncaught_exception_exits_3(self, instance_dir, capsys, monkeypatch):
+        # Python's own exit code for a crash, 1, is the NOT_CONTAINED code
+        def crash(*args):
+            raise RuntimeError("solver crashed")
+
+        monkeypatch.setattr(cli, "solve", crash)
+        code, out = run_cli(
+            ["solve", "--graph", str(instance_dir / "a.graph"), "--tree", str(instance_dir / "a.tree")]
+        )
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == "error: RuntimeError: solver crashed\n"
 
 
 class TestCountFlags:
@@ -325,6 +340,7 @@ class TestGenerate:
         "content, message",
         [
             (b"9\n3 3 x\n", "line 2: non-integer number 'x'"),
+            (b"9\n3 3 1_0\n", "line 2: non-integer number '1_0'"),
             (b"9\n3 3 \xc3\xa9\n", "line 2: non-ASCII byte 0xc3"),
             (b"", "line 1: empty numbers file"),
         ],
@@ -475,6 +491,17 @@ class TestBench:
         code, out = run_cli(["bench", "--dir", str(tmp_path)])
         assert code == 0
         assert len(out.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_bad_dir_is_a_file_error(self, tmp_path, capsys, kind):
+        # not an empty CSV and exit 0, as a glob that finds nothing gave
+        path = tmp_path / "d"
+        if kind == "file":
+            path.write_text("3 0\n", encoding="ascii")
+        code, out = run_cli(["bench", "--dir", str(path)])
+        assert code == 3 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and str(path) in err
 
     def test_seed_variable_is_ignored(self, instance_dir, monkeypatch):
         # bench draws no random numbers, so it never reads TREEFIT_SEED

@@ -10,7 +10,7 @@ from helpers import (
     star_tree,
 )
 from treefit.embedding import PartialEmbedding, format_certificate, parse_certificate, verify
-from treefit.errors import PreconditionViolated
+from treefit.errors import ParseError, PreconditionViolated
 from treefit.generate import random_connected_graph, random_tree
 from treefit.graph import Graph
 from treefit.outcome import Contains, NotContained
@@ -228,3 +228,10 @@ class TestCertificateFormat:
         text = format_certificate(e)
         assert text == "0 1\n1 3\n2 5\n"
         assert parse_certificate(text).mapping == e.mapping
+
+    @pytest.mark.parametrize("text", ["0 1_0\n", "0 1\n1_0 2\n"])
+    def test_digit_separators_are_not_integers(self, text):
+        # `int` takes `1_0` as 10; the reader takes only `[+-]?[0-9]+`
+        with pytest.raises(ParseError, match="non-integer vertex") as exc:
+            parse_certificate(text)
+        assert exc.value.line == text.count("\n")

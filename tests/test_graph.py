@@ -353,6 +353,9 @@ MALFORMED_GRAPHS = [
     ("300 3\n0 299\n5 300\n1 2\n", "edge (5,300) violates 0 <= u < v < n", 3),
     ("3 0\n0 5\n", "edge (0,5) violates 0 <= u < v < n", 2),
     ("3 0\n0 01\n", "header claims 0 edges, found 1", 2),
+    # `int` takes `_` digit separators; the readers do not
+    ("1_0 0\n", "non-integer header", 1),
+    ("11 1\n0 1_0\n", "non-integer endpoint", 2),
 ]
 
 # texts outside the written form that still parse: (text, n, edges)

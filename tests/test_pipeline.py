@@ -55,6 +55,34 @@ class TestBruteForce:
         with pytest.raises(BudgetExceededError):
             brute_force_contains(complete(12), path_tree(12), node_cap=5)
 
+    def test_guest_deeper_than_the_recursion_limit(self):
+        # one search frame per guest vertex, more than Python's default
+        # recursion limit of 1000
+        host = Graph(1200, [(v, v + 1) for v in range(1199)])
+        guest = path_tree(1100)
+        out = brute_force_contains(host, guest)
+        assert isinstance(out, Contains) and verify_certificate(host, guest, out.embedding)
+
+    def test_node_counts_as_recorded(self):
+        # the search's whole node count per instance, as the recursive
+        # search counted it: one node less raises at exactly that count, so
+        # the candidate order, and every label drawn under a cap, is kept
+        rng = random.Random(28)
+        recorded = [
+            (139, Contains), (57, Contains), (51, Contains), (290, Contains),
+            (1398, NotContained), (18, Contains), (16, NotContained), (13, NotContained),
+            (8, NotContained), (10, NotContained), (229, NotContained), (18, Contains),
+            (2137, Contains), (326, Contains), (10, NotContained), (147, Contains),
+        ]
+        for nodes, kind in recorded:
+            n = rng.randint(8, 11)
+            g = random_graph_min_degree(n, 2, rng, p=0.2)
+            t = random_tree(n, rng)
+            with pytest.raises(BudgetExceededError) as exc:
+                brute_force_contains(g, t, node_cap=nodes - 1)
+            assert exc.value.nodes == nodes
+            assert isinstance(brute_force_contains(g, t, node_cap=nodes), kind)
+
     @pytest.mark.parametrize(
         "host,guest,cap",
         [(cycle(6), path_tree(6), None), (petersen(), star_tree(4), None), (complete(12), path_tree(12), 5)],

@@ -343,9 +343,12 @@ MALFORMED_TREES = [
     ("3\n0 -1\n1 2\n", "bad tree edge (0,-1)", 2),
     ("4\n0 1\n0 1\n2 3\n", "duplicate tree edge (0,1)", 3),
     ("3\n0 0\n1 2\n", "bad tree edge (0,0)", 2),
+    # `int` takes `_` digit separators; the reader does not
+    ("1_1\n", "expected vertex count", 1),
+    ("11\n0 1_0\n", "non-integer endpoint", 2),
 ]
 
-# texts outside the bulk reader's shape that still parse: (text, n, edges)
+# texts outside the written form that still parse: (text, n, edges)
 LOOSE_TREES = [
     ("3\n0 1\n2 1", 3, [(0, 1), (2, 1)]),
     ("3\r\n0 1\r\n2 1\r\n", 3, [(0, 1), (2, 1)]),
@@ -360,22 +363,22 @@ def _same_tree(a: Tree, b: Tree) -> bool:
     return a.n == b.n and a._adj == b._adj
 
 
+def _tree_error(n: int, edges: list[tuple[int, int]], exc: ValueError) -> tuple[str, int]:
+    """The ParseError (text, line) of the tree text `n` then `edges`, one a
+    line, that `Tree(n, edges)` rejects with `exc`: the first edge that a
+    graph rejects, on its own line, else `exc` on the last line."""
+    for i, (u, v) in enumerate(edges):
+        try:
+            Graph(n, edges[: i + 1])
+        except ValueError as bad:
+            kind = "duplicate tree edge" if "duplicate" in str(bad) else "bad tree edge"
+            return f"line {i + 2}: {kind} ({u},{v})", i + 2
+    return f"line {len(edges) + 1}: {exc}", len(edges) + 1
+
+
 class TestBulkParse:
-    """parse_tree's bulk passes against Tree(n, edges) and the line reader."""
-
-    def test_well_formed_texts_take_the_bulk_path(self, monkeypatch):
-        def line_reader_called(text):
-            raise AssertionError(f"line reader used for {text!r}")
-
-        monkeypatch.setattr(trees_module, "_parse_tree_lines", line_reader_called)
-        rng = Random(4)
-        for _ in range(400):
-            t = random_tree(rng.randint(1, 40), rng)
-            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges()]
-            rng.shuffle(edges)
-            text = f"{t.n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
-            assert _same_tree(parse_tree(text), Tree(t.n, edges))
-            assert _same_tree(parse_tree(format_tree(t)), t)
+    """parse_tree against Tree(n, edges), on loose, malformed and corrupted
+    texts; the written form is in TestCollectorPause."""
 
     @pytest.mark.parametrize("text,n,edges", LOOSE_TREES)
     def test_loose_texts_parse_as_before(self, text, n, edges):
@@ -384,12 +387,9 @@ class TestBulkParse:
 
     @pytest.mark.parametrize("text,message,line", MALFORMED_TREES)
     def test_errors_match_the_line_reader(self, text, message, line):
-        with pytest.raises(ParseError) as bulk:
+        with pytest.raises(ParseError) as exc:
             parse_tree(text)
-        with pytest.raises(ParseError) as lines:
-            _parse_tree_lines(text)
-        assert (str(bulk.value), bulk.value.line) == (str(lines.value), lines.value.line)
-        assert (str(bulk.value), bulk.value.line) == (f"line {line}: {message}", line)
+        assert (str(exc.value), exc.value.line) == (f"line {line}: {message}", line)
 
     @pytest.mark.parametrize(
         "text,message,line",
@@ -425,12 +425,13 @@ class TestBulkParse:
                 if rng.random() < 0.05:
                     row[1] = n + rng.randint(0, 2)
             text = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in rows)
+            edges = [tuple(row) for row in rows]
             try:
-                expected = _parse_tree_lines(text)
-            except ParseError as exc:
-                with pytest.raises(ParseError) as bulk:
+                expected = Tree(n, edges)
+            except ValueError as exc:
+                with pytest.raises(ParseError) as got:
                     parse_tree(text)
-                assert (str(bulk.value), bulk.value.line) == (str(exc), exc.line)
+                assert (str(got.value), got.value.line) == _tree_error(n, edges, exc)
             else:
                 assert _same_tree(parse_tree(text), expected)
 
@@ -469,17 +470,6 @@ class TestReadTreeFile:
         if data.isascii():
             assert got == read_result(text_mode_read(parse_tree), path)
 
-    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
-    def test_well_formed_files_take_the_bulk_path(self, tmp_path, monkeypatch, ending):
-        def line_reader_called(text):
-            raise AssertionError(f"line reader used for {text!r}")
-
-        monkeypatch.setattr(trees_module, "_parse_tree_lines", line_reader_called)
-        path = tmp_path / "t.tree"
-        for data, _ in (TREE_FILES["written-form"], TREE_FILES["leading-zeros"], TREE_FILES["one-vertex"]):
-            path.write_bytes(data.replace(b"\n", ending))
-            assert _same_tree(read_tree(path), parse_tree(data.decode("ascii")))
-
     def test_a_directory_is_an_os_error_naming_it(self, tmp_path):
         path = tmp_path / "d.tree"
         path.mkdir()
@@ -489,14 +479,53 @@ class TestReadTreeFile:
 
 
 class TestCollectorPause:
-    """The bulk path runs with the cyclic collector paused, and the reader
-    leaves it on or off as it found it, also when it raises."""
+    """The reader runs with the cyclic collector paused, and leaves it on or
+    off as it found it, also when it raises."""
+
+    def test_readers_run_paused_and_build_no_edge_sets(self, tmp_path, monkeypatch, gc_state):
+        # the written form and its line endings, random trees with their
+        # edges shuffled and turned, and the loose forms: the one reader,
+        # paused, builds each tree without Graph(n, edges)'s second check
+        # of every edge
+        rng = Random(4)
+        cases = []
+        for _ in range(400):
+            t = random_tree(rng.randint(1, 40), rng)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges()]
+            rng.shuffle(edges)
+            text = f"{t.n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+            cases += [(text, Tree(t.n, edges)), (format_tree(t), t)]
+        cases += [(text, Tree(n, edges)) for text, n, edges in LOOSE_TREES]
+        files = []
+        for ending in (b"\n", b"\r\n", b"\r"):
+            for data, (n, edges) in (TREE_FILES[k] for k in ("written-form", "leading-zeros", "one-vertex")):
+                path = tmp_path / f"{len(files)}.tree"
+                path.write_bytes(data.replace(b"\n", ending))
+                files.append((path, Tree(n, edges)))
+
+        def built(n, edges):
+            raise AssertionError(f"neighbour sets built for n={n}")
+
+        line_reader = trees_module._parse_tree_lines
+
+        def paused_line_reader(text):
+            assert not gc.isenabled()
+            return line_reader(text)
+
+        monkeypatch.setattr(graph_module, "_edge_sets", built)
+        monkeypatch.setattr(trees_module, "_parse_tree_lines", paused_line_reader)
+        gc.enable()
+        for text, expected in cases:
+            assert _same_tree(parse_tree(text), expected)
+        for path, expected in files:
+            assert _same_tree(read_tree(path), expected)
+        assert gc.isenabled()
 
     def test_bulk_read_runs_no_collection(self, gc_state):
         gc.enable()
         text = "2000\n" + "".join(f"{v} {v + 1}\n" for v in range(1999))
         assert collections_during(parse_tree, text) == 0
-        # the line reader's own passes run unpaused: the counter counts
+        # the line reader called directly runs unpaused: the counter counts
         assert collections_during(_parse_tree_lines, text) > 0
 
     @pytest.mark.parametrize("on", [True, False], ids=["on", "off"])
