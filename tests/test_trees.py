@@ -376,9 +376,43 @@ def _tree_error(n: int, edges: list[tuple[int, int]], exc: ValueError) -> tuple[
     return f"line {len(edges) + 1}: {exc}", len(edges) + 1
 
 
+def _bulk_path_only(monkeypatch) -> None:
+    """Make the tree readers fail unless they take the bulk path: the one
+    line reader run with the collector paused, building the tree from one
+    check of each edge, without Graph(n, edges)'s edge sets. Turns the
+    collector on, so the pause is seen."""
+
+    def built(n, edges):
+        raise AssertionError(f"neighbour sets built for n={n}")
+
+    line_reader = trees_module._parse_tree_lines
+
+    def paused_line_reader(text):
+        assert not gc.isenabled()
+        return line_reader(text)
+
+    monkeypatch.setattr(graph_module, "_edge_sets", built)
+    monkeypatch.setattr(trees_module, "_parse_tree_lines", paused_line_reader)
+    gc.enable()
+
+
 class TestBulkParse:
-    """parse_tree against Tree(n, edges), on loose, malformed and corrupted
-    texts; the written form is in TestCollectorPause."""
+    """parse_tree against Tree(n, edges), on well-formed, loose, malformed
+    and corrupted texts."""
+
+    def test_well_formed_texts_take_the_bulk_path(self, monkeypatch, gc_state):
+        rng = Random(4)
+        cases = []
+        for _ in range(400):
+            t = random_tree(rng.randint(1, 40), rng)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges()]
+            rng.shuffle(edges)
+            text = f"{t.n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+            cases += [(text, Tree(t.n, edges)), (format_tree(t), t)]
+        _bulk_path_only(monkeypatch)
+        for text, expected in cases:
+            assert _same_tree(parse_tree(text), expected)
+        assert gc.isenabled()
 
     @pytest.mark.parametrize("text,n,edges", LOOSE_TREES)
     def test_loose_texts_parse_as_before(self, text, n, edges):
@@ -470,6 +504,18 @@ class TestReadTreeFile:
         if data.isascii():
             assert got == read_result(text_mode_read(parse_tree), path)
 
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_well_formed_files_take_the_bulk_path(self, tmp_path, monkeypatch, gc_state, ending):
+        files = []
+        for data, (n, edges) in (TREE_FILES[k] for k in ("written-form", "leading-zeros", "one-vertex")):
+            path = tmp_path / f"{len(files)}.tree"
+            path.write_bytes(data.replace(b"\n", ending))
+            files.append((path, Tree(n, edges)))
+        _bulk_path_only(monkeypatch)
+        for path, expected in files:
+            assert _same_tree(read_tree(path), expected)
+        assert gc.isenabled()
+
     def test_a_directory_is_an_os_error_naming_it(self, tmp_path):
         path = tmp_path / "d.tree"
         path.mkdir()
@@ -482,43 +528,13 @@ class TestCollectorPause:
     """The reader runs with the cyclic collector paused, and leaves it on or
     off as it found it, also when it raises."""
 
-    def test_readers_run_paused_and_build_no_edge_sets(self, tmp_path, monkeypatch, gc_state):
-        # the written form and its line endings, random trees with their
-        # edges shuffled and turned, and the loose forms: the one reader,
-        # paused, builds each tree without Graph(n, edges)'s second check
-        # of every edge
-        rng = Random(4)
-        cases = []
-        for _ in range(400):
-            t = random_tree(rng.randint(1, 40), rng)
-            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges()]
-            rng.shuffle(edges)
-            text = f"{t.n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
-            cases += [(text, Tree(t.n, edges)), (format_tree(t), t)]
-        cases += [(text, Tree(n, edges)) for text, n, edges in LOOSE_TREES]
-        files = []
-        for ending in (b"\n", b"\r\n", b"\r"):
-            for data, (n, edges) in (TREE_FILES[k] for k in ("written-form", "leading-zeros", "one-vertex")):
-                path = tmp_path / f"{len(files)}.tree"
-                path.write_bytes(data.replace(b"\n", ending))
-                files.append((path, Tree(n, edges)))
-
-        def built(n, edges):
-            raise AssertionError(f"neighbour sets built for n={n}")
-
-        line_reader = trees_module._parse_tree_lines
-
-        def paused_line_reader(text):
-            assert not gc.isenabled()
-            return line_reader(text)
-
-        monkeypatch.setattr(graph_module, "_edge_sets", built)
-        monkeypatch.setattr(trees_module, "_parse_tree_lines", paused_line_reader)
-        gc.enable()
+    def test_readers_run_paused_and_build_no_edge_sets(self, monkeypatch, gc_state):
+        # the loose forms take the same path as the written form (in
+        # TestBulkParse and TestReadTreeFile): there is one reader
+        cases = [(text, Tree(n, edges)) for text, n, edges in LOOSE_TREES]
+        _bulk_path_only(monkeypatch)
         for text, expected in cases:
             assert _same_tree(parse_tree(text), expected)
-        for path, expected in files:
-            assert _same_tree(read_tree(path), expected)
         assert gc.isenabled()
 
     def test_bulk_read_runs_no_collection(self, gc_state):
