@@ -6,7 +6,7 @@ ran out: a BudgetExceeded note, and no bound claimed), anything above 2 is
 a usage, parse or file error, or any other exception (`error: <Type>:
 <message>` on stderr), so that a crash never reads as a verdict.  Only
 `generate random` draws random numbers, so it alone takes `--seed` (or
-TREEFIT_SEED).
+TREEFIT_SEED).  Every file is read by one rule (`errors.ascii_bytes`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 from . import hardness
 from .color_coding import DEFAULT_NODE_BUDGET
 from .embedding import read_certificate, write_certificate
-from .errors import BudgetExceededError, ParseError, TreefitError, integer, read_ascii
+from .errors import BudgetExceededError, ParseError, TreefitError, ascii_lines, integer, read_bytes
 from .generate import random_graph_min_degree, random_tree
 from .graph import read_graph, write_graph
 from .outcome import Contains, NotContained, NotFound
@@ -47,9 +47,9 @@ def _config_from(args) -> SolveConfig:
 
 def _outcome_exit(outcome, cert_out) -> int:
     if isinstance(outcome, Contains):
-        print(f"CONTAINS branch={outcome.branch}")
-        if cert_out:
+        if cert_out:  # first: a failed write prints no verdict
             write_certificate(cert_out, outcome.embedding)
+        print(f"CONTAINS branch={outcome.branch}")
         return EXIT_CONTAINS
     if isinstance(outcome, NotContained):
         print(f"NOT_CONTAINED reason={outcome.reason}")
@@ -91,7 +91,7 @@ def _read_numbers(path) -> tuple[int, tuple[int, ...]]:
     """A hardness numbers file: whitespace-separated integers, the target
     first (on line 1), then the sizes."""
     values = []
-    for lineno, line in enumerate(read_ascii(path).splitlines(), 1):
+    for lineno, line in enumerate(ascii_lines(read_bytes(path)), 1):
         for token in line.split():
             try:
                 values.append(integer(token))

@@ -3,14 +3,15 @@
 A PartialEmbedding is an injective, edge-preserving map from a connected
 subtree of the guest tree into the host graph.  This module also houses
 `verify`, the one check of every certificate, and the certificate text
-format; Chvatal's greedy extension is in `treefit.paper.lemmas`.
+format, read by `errors.ascii_lines` as every reader reads its input;
+Chvatal's greedy extension is in `treefit.paper.lemmas`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .errors import ParseError, read_ascii, read_pairs
+from .errors import ParseError, ascii_bytes, ascii_lines, read_bytes, read_pairs
 from .graph import Graph
 from .trees import Tree
 
@@ -84,7 +85,7 @@ def format_certificate(e: PartialEmbedding) -> str:
 
 def parse_certificate(text: str) -> PartialEmbedding:
     mapping: dict[int, int] = {}
-    pairs = read_pairs(text.splitlines(), 1, "expected `t_vertex g_vertex`", "non-integer vertex")
+    pairs = read_pairs(ascii_lines(text), 1, "expected `t_vertex g_vertex`", "non-integer vertex")
     for lineno, tv, gv in pairs:
         if tv in mapping:
             raise ParseError(f"tree vertex {tv} mapped twice", lineno)
@@ -93,7 +94,7 @@ def parse_certificate(text: str) -> PartialEmbedding:
 
 
 def read_certificate(path) -> PartialEmbedding:
-    return parse_certificate(read_ascii(path))
+    return parse_certificate(ascii_bytes(read_bytes(path)).decode("ascii"))
 
 
 def write_certificate(path, e: PartialEmbedding) -> None:

@@ -1,9 +1,9 @@
-"""The core's exceptions and file readers (the paper library's are in its `lemmas`).
+"""The core's exceptions and input rule (the paper library's are in its `lemmas`).
 
-Files are read as bytes: `read_ascii_bytes` hands them to the graph bulk
-parser as they are, and `read_ascii` decodes them for the tree, certificate
-and numbers readers.  No line reader takes the `_` digit separators that
-`int` takes (`integer`), so an ASCII file's integer is `[+-]?[0-9]+`.
+`ascii_bytes` reads a `str` exactly as the file of its UTF-8 bytes, turns
+CRLF and a lone CR into LF and refuses a non-ASCII byte; `ascii_lines` ends
+a line at LF only.  No line reader takes the `_` digit separators that `int`
+takes (`integer`), so an integer is `[+-]?[0-9]+`.
 """
 
 import re
@@ -24,25 +24,32 @@ class ParseError(TreefitError):
         super().__init__(message)
 
 
-def read_ascii_bytes(path) -> bytes:
-    """Bytes of an ASCII file, read unbuffered in binary, with CRLF and a
-    lone CR each turned into LF, as text mode turns them; a non-ASCII byte
-    raises ParseError on the line that holds it.  Nothing is decoded, and a
-    file without CR is not copied."""
+def read_bytes(path) -> bytes:
+    """A file's bytes, in one unbuffered binary read."""
     with open(path, "rb", buffering=0) as fh:
-        data = fh.read()
-    if not data.isascii():
-        bad = re.search(rb"[\x80-\xff]", data).start()
-        line = len((data[:bad].decode("ascii") + "x").splitlines())
-        raise ParseError(f"non-ASCII byte 0x{data[bad]:02x}", line)
+        return fh.read()
+
+
+def ascii_bytes(source: str | bytes) -> bytes:
+    """`source` as every reader parses it: a `str` as its UTF-8 bytes (lone
+    surrogates too), CRLF and a lone CR each as LF; a non-ASCII byte raises
+    ParseError on its line, counted by LF.  Bytes without CR are not copied."""
+    data = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.isascii():
+        bad = re.search(rb"[\x80-\xff]", data).start()
+        raise ParseError(f"non-ASCII byte 0x{data[bad]:02x}", data.count(b"\n", 0, bad) + 1)
     return data
 
 
-def read_ascii(path) -> str:
-    """Text of an ASCII file: `read_ascii_bytes`, decoded."""
-    return read_ascii_bytes(path).decode("ascii")
+def ascii_lines(source: str | bytes) -> list[str]:
+    """The lines of `ascii_bytes(source)`, each ended by LF alone (VT, FF
+    and FS to RS stay in their line); none follows the last LF."""
+    lines = ascii_bytes(source).decode("ascii").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def integer(token: str) -> int:

@@ -6,7 +6,8 @@ integers 0..n-1.  The graph is immutable after construction.  Its degree
 table and component split are computed lazily, once per `Graph`, and kept
 in slots; filling a slot is idempotent (two readers that race both store
 equal values), so concurrent reads stay safe.  Every other query is pure.
-Vertex sets are plain Python sets/frozensets throughout.
+Vertex sets are plain Python sets/frozensets throughout.  The text readers
+take their input by one rule, `errors.ascii_bytes`.
 
 Bulk builds (`Graph(n, edges)` and the written-form reader here) and the
 tree reader run with the cyclic garbage collector paused: they make only
@@ -23,7 +24,7 @@ import gc
 from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import EmptyGraphError, ParseError, integer, read_ascii_bytes, read_pairs
+from .errors import EmptyGraphError, ParseError, ascii_bytes, ascii_lines, integer, read_bytes, read_pairs
 
 _T = TypeVar("_T")
 
@@ -199,19 +200,14 @@ def _pair_tokens(chunk: bytes) -> list[bytes] | None:
 def parse_graph(text: str) -> Graph:
     """Parse the graph text format: `n m` then m lines `u v` with u < v.
 
-    The text is encoded once, as ASCII, and parsed as `read_graph` parses a
-    file's bytes, but with no CR translation: text with a CR goes to the
-    line reader, as does text that does not encode.
+    The text is read as `read_graph` reads the file of its UTF-8 bytes
+    (`errors.ascii_bytes`).
     """
-    try:
-        data = text.encode("ascii")
-    except UnicodeEncodeError:
-        return _parse_graph_lines(text)
-    return _parse_graph_bytes(data)
+    return _parse_graph_bytes(ascii_bytes(text))
 
 
 def _parse_graph_bytes(data: bytes) -> Graph:
-    """The graph of ASCII `data`.
+    """The graph of `data`, checked by `errors.ascii_bytes`.
 
     Data in the written form, where every edge end is an id `0..n-1` as
     `str` writes it, is read in chunks of whole lines.  The header is
@@ -222,12 +218,12 @@ def _parse_graph_bytes(data: bytes) -> Graph:
     edges, and its edges appended to both ends' neighbour lists in file
     order; duplicates are found at the end by the degree sum.  The table
     holds one int object per vertex, so the neighbour sets share it.  Any
-    other data (a rejected edge, an id with a leading zero, CR, blank
-    lines, tabs, signs) is decoded and goes through the line-by-line
-    reader, which accepts what it accepts and reports the first bad line.
+    other data (a rejected edge, an id with a leading zero, blank lines,
+    tabs, signs) goes through the line-by-line reader, which accepts what
+    it accepts and reports the first bad line.
     """
     g = _gc_paused(_parse_written_form, data)
-    return _parse_graph_lines(data.decode("ascii")) if g is None else g
+    return _parse_graph_lines(data) if g is None else g
 
 
 def _parse_written_form(data: bytes) -> Graph | None:
@@ -262,9 +258,9 @@ def _parse_written_form(data: bytes) -> Graph | None:
     return g if g.edge_count == m else None
 
 
-def _parse_graph_lines(text: str) -> Graph:
+def _parse_graph_lines(source: str | bytes) -> Graph:
     """Line-by-line reader: takes the loose forms and names the first bad line."""
-    lines = text.splitlines()
+    lines = ascii_lines(source)
     if not lines:
         raise ParseError("empty input", 1)
     head = lines[0].split()
@@ -297,8 +293,8 @@ def format_graph(g: Graph) -> str:
 
 
 def read_graph(path) -> Graph:
-    """The graph of a file, read as bytes (`errors.read_ascii_bytes`)."""
-    return _parse_graph_bytes(read_ascii_bytes(path))
+    """The graph of a file, read as bytes (`errors.ascii_bytes`)."""
+    return _parse_graph_bytes(ascii_bytes(read_bytes(path)))
 
 
 def write_graph(path, g: Graph) -> None:

@@ -8,14 +8,15 @@ re-indexed, so partial embeddings stay composable across pipeline stages;
 
 A tree's text has one reader, line by line, run with the cyclic collector
 paused: a guest has at most min degree + k vertices, so its file is small
-next to its host's, which `graph` reads in bulk.
+next to its host's, which `graph` reads in bulk.  A `str` reads as the file
+of its UTF-8 bytes, and a line ends at LF (`errors.ascii_lines`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import ParseError, integer, read_ascii, read_pairs
+from .errors import ParseError, ascii_lines, integer, read_bytes, read_pairs
 from .graph import Graph, _gc_paused
 
 
@@ -81,10 +82,10 @@ def parse_tree(text: str) -> Tree:
     return _gc_paused(_parse_tree_lines, text)
 
 
-def _parse_tree_lines(text: str) -> Tree:
+def _parse_tree_lines(source: str | bytes) -> Tree:
     """Line-by-line reader: takes the written and loose forms alike and
     names the first bad line."""
-    lines = text.splitlines()
+    lines = ascii_lines(source)
     if not lines:
         raise ParseError("empty input", 1)
     try:
@@ -123,8 +124,8 @@ def format_tree(t: Tree) -> str:
 
 
 def read_tree(path) -> Tree:
-    """The tree of a file, read as ASCII text (`errors.read_ascii`)."""
-    return parse_tree(read_ascii(path))
+    """The tree of a file, read as bytes by `parse_tree`'s reader."""
+    return _gc_paused(_parse_tree_lines, read_bytes(path))
 
 
 def write_tree(path, t: Tree) -> None:

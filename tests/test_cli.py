@@ -144,6 +144,23 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "file error" in err and str(paths[path]) in err
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_failed_certificate_write_prints_no_verdict(self, instance_dir, tmp_path, capsys, command):
+        # the certificate is written before the verdict is printed, so a
+        # failed write leaves stdout empty rather than saying CONTAINS
+        cert = tmp_path / "missing" / "x.cert"
+        code, out = run_cli(
+            [
+                command,
+                "--graph", str(instance_dir / "a.graph"),
+                "--tree", str(instance_dir / "a.tree"),
+                "--cert-out", str(cert),
+            ]
+        )
+        assert code == 3 and out == ""
+        err = capsys.readouterr().err
+        assert "file error" in err and str(cert) in err
+
 
 class TestCrash:
     def test_uncaught_exception_exits_3(self, instance_dir, capsys, monkeypatch):
@@ -340,6 +357,8 @@ class TestGenerate:
         "content, message",
         [
             (b"9\n3 3 x\n", "line 2: non-integer number 'x'"),
+            # a FF ends no line: the bad token is on LF line 2
+            (b"9\x0c\n3 3 x\n", "line 2: non-integer number 'x'"),
             (b"9\n3 3 1_0\n", "line 2: non-integer number '1_0'"),
             (b"9\n3 3 \xc3\xa9\n", "line 2: non-ASCII byte 0xc3"),
             (b"", "line 1: empty numbers file"),

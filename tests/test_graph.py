@@ -535,13 +535,16 @@ class TestBulkParse:
                 assert _same_graph(parse_graph(text), expected)
 
     def test_non_ascii_digits_go_to_the_line_reader(self):
-        # int() reads Arabic-Indic digits; the bytes path never sees them
+        # int() reads Arabic-Indic digits, but a str reads as the file of its
+        # UTF-8 bytes: the first byte of U+0663 is 0xd9, refused on its line
         text = "\u0663 \u0662\n\u0660 \u0661\n\u0661 \u0662\n"
-        assert _same_graph(parse_graph(text), _parse_graph_lines(text))
-        assert _same_graph(parse_graph(text), Graph(3, [(0, 1), (1, 2)]))
+        for read in (parse_graph, _parse_graph_lines):
+            with pytest.raises(ParseError) as exc:
+                read(text)
+            assert (str(exc.value), exc.value.line) == ("line 1: non-ASCII byte 0xd9", 1)
         with pytest.raises(ParseError) as bulk:
             parse_graph("3 1\n\u0661 \u0661\n")
-        assert (str(bulk.value), bulk.value.line) == ("line 2: loop edge (1,1)", 2)
+        assert (str(bulk.value), bulk.value.line) == ("line 2: non-ASCII byte 0xd9", 2)
 
 
 class TestBulkParseInSmallChunks(TestBulkParse):
@@ -770,7 +773,7 @@ class TestHostTables:
         text = "4 3\n0 1\n0 2\n1 2\n"
         graphs = {
             "Graph(n, edges)": Graph(4, [(0, 1), (0, 2), (1, 2)]),
-            "line reader": parse_graph(text.replace("\n", "\r\n")),
+            "line reader": parse_graph(text.replace(" ", "\t")),
             "hardness reduction": generate_hardness_instance(
                 ThreePartitionInstance((1, 1, 1), 3), 3.0, strict_bounds=False
             ).graph,
