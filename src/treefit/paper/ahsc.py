@@ -7,9 +7,10 @@ subtrees (the minimal pinned spine plus attachment trees per composition
 of the quotas) and decide each through `contains_tree_by_size`.  It
 runs the core's exact search under its node budget, and colour
 coding (Alon, Yuster and Zwick's colorful DP over random colourings) only
-after a budget miss, with its trials capped by the same budget.  The
-high-leaf and small-diameter engines search with it; `solve` uses the
-exact search alone.
+after a budget miss; the trials then get their own `node_budget` nodes'
+worth, so a miss can spend about twice the budget.  The high-leaf and
+small-diameter engines search with it; `solve` uses the exact search
+alone.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..graph import Graph
 from ..outcome import Contains, NotContained, NotFound, SolveOutcome
 from ..seeds import rng_from
 from ..trees import Tree, _active
-from .lemmas import canonical_code, contains_rooted_subtree, minimal_spanning_subtree, tree_diameter
+from .lemmas import canonical_code, components_avoiding, minimal_spanning_subtree, tree_diameter
 
 LN2 = math.log(2.0)
 
@@ -174,8 +175,9 @@ def contains_tree_by_size(
     budget (never with `node_budget=None`, which leaves the search
     unbounded).  One-sided: no false positives.
 
-    The trials are capped by the same budget: each costs about
-    2^s * s * n nodes for a witness of s vertices, so a miss has run
+    After a search miss the trials get their own `node_budget` nodes'
+    worth, so a miss can spend about twice the budget: each trial costs
+    about 2^s * s * n nodes for a witness of s vertices, so a miss has run
     `min(trial_count, node_budget // (2^s * s * n))` of them and carries a
     `BudgetExceeded` note when the cap cut them short.  `rng` draws the
     colourings, and only when a trial runs."""
@@ -186,7 +188,7 @@ def contains_tree_by_size(
     try:
         emb = exact_constrained_embed(g, t, kappa, families, within, node_budget)
     except BudgetExceededError:
-        pass  # only a finite node_budget runs out; it also caps the trials
+        pass  # only a finite node_budget runs out; the trials get as much again
     else:
         if emb is None:
             return NotContained(reason="exhaustive search")
@@ -261,12 +263,23 @@ class AhscResult:
 
 def compositions_at_most(total: int, terms: int):
     """All tuples of `terms` non-negative ints summing to <= total, lexicographic."""
-    if terms == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in compositions_at_most(total - first, terms - 1):
-            yield (first,) + rest
+    comp = [0] * terms
+    spare = total
+    while True:
+        yield tuple(comp)
+        if terms and spare:
+            comp[-1] += 1
+            spare -= 1
+            continue
+        # the quota is spent: zero the last nonzero term, raise the one before it
+        j = terms - 1
+        while j > 0 and not comp[j]:
+            j -= 1
+        if j <= 0:
+            return
+        spare += comp[j] - 1
+        comp[j] = 0
+        comp[j - 1] += 1
 
 
 def rooted_subtrees_with_leaf_count(
@@ -343,18 +356,13 @@ def solve_ahsc(inst: AhscInstance, failure_exponent: int, rng: Random) -> AhscRe
     spine_order = sorted(spine)
     diam = tree_diameter(t)
 
-    # component of each spine vertex after deleting the spine's edges
-    comps: dict[int, frozenset[int]] = {}
-    for w in spine_order:
-        comp = {w}
-        queue = [x for x in t.adj(w) & active if x not in spine]
-        while queue:
-            v = queue.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            queue.extend(x for x in t.adj(v) & active if x not in comp and x not in spine)
-        comps[w] = frozenset(comp)
+    # component of each spine vertex after deleting the spine's edges: the
+    # vertex, and every component of the active part minus the spine that
+    # holds a neighbour of it
+    comps = {w: {w} for w in spine_order}
+    for comp in components_avoiding(t, spine | (set(range(t.n)) - active)):
+        for w in set().union(*map(t.adj, comp)) & spine:
+            comps[w].update(comp)
 
     candidate_cache: dict[tuple[int, int], list[frozenset[int]]] = {}
 
@@ -364,13 +372,9 @@ def solve_ahsc(inst: AhscInstance, failure_exponent: int, rng: Random) -> AhscRe
             if a == 0:
                 candidate_cache[key] = [frozenset({w})]
             else:
-                found = rooted_subtrees_with_leaf_count(
+                candidate_cache[key] = rooted_subtrees_with_leaf_count(
                     t, w, a, comps[w], max_size=min(len(comps[w]), a * max(diam, 1) + 1)
                 )
-                for cand in found:
-                    if contains_rooted_subtree(t, w, t, w, comps[w], cand) is None:
-                        raise AssertionError("generated attachment is not a rooted subtree")
-                candidate_cache[key] = found
         return candidate_cache[key]
 
     exact_all = True

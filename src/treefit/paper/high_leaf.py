@@ -28,7 +28,6 @@ from .lemmas import (
     greedy_walk,
     leaf_degree,
     neighbor_deficiency,
-    tree_path,
 )
 
 
@@ -83,12 +82,12 @@ def _leaf_block(t: Tree, s: int, k: int) -> list[int]:
 
 
 def _path_from(t: Tree, s: int, length: int) -> list[int]:
-    far_d, far, _ = farthest_from(t, s)
-    if far_d < length:
+    path = farthest_from(t, s)
+    if len(path) - 1 < length:
         raise PreconditionViolated(
             f"no path of length {length} starts at tree vertex {s}"
         )
-    return tree_path(t, s, far)[: length + 1]
+    return path[: length + 1]
 
 
 def embed_high_leaf_degree_unconditional(
@@ -211,8 +210,7 @@ def solve_high_leaf_degree(
     if delta < threshold:
         return contains_tree_by_size(g, t, failure_exponent, rng, node_budget)
 
-    far, _, _ = farthest_from(t, witness)
-    if far < needed_path:
+    if len(farthest_from(t, witness)) - 1 < needed_path:
         s_leaves = frozenset(x for x in t.adj(witness) if t.degree(x) == 1)
         exact_all = True
         rounds = 0

@@ -4,12 +4,13 @@ Host side: degree deficiency, bipartite matchings and covers, escape
 vertices and their separators, BFS distances, shortest paths and greedy
 walks that avoid a vertex set, and the components left when a set is
 removed (the core's component split, run on the rest).
-Guest side: rooted views, paths and diameters of induced subtrees, leaf degree,
-separable edges, maximal trivial paths, minimal spanning subtrees, canonical
-codes and rooted containment.  Embeddings: `extended`, which adds pairs to
-a partial embedding, Chvatal's greedy extension, and the min-degree+2
-solver and leaf completion built on it (`solve` needs no
-greedy: within the lemma's bound its exact search descends the same way).
+Guest side: rooted views, the path from a vertex to its farthest one and
+the diameters of induced subtrees, leaf degree, separable edges, maximal
+trivial paths, minimal spanning subtrees and canonical codes.
+Embeddings: `extended`, which adds pairs to a partial embedding,
+Chvatal's greedy extension, and the min-degree+2 solver and leaf
+completion built on it (`solve` needs no greedy: within the lemma's bound
+its exact search descends the same way).
 Also the library's own errors, all `TreefitError`s.
 """
 
@@ -64,8 +65,10 @@ def max_bipartite_matching(
 ) -> list[tuple[int, int]]:
     """Maximum matching of the bipartite subgraph between two disjoint sides.
 
-    Augmenting-path fixpoint; deterministic (ascending vertex order).
-    Returns matched (left, right) pairs sorted by the left endpoint.
+    Kuhn's augmenting search from each left vertex in ascending order, a
+    depth-first walk on an explicit stack that tries right vertices in
+    ascending order.  Returns matched (left, right) pairs sorted by the
+    left endpoint.
     """
     left_list = sorted(set(left))
     right_set = frozenset(right)
@@ -74,19 +77,29 @@ def max_bipartite_matching(
     match_right: dict[int, int] = {}
     match_left: dict[int, int] = {}
 
-    def augment(u: int, blocked: set[int]) -> bool:
-        for v in sorted(g.adj(u) & right_set):
-            if v in blocked:
+    options = {u: sorted(g.adj(u) & right_set) for u in left_list}
+    for root in left_list:
+        blocked: set[int] = set()
+        stack = [(root, iter(options[root]))]
+        trail: list[int] = []  # the right vertex each frame on the stack tries
+        while stack:
+            for v in stack[-1][1]:
+                if v not in blocked:
+                    break
+            else:  # this frame is spent: its parent tries its next
+                stack.pop()
+                del trail[-1:]
                 continue
             blocked.add(v)
-            if v not in match_right or augment(match_right[v], blocked):
+            trail.append(v)
+            if v in match_right:
+                u = match_right[v]
+                stack.append((u, iter(options[u])))
+                continue
+            for (u, _), v in zip(stack, trail):  # flip the alternating path
                 match_right[v] = u
                 match_left[u] = v
-                return True
-        return False
-
-    for u in left_list:
-        augment(u, set())
+            break
     return sorted(match_left.items())
 
 
@@ -281,55 +294,25 @@ class RootedView:
         return tuple(size)
 
 
-def connected_view(
-    t: Tree, root: int, within: Iterable[int] | None = None, name: str = "subtree"
-) -> RootedView:
-    """RootedView of the subtree induced by `within`; a `within` that is not
-    connected raises ValueError("<name> is not connected") instead of
-    yielding the root's piece alone."""
-    active = None if within is None else _active(t, within)
-    view = RootedView.build(t, root, active)
-    if active is not None and len(view.order) != len(active):
-        raise ValueError(f"{name} is not connected")
-    return view
-
-
 # -- tree paths and diameters --------------------------------------------------
 
-def farthest_from(t: Tree, source: int, within: Iterable[int] | None = None) -> tuple[int, int, dict[int, int]]:
-    """(distance, lowest farthest vertex, parent map) by BFS in the induced subtree."""
+def farthest_from(t: Tree, source: int, within: Iterable[int] | None = None) -> list[int]:
+    """The path from `source` to its lowest farthest vertex in the induced
+    subtree, found by one BFS."""
     view = RootedView.build(t, source, None if within is None else _active(t, within))
-    parent = {v: view.parent[v] for v in view.order}
     dist = {source: 0}
     for v in view.order[1:]:
-        dist[v] = dist[parent[v]] + 1
-    far = min(view.order, key=lambda v: (-dist[v], v))
-    return dist[far], far, parent
-
-
-def tree_path(t: Tree, u: int, v: int, within: Iterable[int] | None = None) -> list[int]:
-    """The unique u-v path in the (induced) tree."""
-    _, _, parent = farthest_from(t, u, within)
-    if v not in parent:
-        raise ValueError("endpoints are not connected inside the subtree")
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+        dist[v] = dist[view.parent[v]] + 1
+    path = [min(view.order, key=lambda v: (-dist[v], v))]
+    while path[-1] != source:
+        path.append(view.parent[path[-1]])
+    return path[::-1]
 
 
 def diametral_path(t: Tree, within: Iterable[int] | None = None) -> list[int]:
     """A longest shortest path of the induced subtree (double BFS)."""
     active = _active(t, within)
-    start = min(active)
-    _, a, _ = farthest_from(t, start, active)
-    _, b, parent = farthest_from(t, a, active)
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    return farthest_from(t, farthest_from(t, min(active), active)[-1], active)
 
 
 def tree_diameter(t: Tree, within: Iterable[int] | None = None) -> int:
@@ -426,79 +409,19 @@ def minimal_spanning_subtree(t: Tree, w: Iterable[int], within: Iterable[int] | 
     return keep
 
 
-# -- canonical codes and rooted containment ---------------------------------------
+# -- canonical codes --------------------------------------------------------------
 
 def canonical_code(t: Tree, root: int, within: Iterable[int] | None = None) -> str:
     """AHU code: equal exactly for rooted-isomorphic (sub)trees.  A `within`
     that is not connected raises ValueError."""
-    view = connected_view(t, root, within)
+    active = None if within is None else _active(t, within)
+    view = RootedView.build(t, root, active)
+    if active is not None and len(view.order) != len(active):
+        raise ValueError("subtree is not connected")
     code: dict[int, str] = {}
     for v in reversed(view.order):
         code[v] = "(" + "".join(sorted(code[c] for c in view.children[v])) + ")"
     return code[root]
-
-
-def contains_rooted_subtree(
-    host: Tree,
-    host_root: int,
-    guest: Tree,
-    guest_root: int,
-    host_within: Iterable[int] | None = None,
-    guest_within: Iterable[int] | None = None,
-) -> dict[int, int] | None:
-    """Root-preserving subtree embedding of guest into host, or None.
-
-    Children of each guest vertex must map injectively to children of the
-    image; solved by recursive feasibility plus bipartite matching.  A
-    `host_within` or `guest_within` that is not connected raises ValueError.
-    """
-    h_children = connected_view(host, host_root, host_within, "host subtree").children
-    g_children = connected_view(guest, guest_root, guest_within, "guest subtree").children
-    memo: dict[tuple[int, int], dict[int, int] | None] = {}
-
-    def embed(gv: int, hv: int) -> dict[int, int] | None:
-        key = (gv, hv)
-        if key in memo:
-            return memo[key]
-        g_kids = g_children[gv]
-        h_kids = h_children[hv]
-        result: dict[int, int] | None
-        if not g_kids:
-            result = {gv: hv}
-        elif len(g_kids) > len(h_kids):
-            result = None
-        else:
-            feasible = {
-                gc: [hc for hc in h_kids if embed(gc, hc) is not None]
-                for gc in g_kids
-            }
-            assignment: dict[int, int] = {}
-
-            def match(i: int, taken: set[int]) -> bool:
-                if i == len(g_kids):
-                    return True
-                gc = g_kids[i]
-                for hc in feasible[gc]:
-                    if hc in taken:
-                        continue
-                    assignment[gc] = hc
-                    taken.add(hc)
-                    if match(i + 1, taken):
-                        return True
-                    taken.discard(hc)
-                    del assignment[gc]
-                return False
-
-            if match(0, set()):
-                result = {gv: hv}
-                for gc, hc in assignment.items():
-                    result.update(embed(gc, hc))  # type: ignore[arg-type]
-            else:
-                result = None
-        memo[key] = result
-        return result
-
-    return embed(guest_root, host_root)
 
 
 def assert_not_separable(t: Tree, q: int) -> None:

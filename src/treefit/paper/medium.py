@@ -60,7 +60,8 @@ def embed_via_trivial_paths(
     preserving-path constructions.
     """
     delta = g.min_degree()
-    diam_t = tree_diameter(t)
+    dpath = diametral_path(t)
+    diam_t = len(dpath) - 1
     if k < 3:
         raise PreconditionViolated("needs k >= 3")
     if t.n != delta + k:
@@ -74,7 +75,6 @@ def embed_via_trivial_paths(
     if diam_t < need_diam:
         raise PreconditionViolated(f"guest diameter {diam_t} below {need_diam}")
 
-    dpath = diametral_path(t)
     block = _leaf_block(t, k, [dpath[0], dpath[-1]])
     anchors = sorted({min(t.adj(leaf)) for leaf in block})
     spine = minimal_spanning_subtree(t, anchors)
@@ -509,8 +509,7 @@ def embed_with_separator(
     side_a = comps[ci]
     side_b = set(range(g.n)) - sep - side_a
 
-    view = RootedView.build(t, y)
-    x_side = {v for v in range(t.n) if _in_subtree(view, v, x)}
+    x_side = next(set(c) for c in components_avoiding(t, {y}) if x in c)
     y_side = set(range(t.n)) - x_side
     if count < len(t.adj(x) & x_side):
         raise AssertionError("chosen separator vertex too poor for the light side")
@@ -526,14 +525,6 @@ def embed_with_separator(
     if not verify(out, g, t, require_full=True):
         raise AssertionError("separator split produced an invalid embedding")
     return out
-
-
-def _in_subtree(view, v: int, root_of_side: int) -> bool:
-    while v != -1:
-        if v == root_of_side:
-            return True
-        v = view.parent[v]
-    return False
 
 
 def solve_medium(

@@ -28,6 +28,7 @@ from .lemmas import (
     assert_not_separable,
     canonical_code,
     chvatal_extend,
+    components_avoiding,
     extended,
     is_q_escape,
     leaf_degree,
@@ -82,22 +83,17 @@ def build_w_candidates(t: Tree, k: int, p: int, separable_q: int | None = None) 
     threshold = k ** p if separable_q is None else separable_q
     assert_not_separable(t, threshold)
     root = _centroid(t)
-    view = RootedView.build(t, root)
-    for c in view.children[root]:
-        if view.size[c] >= threshold:
-            raise TreeIsSeparableError(
-                f"branch at {c} has {view.size[c]} vertices despite the split check"
-            )
+    # each branch of the centroid, keyed by its child of the centroid
+    subtree_of = {
+        min(t.adj(root).intersection(c)): set(c) for c in components_avoiding(t, {root})
+    }
     branches: dict[str, list[int]] = {}
-    subtree_of: dict[int, set[int]] = {}
-    for c in view.children[root]:
-        stack, verts = [c], set()
-        while stack:
-            x = stack.pop()
-            verts.add(x)
-            stack.extend(view.children[x])
-        subtree_of[c] = verts
-        code = canonical_code(t, c, within=verts)
+    for c in sorted(subtree_of):
+        if len(subtree_of[c]) >= threshold:
+            raise TreeIsSeparableError(
+                f"branch at {c} has {len(subtree_of[c])} vertices despite the split check"
+            )
+        code = canonical_code(t, c, within=subtree_of[c])
         branches.setdefault(code, []).append(c)
     leafy = _leaf_adjacent(t)
     w_set: set[int] = set()

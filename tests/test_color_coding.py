@@ -34,7 +34,7 @@ from treefit.paper.ahsc import (
     solve_ahsc,
     trial_count,
 )
-from treefit.paper.lemmas import canonical_code, contains_rooted_subtree
+from treefit.paper.lemmas import canonical_code
 from treefit.pipeline import SolveConfig, brute_force_contains
 from treefit.seeds import rng_from
 from treefit.trees import Tree
@@ -333,10 +333,6 @@ class TestGuestView:
             exact_constrained_embed(g, t, within={0, 1, 3})
         with pytest.raises(ValueError, match="subtree is not connected"):
             canonical_code(t, 0, within={0, 1, 3})
-        with pytest.raises(ValueError, match="guest subtree is not connected"):
-            contains_rooted_subtree(t, 0, t, 0, guest_within={0, 1, 3})
-        with pytest.raises(ValueError, match="host subtree is not connected"):
-            contains_rooted_subtree(t, 0, t, 0, host_within={0, 2})
 
     @pytest.mark.parametrize(
         "within, message",
@@ -693,6 +689,24 @@ class TestSolveAhsc:
         res = solve_ahsc(inst, 10, rng_from(7))
         assert res.found
         assert set(res.embedding.mapping) <= {0, 1}
+
+    def test_long_attachment(self):
+        # one pin on the end of a 400-vertex path and a quota of one: the
+        # attachments are the path's 399 prefixes
+        n = 400
+        inst = AhscInstance.make(path_graph(n), path_tree(n), {0: 0}, [(frozenset({1}), 1)])
+        res = solve_ahsc(inst, 10, rng_from(8))
+        assert res.found and res.exact
+        assert res.embedding.mapping == {0: 0, 1: 1}
+
+    def test_long_pinned_spine(self):
+        # pins on both ends: the spine is the whole path, one composition
+        # of the empty quota per spine vertex
+        n = 1200
+        inst = AhscInstance.make(path_graph(n), path_tree(n), {0: 0, n - 1: n - 1})
+        res = solve_ahsc(inst, 10, rng_from(9))
+        assert res.found and res.exact
+        assert res.embedding.mapping == {v: v for v in range(n)}
 
 
 class TestSingleColoringSuccessRate:

@@ -124,6 +124,14 @@ class TestMatching:
                     chosen = set(cand)
                     assert not all(u in chosen or v in chosen for u, v in cross)
 
+    def test_long_alternating_chain(self):
+        # L_i ~ R_{i-1}, R_i: each L_i first tries R_{i-1}, and the failed
+        # alternating search runs back through every earlier pair
+        m = 1200
+        g = Graph(2 * m, [(i, m + j) for i in range(m) for j in (i - 1, i) if j >= 0])
+        matching = max_bipartite_matching(g, range(m), range(m, 2 * m))
+        assert matching == [(i, m + i) for i in range(m)]
+
 
 class TestEscape:
     def test_complete_graph_never_escapes(self):

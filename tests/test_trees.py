@@ -20,7 +20,6 @@ from treefit.graph import Graph
 from treefit.paper.lemmas import (
     RootedView,
     canonical_code,
-    contains_rooted_subtree,
     find_separable_edge,
     leaf_degree,
     maximal_trivial_paths,
@@ -274,39 +273,6 @@ class TestCanonicalCode:
             t2, r2 = rooted[j]
             same_iso = rooted_isomorphic(t1, r1, t2, r2)
             assert (codes[i] == codes[j]) == same_iso
-
-
-class TestRootedContainment:
-    def test_path_in_star(self):
-        assert contains_rooted_subtree(star_tree(3), 0, path_tree(2), 0) is not None
-        assert contains_rooted_subtree(star_tree(3), 0, path_tree(3), 0) is None
-
-    def test_agrees_with_brute_force(self, small_trees):
-        # containment with equal sizes is exactly rooted isomorphism
-        rooted = []
-        for n in range(1, 8):
-            for t in small_trees[n]:
-                for root in range(t.n):
-                    rooted.append((n, t, root))
-        rng = rng_from(26)
-        import random as _random
-
-        pairs = _random.Random(5).sample(list(itertools.combinations(rooted, 2)), 3000)
-        for (n1, t1, r1), (n2, t2, r2) in pairs:
-            if n1 != n2:
-                continue
-            got = contains_rooted_subtree(t1, r1, t2, r2) is not None
-            expect = rooted_isomorphic(t1, r1, t2, r2)
-            assert got == expect
-
-    def test_embedding_is_valid(self):
-        host = spider(3, 3)
-        guest = spider(2, 2)
-        found = contains_rooted_subtree(host, 0, guest, 0)
-        assert found is not None
-        assert found[0] == 0
-        for u, v in guest.edges():
-            assert found[v] in host.adj(found[u])
 
 
 class TestTextFormat:
