@@ -17,7 +17,7 @@ decides nothing.
 from __future__ import annotations
 
 import math
-from itertools import compress, filterfalse, repeat
+from itertools import compress, filterfalse, repeat, takewhile
 from operator import countOf, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -43,15 +43,15 @@ def _guest_plan(
     Checks `within` (through `_active`), then the pins, then that the
     subtree is connected, raising ValueError.  The whole tree is read
     through its adjacency tuple, a `within` subtree through neighbour sets
-    built once for it.  The BFS starts at the lowest pinned vertex, else
-    (with `split`) the lowest non-leaf, else the lowest vertex, and takes
-    children in ascending id.  With `split` and more than two vertices, the
-    free leaves (childless, unpinned) follow the rest, the skeleton;
-    without it, a position's children are the consecutive positions from
-    `accumulate(kids_at, initial=1)`.  Returns per position the vertex, its
-    parent's position (-1 at the root) and its pin or None; per skeleton
-    position its number of children, and a spare 0; and the number of
-    skeleton positions.
+    built once for it.  The BFS starts at the lowest pinned vertex, else at
+    the lowest vertex of largest degree in the subtree (with more than two
+    vertices, a non-leaf), and takes children in ascending id.  With
+    `split` and more than two vertices, the free leaves (childless,
+    unpinned) follow the rest, the skeleton; without it, a position's
+    children are the consecutive positions from `accumulate(kids_at,
+    initial=1)`.  Returns per position the vertex, its parent's position
+    (-1 at the root) and its pin or None; per skeleton position its number
+    of children, and a spare 0; and the number of skeleton positions.
     """
     kappa = kappa or {}
     active = range(t.n) if within is None else _active(t, within)
@@ -62,9 +62,11 @@ def _guest_plan(
     split = split and len(active) > 2
     if kappa:
         root = min(kappa)
-    else:  # the lowest non-leaf when splitting, else (or if none) the lowest
-        lowest = sorted(active)
-        root = next((v for v in lowest if not split or len(near[v]) != 1), lowest[0])
+    elif within is None:  # the lowest vertex of largest degree
+        degree = list(map(len, adj))  # not `t.degrees()`, which a guest would keep
+        root = degree.index(max(degree))
+    else:
+        root = min(active, key=lambda v: (-len(near[v]), v))
     order, parent_at, kids_at = [root], [-1], []
     leaves: list[int] = []
     leaf_parent_at: list[int] = []
@@ -109,24 +111,26 @@ def exact_constrained_embed(
     The guest is read in the order of `_guest_plan`, split into skeleton
     and free leaves unless there are quota families (then every vertex is a
     skeleton vertex).  Skeleton vertices are placed in that order: each on
-    its pin if it has one, else the root on every host vertex of large
-    enough degree and any other vertex on every free neighbour of its
-    parent's image, in ascending order.  A candidate is skipped when it has
-    fewer free neighbours than its vertex has children, or when taking it
-    leaves a placed image fewer free neighbours than that vertex has
-    children still to place; free neighbours are counted only where degrees
-    do not settle it, and an untaken pinned image counts as free, which
-    only prunes less.  With the skeleton placed, each leaf takes the lowest
-    free neighbour of its parent's image, and a leaf that finds none looks
-    for an augmenting path (Kuhn) that moves placed leaves aside.  Without
-    one, no placement of the leaves exists, and the search goes straight
-    back to the last skeleton position.  When the guest (or `within`) spans
-    the host (or the component `hosts`), every unused vertex must take a
-    leaf, so a leaf phase first checks that each unused vertex lies beside
-    an anchor, the image of a vertex with leaves to place, and goes back at
-    the first that does not, before it places any leaf (Hall's condition).
-    A guest vertex of larger degree than every host vertex ends the search
-    before its first node.
+    its pin if it has one; else the root on every host vertex of large
+    enough degree, by descending degree with ties in ascending id
+    (`Graph.by_degree`, sorted once per host and kept), so the walk ends at
+    the first host vertex too small; and any other vertex on every free
+    neighbour of its parent's image, in ascending order.  A candidate is
+    skipped when it has fewer free neighbours than its vertex has children,
+    or when taking it leaves a placed image fewer free neighbours than that
+    vertex has children still to place; free neighbours are counted only
+    where degrees do not settle it, and an untaken pinned image counts as
+    free, which only prunes less.  With the skeleton placed, each leaf
+    takes the lowest free neighbour of its parent's image, and a leaf that
+    finds none looks for an augmenting path (Kuhn) that moves placed leaves
+    aside.  Without one, no placement of the leaves exists, and the search
+    goes straight back to the last skeleton position.  When the guest (or
+    `within`) spans the host (or the component `hosts`), every unused
+    vertex must take a leaf, so a leaf phase first checks that each unused
+    vertex lies beside an anchor, the image of a vertex with leaves to
+    place, and goes back at the first that does not, before it places any
+    leaf (Hall's condition).  A guest vertex of larger degree than every
+    host vertex ends the search before its first node.
 
     Search nodes: every skeleton candidate tried (a used neighbour is
     skipped without counting, and so is a pinned image, reserved for its
@@ -155,11 +159,12 @@ def exact_constrained_embed(
     host.
 
     `hosts`, the sorted vertices of one component of the host, keeps the
-    search inside that component: the root goes only on its vertices, and
-    the degree check, the density test and every count of unused vertices
-    read the component alone, so the search runs as it would on a copy of
-    the component.  A pin outside it, or on no host vertex, raises
-    ValueError.
+    search inside that component: the root goes only on its vertices, in
+    the component's own order by degree (sorted once per component and kept
+    on the `Graph`), and the degree check, the density test and every count
+    of unused vertices read the component alone, so the search runs as it
+    would on a copy of the component.  A pin outside it, or on no host
+    vertex, raises ValueError.
 
     The embedding it returns has passed `verify`, over the whole guest
     (`require_full`) when `within` is None; this is the one check of an
@@ -183,12 +188,15 @@ def exact_constrained_embed(
     # vertex a leaf to take: the positions of the leaves' parents, whose
     # images are the anchors every unused vertex must lie beside
     anchor_at = set(parent_at[skeleton:]) if count == size else ()
+    if not count:
+        return None
+    ranked = g.by_degree(hosts)  # the host (or component) by descending degree
+    degree = g.degrees()
     # a guest vertex of larger degree than every host vertex fits nowhere
     top = max(kids_at[0], max(kids_at[1:skeleton], default=-1) + 1)
-    if not count or top > g.max_degree(hosts):
+    if top > degree[ranked[0]]:
         return None
     adj = g.adjacency()
-    degree = g.degrees()
     sorted_adj: dict[int, list[int]] = {}  # host vertex -> its neighbours, ascending
     images = [-1] * size
     used = [0] * (n + 1)  # host vertex -> 1 + the position on it, 0 while free
@@ -327,10 +335,9 @@ def exact_constrained_embed(
     frames: list[Iterator[int]] = [iter(())] * (skeleton + 1)
     if pin_at[0] is not None:  # the root is pinned whenever anything is
         frames[0] = iter((pin_at[0],))
-    elif hosts is None:  # the root goes on every host vertex of large enough degree
-        frames[0] = compress(range(n), map(le, repeat(kids_at[0]), degree))
-    else:
-        frames[0] = compress(hosts, map(le, repeat(kids_at[0]), map(degree.__getitem__, hosts)))
+    else:  # by descending degree, up to the first host vertex too small for the root
+        fits = map(le, repeat(kids_at[0]), map(degree.__getitem__, ranked))
+        frames[0] = compress(ranked, takewhile(bool, fits))
     depth = 0
     while True:
         kids = kids_at[depth]

@@ -2,10 +2,13 @@
 
 Hosts are `Graph`s; guests are `trees.Tree`, a subclass that checks at
 construction that it is connected with n - 1 edges.  Vertices are dense
-integers 0..n-1.  The graph is immutable after construction.  Its degree
-table and component split are computed lazily, once per `Graph`, and kept
-in slots; filling a slot is idempotent (two readers that race both store
-equal values), so concurrent reads stay safe.  Every other query is pure.
+integers 0..n-1.  The graph is immutable after construction.  Its kept
+tables are computed lazily, once per `Graph`, and kept in slots: the degree
+table with its least and largest entries, the component split, and the
+vertices by descending degree (`by_degree`), sorted once for the whole
+graph and once for each component asked for.  Filling a slot is idempotent
+(two readers that race both store equal values), so concurrent reads stay
+safe.  Every other query is pure.
 Vertex sets are plain Python sets/frozensets throughout.  The text readers
 take their input by one rule, `errors.ascii_bytes`.
 
@@ -43,9 +46,13 @@ def _gc_paused(build: Callable[..., _T], *args) -> _T:
 
 class Graph:
     """Simple undirected graph with adjacency sets and cached host tables:
-    the degree table, its least and largest entries, and the component split."""
+    the degree table, its least and largest entries, the component split,
+    and the vertices by descending degree."""
 
-    __slots__ = ("n", "edge_count", "_adj", "_degrees", "_components", "_min_degree", "_max_degree")
+    __slots__ = (
+        "n", "edge_count", "_adj", "_degrees", "_components", "_by_degree", "_by_degree_in",
+        "_min_degree", "_max_degree",
+    )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -74,6 +81,8 @@ class Graph:
         """Leave every lazily computed table unset, to be filled on first use."""
         self._degrees: tuple[int, ...] | None = None
         self._components: tuple[tuple[int, ...], ...] | None = None
+        self._by_degree: tuple[int, ...] | None = None
+        self._by_degree_in: dict[int, tuple[int, ...]] | None = None  # keyed by least vertex
         self._min_degree: int | None = None
         self._max_degree: int | None = None
 
@@ -110,15 +119,30 @@ class Graph:
             self._min_degree = min(self.degrees())
         return self._min_degree
 
-    def max_degree(self, among: Iterable[int] | None = None) -> int:
-        """Largest degree over every vertex, or over the vertices `among`."""
-        if among is not None:
-            return max(map(self.degrees().__getitem__, among))
+    def max_degree(self) -> int:
+        """Largest degree over every vertex."""
         if self.n == 0:
             raise EmptyGraphError("maximum degree of the empty graph")
         if self._max_degree is None:
             self._max_degree = max(self.degrees())
         return self._max_degree
+
+    def by_degree(self, among: Sequence[int] | None = None) -> tuple[int, ...]:
+        """The vertices by descending degree, ties in ascending id: all of
+        them, or with `among`, one component as `components()` gives it
+        (named by its least vertex), its vertices alone.  Sorted on the
+        first call for the graph or the component, the same object after
+        that."""
+        if among is None:
+            if self._by_degree is None:
+                self._by_degree = _ranked(range(self.n), self.degrees())
+            return self._by_degree
+        if self._by_degree_in is None:
+            self._by_degree_in = {}
+        order = self._by_degree_in.get(among[0])
+        if order is None:
+            order = self._by_degree_in[among[0]] = _ranked(among, self.degrees())
+        return order
 
     # -- traversal --------------------------------------------------------
 
@@ -135,6 +159,12 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def _ranked(vertices: Iterable[int], degrees: Sequence[int]) -> tuple[int, ...]:
+    """`vertices` by descending degree: a stable sort, so equal degrees keep
+    the order given."""
+    return tuple(sorted(vertices, key=degrees.__getitem__, reverse=True))
 
 
 def _edge_sets(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, tuple[frozenset[int], ...]]:

@@ -77,8 +77,10 @@ def build_w_candidates(t: Tree, k: int, p: int, separable_q: int | None = None) 
     """Representatives per isomorphism class of the centroid's branches.
 
     The guest must not split into two parts of k**p (or separable_q)
-    vertices each; the centroid's branches are then all small, and k-1
-    representatives per branch shape cover some witness embedding.
+    vertices each; the centroid's branches are then all smaller than that
+    (a branch holds at most half the guest, so one that large would split
+    off two such parts), and k-1 representatives per branch shape cover
+    some witness embedding.
     """
     threshold = k ** p if separable_q is None else separable_q
     assert_not_separable(t, threshold)
@@ -89,10 +91,6 @@ def build_w_candidates(t: Tree, k: int, p: int, separable_q: int | None = None) 
     }
     branches: dict[str, list[int]] = {}
     for c in sorted(subtree_of):
-        if len(subtree_of[c]) >= threshold:
-            raise TreeIsSeparableError(
-                f"branch at {c} has {len(subtree_of[c])} vertices despite the split check"
-            )
         code = canonical_code(t, c, within=subtree_of[c])
         branches.setdefault(code, []).append(c)
     leafy = _leaf_adjacent(t)

@@ -362,6 +362,44 @@ class TestGuestView:
                 colorful_full_tree_dp(g, t, coloring, {3: 0}, within=within)
 
 
+class TestRootAtLargestDegree:
+    """An unpinned guest is rooted at its lowest vertex of largest degree,
+    and the root tries host vertices by descending degree, ties in
+    ascending id."""
+
+    # the path 0-1-2-3-4 with leaf 5 on 2 and leaves 6, 7 on 4: vertices 2
+    # and 4 have degree 3, the largest
+    GUEST = Tree(8, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (4, 6), (4, 7)])
+    STAR = star_tree(3)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_plan_root(self, split):
+        assert _guest_plan(self.GUEST, None, None, split)[0][0] == 2
+        # inside {2, 3, 4, 6, 7}, vertex 4 alone has degree 3
+        assert _guest_plan(self.GUEST, None, {2, 3, 4, 6, 7}, split)[0][0] == 4
+        # a pinned guest is rooted at its lowest pinned vertex
+        assert _guest_plan(self.GUEST, {6: 0, 3: 1}, None, split)[0][0] == 3
+        assert _guest_plan(self.GUEST, {7: 0}, {2, 3, 4, 6, 7}, split)[0][0] == 7
+
+    def test_root_image_of_largest_degree(self):
+        # host 0 has degree 3 and host 5 degree 4: the star's centre goes on 5
+        g = Graph(8, [(0, 1), (0, 2), (0, 3), (3, 5), (4, 5), (5, 6), (5, 7)])
+        assert exact_constrained_embed(g, self.STAR).mapping[0] == 5
+        # hosts 2 and 6 share the largest degree, 4: the lower id wins
+        g = Graph(10, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4), (2, 5), (5, 6), (6, 7), (6, 8), (6, 9)])
+        assert exact_constrained_embed(g, self.STAR).mapping[0] == 2
+
+    def test_root_image_inside_the_component(self):
+        # host 0, of degree 5, lies in the other component; inside
+        # {1, 2, 3, 4, 6, 8, 9}, host 9 (degree 4) comes before host 1 (degree 3)
+        inside = [(1, 2), (1, 3), (1, 4), (2, 9), (4, 9), (6, 9), (8, 9)]
+        g = Graph(13, inside + [(0, 5), (0, 7), (0, 10), (0, 11), (0, 12)])
+        other, comp = g.components()
+        assert comp == (1, 2, 3, 4, 6, 8, 9)
+        assert exact_constrained_embed(g, self.STAR, hosts=comp).mapping[0] == 9
+        assert exact_constrained_embed(g, self.STAR, hosts=other).mapping[0] == 0
+
+
 class TestContainsTreeBySize:
     def test_triangle_path(self):
         out = contains_tree_by_size(complete(3), path_tree(3), 10, rng_from(1))
@@ -555,8 +593,8 @@ class TestDenseFrames:
     node counts of a sorted neighbour list, whose order the same host with
     isolated vertices added (too sparse for the list) shows."""
 
-    # 0-1, 0-2, 1-2, 2-5, 1-3, 3-4, 3-5, 4-5: 8 edges on 6 vertices
-    FREE_COUNT = [(0, 1), (0, 2), (1, 2), (2, 5), (1, 3), (3, 4), (3, 5), (4, 5)]
+    # 0 joined to 1-5, then 1-2, 1-3, 3-5: 8 edges on 6 vertices
+    FREE_COUNT = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (3, 5)]
     # 0-1, 0-2, 0-3, 1-2, 2-4, 3-4, 3-5, 4-5: 8 edges on 6 vertices
     BACKTRACK = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 4), (3, 4), (3, 5), (4, 5)]
     # a root with a skeleton child (1) and two leaves (2, 3); 1 has leaf 4
@@ -565,14 +603,15 @@ class TestDenseFrames:
     @pytest.mark.parametrize("isolated", [0, 4])
     def test_failing_candidate_passes_to_the_next(self, isolated):
         # the spider 0-1-2 with leaf 5 on 0 and leaves 3, 4 on 2, spanning
-        # the dense host: 0 goes on host 0 (one node) and 1 on host 1 (one
-        # node); 2, with two children, tries host 2 (one node), whose one
-        # free neighbour (5) is too few, then host 3 (one node), with free
-        # 4 and 5.  The leaves take 2, 4 and 5 (three nodes).
+        # the dense host: the root 2, of largest degree, goes on host 0, of
+        # largest degree (one node), and 1 on host 1 (one node); 0, with a
+        # child, tries host 2 (one node), with no free neighbour, then host
+        # 3 (one node), with free 5.  The leaves take 2, 4 and 5 (three
+        # nodes).
         g = Graph(6 + isolated, self.FREE_COUNT)
         t = Tree(6, [(0, 1), (1, 2), (2, 3), (2, 4), (0, 5)])
         emb = TestExactConstrained.assert_nodes(g, t, 7)
-        assert emb.mapping == {0: 0, 1: 1, 2: 3, 5: 2, 3: 4, 4: 5}
+        assert emb.mapping == {2: 0, 1: 1, 0: 3, 3: 2, 4: 4, 5: 5}
 
     @pytest.mark.parametrize("isolated", [0, 4])
     def test_leaf_failure_resumes_after_the_last_image(self, isolated):
@@ -776,7 +815,7 @@ class TestEngineDigest:
     across refactors: certificates (in insertion order), misses, budget
     overruns with their node counts, and rejected arguments."""
 
-    DIGEST = "03a3398705039867c0d0712909c063d840f621e9363832461e9d4aed32c68fc5"
+    DIGEST = "85a23aeccd37347aca99a4e1696cf7001536622b3142a6829f2ea45a90844717"
 
     def test_outputs_match_the_recorded_digest(self):
         digest = hashlib.sha256()
@@ -836,7 +875,7 @@ class TestDenseSearchDigest:
     insertion order, every exact miss, and the node count of every budget
     overrun."""
 
-    DIGEST = "fb6cd36d13efe9cd356892760f93f8c2ceb0c96ce9ca1c37ec7c268ee8436645"
+    DIGEST = "6a579c273784a620492a926cfa6dc83d7f92659f2e2f6b7425c3380ee228cfc8"
 
     def test_outputs_match_the_recorded_digest(self):
         digest = hashlib.sha256()
@@ -885,7 +924,7 @@ class TestGuestPlanDigest:
     """`_guest_plan` lays every guest out the same way across refactors, and
     rejects bad `within` sets and pins with the same messages."""
 
-    DIGEST = "d0cd2272dcafe3d77640df2a6dfb538ba39b7b7d48726238aeadc9b637f214d0"
+    DIGEST = "7da6c0a96af2c2d0b40dbdc2a0b527d1ef13d6438d28297bfabbfc0ae5be9602"
 
     def test_plans_match_the_recorded_digest(self):
         digest = hashlib.sha256()

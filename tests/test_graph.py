@@ -772,6 +772,20 @@ class TestHostTables:
             assert type(degrees) is tuple and degrees == tuple(g.degree(v) for v in range(g.n))
             assert g.degrees() is degrees
 
+    def test_by_degree_sorted_once(self):
+        # descending degree, ties in ascending id: for the whole graph, and
+        # for each component alone; the same object on a second call
+        assert Graph(5, [(0, 1), (0, 4), (1, 4), (2, 4), (3, 4)]).by_degree() == (4, 0, 1, 2, 3)
+        rng = Random(12)
+        for g in (Graph(0, []), Graph(1, []), complete(5), _random_split_graph(rng), random_graph(20, 0.1, rng)):
+            order = g.by_degree()
+            assert order == tuple(sorted(range(g.n), key=lambda v: (-g.degree(v), v)))
+            assert g.by_degree() is order
+            for comp in g.components():
+                inside = g.by_degree(comp)
+                assert inside == tuple(v for v in order if v in comp)
+                assert g.by_degree(comp) is inside
+
     def test_every_construction_path_sets_every_slot(self, monkeypatch):
         # an unset slot would raise AttributeError only when its lazy table
         # is first read

@@ -490,7 +490,7 @@ class TestGoldenDigest:
     """Outcomes and certificates stay byte-identical across refactors (the
     seed guarantee); a change to the digest needs a stated reason."""
 
-    DIGEST = "03ca2914c1894aab04356777e90a0d03945f7da783242ca1424bdf11eb4615ea"
+    DIGEST = "0083a7e2677162b1b0b8fd94da6a8201c84ad2fc0eefdf950e8da097ffffe0e1"
 
     def _solve_and_check(self, instances) -> None:
         digest = hashlib.sha256()
